@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import ProblemInstance, cluster_ranks, preferred_order, validate
 from .errors import DimensionTooLarge, NotHermitian, NotUnitTrace
-from .polytope import DEFAULT_MAX_ENUM_DIM, degeneracy_classes, enumerate_vertices
+from .polytope import DEFAULT_MAX_ENUM_DIM, enumerate_vertices, vertex_count
 from .trajectory import OptimalTrajectory, _build, _maximal_pref
 
 
@@ -195,7 +195,9 @@ def build_generalized(ginst: GeneralizedInstance) -> OptimalTrajectory:
 
     Starts from the direct sum of per-block minimal vertices and at each
     step takes the within-block adjacent swap with the globally smallest
-    gradient, same tie-break as the unconstrained build. A constant
+    gradient, same tie-break as the unconstrained build. It is the same
+    build: one queue holds the adjacent pairs of every block, and a step
+    updates only the pairs touching the swapped positions. A constant
     conserved vector reproduces the base trajectory exactly.
     """
     inst = ginst.base
@@ -260,11 +262,7 @@ def generalized_vertex_count(
             raise DimensionTooLarge(
                 f"block dim {len(lam)} exceeds cap {max_block_dim}"
             )
-        _, sizes = degeneracy_classes(np.asarray(lam), eps)
-        count = math.factorial(len(lam))
-        for s in sizes:
-            count //= math.factorial(s)
-        total *= count
+        total *= vertex_count(lam, eps)
     return total
 
 

@@ -122,7 +122,7 @@ def preferred_order(target, cost, eps: float = COEFF_EPS) -> PreferredOrder:
         raise DimensionMismatch("target and cost lengths differ")
     ra = cluster_ranks(a, eps)
     re = cluster_ranks(e, eps)
-    perm = np.array(sorted(range(len(a)), key=lambda i: (ra[i], re[i], i)), dtype=int)
+    perm = np.lexsort((np.arange(len(a)), re, ra))
     inverse = np.argsort(perm)
     perm.setflags(write=False)
     inverse.setflags(write=False)

@@ -6,12 +6,20 @@ adjacent-valued populations with the smallest cost-per-target gradient,
 until no such swap remains. The resulting minimal cost is continuous,
 piecewise linear and convex in the target value.
 
+`build` does not rescan the candidate swaps at each vertex. It keeps them
+in a queue that holds only the pairs adjacent now; a swap of k and l
+replaces just the pairs touching k or l, so a step costs
+O(pairs touching k or l · log) instead of a pass over every pair. Ties
+within eps_grad resolve as the single-step rule (`next_step`) resolves
+them: smallest (k, l) first.
+
 Vertices and step indices are stored in preferred-basis coordinates;
 population vectors returned to callers are in the input basis.
 """
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -259,19 +267,124 @@ def next_step(p, inst: ProblemInstance, order: PreferredOrder | None = None) -> 
     )
 
 
+class _SwapQueue:
+    """The target-raising adjacent-valued swaps of the current vertex, kept between steps.
+
+    A swap permutes the populations, so the value runs (sorted populations
+    split at gaps > eps_pop, per block) never change; a position changes run
+    only when it is swapped. After swapping k and l the new candidates are
+    exactly the pairs touching k or l, so only those are pushed. An entry
+    carries the swap counts of its two positions when pushed and is stale
+    once either has been swapped again; stale entries are dropped when they
+    reach the top of their heap.
+
+    Entries are bucketed by exact gradient, each bucket a heap ordered by
+    (k, l), so the eps_grad tie rule of `_choose` needs only the top of each
+    tied bucket. Gradients use the same float expression as `_candidates`,
+    so they match it bit for bit, -0.0 included.
+    """
+
+    def __init__(self, p, a_p, e_p, eps_pop, blocks):
+        self._a = a_p.tolist()
+        self._e = e_p.tolist()
+        self._version = [0] * len(p)
+        self._run_of = [0] * len(p)
+        self._runs = [set()]  # empty sentinels before, between and after blocks
+        for pos in _position_groups(len(p), blocks):
+            members = pos[np.argsort(p[pos], kind="stable")]
+            splits = np.nonzero(np.diff(p[members]) > eps_pop)[0] + 1
+            for run in np.split(members, splits):
+                for k in run.tolist():
+                    self._run_of[k] = len(self._runs)
+                self._runs.append(set(run.tolist()))
+            self._runs.append(set())
+        self._grads = []  # heap of the bucket keys
+        self._buckets = {}  # gradient -> heap of (k, l, version k, version l, gradient)
+        for lows, highs in zip(self._runs, self._runs[1:]):
+            for k in lows:
+                for l in highs:
+                    self._push(k, l)
+
+    def _push(self, k, l):
+        gap = self._a[k] - self._a[l]
+        if gap <= COEFF_EPS:
+            return
+        grad = (self._e[k] - self._e[l]) / gap
+        bucket = self._buckets.get(grad)
+        if bucket is None:
+            bucket = self._buckets[grad] = []
+            heapq.heappush(self._grads, grad)
+        heapq.heappush(bucket, (k, l, self._version[k], self._version[l], grad))
+
+    def _top(self, grad):
+        """Smallest live entry of a bucket; drops the bucket when none is left."""
+        bucket = self._buckets[grad]
+        version = self._version
+        while bucket:
+            top = bucket[0]
+            if version[top[0]] == top[2] and version[top[1]] == top[3]:
+                return top
+            heapq.heappop(bucket)
+        del self._buckets[grad]
+        return None
+
+    def best(self, eps_grad):
+        """(k, l, gradient) as `_choose` picks it, or None at the maximal vertex."""
+        grads = self._grads
+        best = limit = None
+        kept = []
+        while grads and (limit is None or grads[0] <= limit):
+            grad = heapq.heappop(grads)
+            top = self._top(grad)
+            if top is None:
+                continue
+            if limit is None:
+                limit = grad + eps_grad
+            kept.append(grad)
+            best = top if best is None else min(best, top)
+        for grad in kept:
+            heapq.heappush(grads, grad)
+        return None if best is None else (best[0], best[1], best[4])
+
+    def swap(self, k, l):
+        """Record the swap of k (run r) with l (run r + 1) and push the new pairs."""
+        runs = self._runs
+        r = self._run_of[k]
+        runs[r].remove(k)
+        runs[r].add(l)
+        runs[r + 1].remove(l)
+        runs[r + 1].add(k)
+        self._run_of[k], self._run_of[l] = r + 1, r
+        self._version[k] += 1
+        self._version[l] += 1
+        for m in runs[r + 2]:
+            self._push(k, m)
+        for m in runs[r]:
+            self._push(m, k)
+        for m in runs[r + 1]:
+            if m != k:
+                self._push(l, m)
+        for m in runs[r - 1]:
+            self._push(m, l)
+
+
 def _build(p0_pref, a_p, e_p, order, eps_pop, eps_grad, blocks=None) -> OptimalTrajectory:
+    """Greedy trajectory from p0_pref; blocks=None is a single block.
+
+    Each step takes the candidate `_choose` would pick from `_candidates` at
+    the current vertex, from a `_SwapQueue` updated in O(pairs touching the
+    swapped positions · log) per step instead of rescanning every pair.
+    """
     p = np.asarray(p0_pref, dtype=float).copy()
-    groups = _position_groups(len(p), blocks)
+    queue = _SwapQueue(p, a_p, e_p, eps_pop, blocks)
     verts = [p.copy()]
     steps = []
     bps = [(float(np.dot(a_p, p)), float(np.dot(e_p, p)))]
-    while True:
-        ks, ls, grads = _candidates(p, a_p, e_p, eps_pop, groups)
-        if len(ks) == 0:
-            break
-        k, l, grad = _choose(ks, ls, grads, eps_grad)
+    while (chosen := queue.best(eps_grad)) is not None:
+        k, l, grad = chosen
         delta = (a_p[k] - a_p[l]) * (p[l] - p[k])
         p[k], p[l] = p[l], p[k]
+        queue.swap(k, l)
         alpha = float(np.dot(a_p, p))
         omega = float(np.dot(e_p, p))
         steps.append(
@@ -306,8 +419,10 @@ def _build(p0_pref, a_p, e_p, order, eps_pop, eps_grad, blocks=None) -> OptimalT
 def build(inst: ProblemInstance) -> OptimalTrajectory:
     """Full optimal trajectory of a validated instance, minimal to maximal point.
 
-    Scans at most the adjacent-valued swaps of the current vertex per step;
-    the polytope is never enumerated.
+    Each step takes the next swap from a queue of the adjacent pairs, updated
+    only for the pairs touching the swapped positions (O(those pairs · log)
+    per step); ties within eps_grad go to the smallest (k, l), as in
+    `next_step`. The polytope is never enumerated.
     """
     order = preferred_order(inst.target, inst.cost)
     a_p = order.to_preferred(inst.target)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import assert_single_step_rule, random_instance, tie_instance
 from trajopt.conserved import (
     block_decompose,
     block_spectra,
@@ -89,6 +89,26 @@ def test_generalized_steps_stay_in_blocks(rng):
         assert blocks[s.k] == blocks[s.l]
     # endpoint is the per-block maximal point
     assert np.allclose(traj.vertex_input(len(traj.steps)), maximal_point_generalized(ginst))
+
+
+def test_generalized_build_matches_single_step_rule(rng):
+    # random block patterns, half of them with planted and eps_grad ties
+    for i in range(30):
+        d = int(rng.integers(2, 41))
+        conserved = rng.integers(0, int(rng.integers(1, 6)), d).astype(float)
+        if i % 2 == 0:
+            inst = random_instance(rng, d)
+            inst = validate(
+                ProblemInstance(
+                    eigenvalues=inst.eigenvalues,
+                    target=inst.target,
+                    cost=inst.cost,
+                    conserved=conserved,
+                )
+            )
+        else:
+            inst = tie_instance(rng, d, conserved=conserved)
+        assert_single_step_rule(build_generalized(from_populations(inst)))
 
 
 def test_generalized_envelope_matches_trajectory(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import assert_single_step_rule, random_instance, tie_instance
 from trajopt.core import ProblemInstance, cost_value, target_value, validate
 from trajopt.errors import AlphaOutOfRange, NotAVertex
 from trajopt.lift import apply_chain
@@ -177,6 +177,20 @@ def test_uniqueness_conditions():
     assert (r3.unique, r3.condition) == (False, None)
     r4 = uniqueness_at_minimum(make([0.5, 0.5], [1, 1], [0, 0]))
     assert (r4.unique, r4.condition) == (True, 3)
+
+
+def test_build_matches_single_step_rule(rng):
+    # the incremental build against a full rescan at every vertex
+    for i in range(45):
+        d = int(rng.integers(2, 41))
+        kind = i % 3
+        if kind == 0:
+            inst = random_instance(rng, d)
+        elif kind == 1:
+            inst = random_instance(rng, d, degenerate=True)
+        else:
+            inst = tie_instance(rng, d)
+        assert_single_step_rule(build(inst))
 
 
 def test_build_scales_to_hundreds(rng):
