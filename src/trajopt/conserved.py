@@ -16,7 +16,14 @@ import numpy as np
 from .core import ProblemInstance, cluster_ranks, preferred_order, validate
 from .errors import DimensionTooLarge, NotHermitian, NotUnitTrace
 from .polytope import DEFAULT_MAX_ENUM_DIM, enumerate_vertices, vertex_count
-from .trajectory import OptimalTrajectory, _build, _maximal_pref
+from .trajectory import (
+    OptimalTrajectory,
+    _build,
+    _candidates,
+    _check_vertex,
+    _maximal_pref,
+    _position_groups,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,16 +224,17 @@ def swap_candidates_generalized(ginst: GeneralizedInstance, p):
 
     Indices are input-basis; i carries the larger target coefficient. At a
     thermal-at-machine-temperature system with an infinite-temperature bath
-    this is where "only one swap cools" shows up.
+    this is where "only one swap cools" shows up. Raises NotAVertex unless
+    p permutes the eigenvalues inside each conserved block.
     """
-    from .trajectory import _candidates, _position_groups
-
     inst = ginst.base
+    p = np.asarray(p, dtype=float)
+    _check_vertex(p, inst, ginst.structure.blocks)
     order = preferred_order(inst.target, inst.cost)
     a_p = order.to_preferred(inst.target)
     e_p = order.to_preferred(inst.cost)
     blocks = _block_of_position(ginst, order)
-    pp = order.to_preferred(np.asarray(p, dtype=float))
+    pp = order.to_preferred(p)
     groups = _position_groups(inst.dim, blocks)
     ks, ls, grads = _candidates(pp, a_p, e_p, inst.eps_pop, groups)
     return [

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    AlphaOutOfRange,
     DimensionMismatch,
     NegativeEigenvalue,
     NonPositiveTolerance,
@@ -25,6 +26,8 @@ from .errors import (
 
 # Absolute tolerance for ties among user-given target/cost coefficients.
 COEFF_EPS = 1e-12
+# Absolute tolerance for range checks on the target value.
+ALPHA_TOL = 1e-9
 
 
 def _vector(x, name: str) -> np.ndarray:
@@ -112,6 +115,13 @@ def cluster_ranks(values: np.ndarray, eps: float) -> np.ndarray:
     ranks = np.empty(len(values), dtype=int)
     ranks[order] = jumps
     return ranks
+
+
+def check_alpha(alpha: float, lo: float, hi: float) -> float:
+    """alpha clamped to [lo, hi]; AlphaOutOfRange beyond ALPHA_TOL outside it."""
+    if alpha < lo - ALPHA_TOL or alpha > hi + ALPHA_TOL:
+        raise AlphaOutOfRange(f"alpha {alpha!r} outside [{lo!r}, {hi!r}]")
+    return min(max(alpha, lo), hi)
 
 
 def preferred_order(target, cost, eps: float = COEFF_EPS) -> PreferredOrder:

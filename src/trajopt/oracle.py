@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, DimensionTooLarge
+from .core import check_alpha
+from .errors import DimensionTooLarge
 
-ALPHA_TOL = 1e-9
+# Permutation entries the audit draws at once (2 MB of int64 indices).
+AUDIT_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,21 +114,9 @@ def induced_polygon(vertices, a, e) -> InducedPolygon:
 
 def envelope_min_cost(poly: InducedPolygon, alpha: float) -> float:
     """Linear interpolation on the lower envelope."""
-    lo, hi = poly.alpha_min, poly.alpha_max
-    if alpha < lo - ALPHA_TOL or alpha > hi + ALPHA_TOL:
-        raise AlphaOutOfRange(f"alpha {alpha!r} outside [{lo!r}, {hi!r}]")
-    alpha = min(max(alpha, lo), hi)
+    alpha = check_alpha(alpha, poly.alpha_min, poly.alpha_max)
     env = poly.lower_envelope
     return float(np.interp(alpha, env[:, 0], env[:, 1]))
-
-
-def _random_mixture(d: int, n_perms: int, rng) -> np.ndarray:
-    weights = rng.dirichlet(np.ones(n_perms))
-    out = np.zeros((d, d))
-    for w in weights:
-        perm = rng.permutation(d)
-        out[np.arange(d), perm] += w
-    return out
 
 
 def sample_doubly_stochastic(d: int, n_perms: int, seed) -> np.ndarray:
@@ -137,7 +127,59 @@ def sample_doubly_stochastic(d: int, n_perms: int, seed) -> np.ndarray:
     """
     if d > 10:
         raise DimensionTooLarge(f"dim {d} exceeds sampling cap 10")
-    return _random_mixture(d, n_perms, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_perms))
+    out = np.zeros((d, d))
+    for w in weights:
+        out[np.arange(d), rng.permutation(d)] += w
+    return out
+
+
+def _mixtures(lam: np.ndarray, n: int, rng) -> np.ndarray:
+    """n images sum_j w_j lam[pi_j] of lam, one per row.
+
+    Per image: n_perms ~ U{1..2d}, Dirichlet(1) weights (exponentials
+    normalised per image) and uniform permutations pi_j, drawn at most
+    AUDIT_CHUNK // d permutations at a time.
+    """
+    d = len(lam)
+    counts = rng.integers(1, 2 * d + 1, size=n)
+    owner = np.repeat(np.arange(n), counts)
+    w = rng.standard_exponential(len(owner))
+    w /= np.add.reduceat(w, np.cumsum(counts) - counts)[owner]
+    out = np.zeros((n, d))
+    rows = max(1, AUDIT_CHUNK // d)
+    for r0 in range(0, len(owner), rows):
+        own = owner[r0 : r0 + rows]
+        perms = rng.permuted(np.broadcast_to(np.arange(d), (len(own), d)), axis=1)
+        starts = np.flatnonzero(np.diff(own, prepend=-1))
+        out[own[starts]] += np.add.reduceat(w[r0 : r0 + rows, None] * lam[perms], starts)
+    return out
+
+
+def _audit_images(inst, n_samples: int, seed):
+    """The audit's doubly-stochastic images of the spectrum, one per row, in chunks.
+
+    A chunk holds AUDIT_CHUNK // (2 m^2) samples (at least one), m the
+    largest block, so its permutations fit in one draw of `_mixtures`
+    whenever 2 m^2 <= AUDIT_CHUNK. Each conserved block is mixed on its
+    own (a flat instance is one block); a singleton block keeps its
+    eigenvalue.
+    """
+    base = getattr(inst, "base", inst)
+    structure = getattr(inst, "structure", None)
+    lam = np.asarray(base.eigenvalues, dtype=float)
+    d = len(lam)
+    blocks = [np.arange(d)] if structure is None else list(map(np.asarray, structure.blocks))
+    m = max(len(idx) for idx in blocks)
+    per_chunk = max(1, AUDIT_CHUNK // (2 * m * m))
+    rng = np.random.default_rng(seed)
+    for first in range(0, n_samples, per_chunk):
+        n = min(per_chunk, n_samples - first)
+        images = np.empty((n, d))
+        for idx in blocks:
+            images[:, idx] = lam[idx] if len(idx) == 1 else _mixtures(lam[idx], n, rng)
+        yield images
 
 
 def monte_carlo_audit(
@@ -146,32 +188,18 @@ def monte_carlo_audit(
     """Random doubly-stochastic images must stay on or above the trajectory cost.
 
     Accepts a ProblemInstance or a GeneralizedInstance (sampling is then
-    per conserved block). Violations are reported, not raised.
+    per conserved block). By Birkhoff's theorem a doubly-stochastic image
+    of the spectrum is a mixture sum_j w_j lam[pi_j], so no matrix is
+    built. Per block of size m, each sample mixes n_perms ~ U{1..2m}
+    uniform permutations of the block's eigenvalues with Dirichlet(1)
+    weights. Samples come in chunks that draw at most AUDIT_CHUNK
+    permutation entries at once (`_audit_images`), so memory stays a few
+    MB at any d. Deterministic per seed. Violations are reported, not
+    raised.
     """
     base = getattr(inst, "base", inst)
-    blocks = getattr(getattr(inst, "structure", None), "blocks", None)
-    lam = np.asarray(base.eigenvalues, dtype=float)
-    a = np.asarray(base.target, dtype=float)
-    e = np.asarray(base.cost, dtype=float)
-    d = len(lam)
-    rng = np.random.default_rng(seed)
-    alphas = np.empty(n_samples)
-    costs = np.empty(n_samples)
-    for i in range(n_samples):
-        p = np.empty(d)
-        if blocks is None:
-            n_perms = int(rng.integers(1, 2 * d + 1))
-            p[:] = _random_mixture(d, n_perms, rng) @ lam
-        else:
-            for block in blocks:
-                idx = np.asarray(block)
-                if len(idx) == 1:
-                    p[idx] = lam[idx]
-                    continue
-                n_perms = int(rng.integers(1, 2 * len(idx) + 1))
-                p[idx] = _random_mixture(len(idx), n_perms, rng) @ lam[idx]
-        alphas[i] = a @ p
-        costs[i] = e @ p
+    ae = np.column_stack([base.target, base.cost])
+    alphas, costs = np.concatenate([p @ ae for p in _audit_images(inst, n_samples, seed)]).T
     bp = traj.breakpoints
     clipped = np.clip(alphas, bp[0, 0], bp[-1, 0])
     omega = np.interp(clipped, bp[:, 0], bp[:, 1])

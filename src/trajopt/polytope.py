@@ -181,35 +181,19 @@ def is_edge(v1, v2, vset: VertexSet, eps: float = 1e-9) -> bool:
     return segment_weight(v1, v2, vset, tol=eps) >= 0.5
 
 
-def _canonical_pair(v1: np.ndarray, v2: np.ndarray, desc: np.ndarray) -> bytes:
-    """Orbit key of (v1, v2) under coordinate permutations.
-
-    Relabels coordinates so v1 becomes the descending spectrum, then sorts
-    v2's entries inside each degeneracy block of the spectrum (the residual
-    relabeling freedom).
-    """
-    order1 = np.argsort(-v1, kind="stable")
-    w = v2[order1]
-    start = 0
-    d = len(desc)
-    out = np.empty(d)
-    while start < d:
-        stop = start
-        while stop < d and desc[stop] == desc[start]:
-            stop += 1
-        out[start:stop] = -np.sort(-w[start:stop])
-        start = stop
-    return out.tobytes()
-
-
 def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set:
     """All unordered vertex-index pairs passing is_edge.
 
-    With symmetry=True, pairs related by a coordinate permutation share one
-    LP solve (the polytope is permutation invariant); with symmetry=False
-    every pair is solved independently.
+    With symmetry=False every pair is solved independently (the reference).
+    With symmetry=True pairs related by a coordinate permutation share one
+    LP (the polytope is permutation invariant). The orbit key of (v_i, v_j)
+    relabels coordinates so v_i becomes the descending spectrum (one stable
+    argsort per i), then sorts v_j descending inside each degeneracy block
+    of the spectrum, the residual relabeling freedom. Keys of all pairs
+    i < j are computed at once and grouped bitwise (an int64 view of the
+    floats); is_edge runs once per orbit, at its first pair in row-major
+    order.
     """
-    desc = np.sort(vset.eigenvalues)[::-1]
     n = vset.count
     pairs = set()
     if not symmetry:
@@ -219,18 +203,23 @@ def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set
                     pairs.add((i, j))
         return pairs
 
-    cache: dict[bytes, bool] = {}
-    for i in range(n):
-        vi = vset.vertices[i]
-        for j in range(i + 1, n):
-            key = _canonical_pair(vi, vset.vertices[j], desc)
-            verdict = cache.get(key)
-            if verdict is None:
-                verdict = is_edge(vset.vertices[i], vset.vertices[j], vset, eps)
-                cache[key] = verdict
-            if verdict:
-                pairs.add((i, j))
-    return pairs
+    verts = vset.vertices
+    desc = np.sort(vset.eigenvalues)[::-1]
+    iu, ju = np.triu_indices(n, 1)
+    order = np.argsort(-verts, axis=1, kind="stable")
+    keys = verts[ju[:, None], order[iu]]
+    bounds = np.flatnonzero(np.diff(desc, prepend=np.nan, append=np.nan))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start > 1:
+            keys[:, start:stop] = -np.sort(-keys[:, start:stop], axis=1)
+    _, first, orbit = np.unique(
+        keys.view(np.int64), axis=0, return_index=True, return_inverse=True
+    )
+    verdicts = np.array(
+        [is_edge(verts[iu[f]], verts[ju[f]], vset, eps) for f in first], dtype=bool
+    )
+    hits = verdicts[orbit.reshape(-1)]
+    return {(int(i), int(j)) for i, j in zip(iu[hits], ju[hits])}
 
 
 def av_swap_pairs(vset: VertexSet, eps: float = 1e-12) -> set:

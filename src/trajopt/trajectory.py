@@ -29,12 +29,11 @@ from .core import (
     COEFF_EPS,
     PreferredOrder,
     ProblemInstance,
+    check_alpha,
     cluster_ranks,
     preferred_order,
 )
-from .errors import AlphaOutOfRange, NotAVertex
-
-ALPHA_TOL = 1e-9  # absolute tolerance for range checks on the target value
+from .errors import NotAVertex
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ class MinimalCostFunction:
         return float(self.alphas[-1])
 
     def __call__(self, alpha: float) -> float:
-        alpha = _check_alpha(alpha, self.alpha_min, self.alpha_max)
+        alpha = check_alpha(alpha, self.alpha_min, self.alpha_max)
         return float(np.interp(alpha, self.alphas, self.omegas))
 
 
@@ -117,12 +116,6 @@ class OptimalTrajectory:
 class MinimumUniqueness:
     unique: bool
     condition: int | None
-
-
-def _check_alpha(alpha: float, lo: float, hi: float) -> float:
-    if alpha < lo - ALPHA_TOL or alpha > hi + ALPHA_TOL:
-        raise AlphaOutOfRange(f"alpha {alpha!r} outside [{lo!r}, {hi!r}]")
-    return min(max(alpha, lo), hi)
 
 
 def _minimal_pref(lam: np.ndarray) -> np.ndarray:
@@ -225,15 +218,31 @@ def _choose(ks, ls, grads, eps_grad):
     return int(ks[j]), int(ls[j]), float(grads[j])
 
 
+def _check_vertex(p, inst: ProblemInstance, blocks=None) -> None:
+    """Raise NotAVertex unless p (input basis) permutes the eigenvalues.
+
+    With blocks (input-basis index tuples, the conserved blocks), p must
+    permute the eigenvalues inside each block separately.
+    """
+    lam = np.asarray(inst.eigenvalues)
+    tol = max(inst.eps_pop, 1e-9)
+    for idx in [slice(None)] if blocks is None else map(np.asarray, blocks):
+        if np.max(np.abs(np.sort(p[idx]) - np.sort(lam[idx]))) > tol:
+            raise NotAVertex("p is not a permutation of the eigenvalues")
+
+
 def swap_candidates(p, inst: ProblemInstance, order: PreferredOrder | None = None):
     """Target-increasing adjacent-valued swaps at p, as (i, j, gradient).
 
     Indices are input-basis; i carries the larger target coefficient.
+    Raises NotAVertex unless p is a permutation of the eigenvalues.
     """
+    p = np.asarray(p, dtype=float)
+    _check_vertex(p, inst)
     order = order or preferred_order(inst.target, inst.cost)
     a_p = order.to_preferred(inst.target)
     e_p = order.to_preferred(inst.cost)
-    pp = order.to_preferred(np.asarray(p, dtype=float))
+    pp = order.to_preferred(p)
     ks, ls, grads = _candidates(pp, a_p, e_p, inst.eps_pop, _position_groups(inst.dim, None))
     return [
         (int(order.perm[k]), int(order.perm[l]), float(g))
@@ -243,11 +252,9 @@ def swap_candidates(p, inst: ProblemInstance, order: PreferredOrder | None = Non
 
 def next_step(p, inst: ProblemInstance, order: PreferredOrder | None = None) -> SwapStep | None:
     """The optimal swap out of vertex p (input basis), or None at the maximum."""
-    order = order or preferred_order(inst.target, inst.cost)
-    lam = np.sort(np.asarray(inst.eigenvalues))
     p = np.asarray(p, dtype=float)
-    if np.max(np.abs(np.sort(p) - lam)) > max(inst.eps_pop, 1e-9):
-        raise NotAVertex("p is not a permutation of the eigenvalues")
+    _check_vertex(p, inst)
+    order = order or preferred_order(inst.target, inst.cost)
     a_p = order.to_preferred(inst.target)
     e_p = order.to_preferred(inst.cost)
     pp = order.to_preferred(p)
@@ -368,16 +375,29 @@ class _SwapQueue:
             self._push(m, l)
 
 
+def _replay(p0, steps) -> np.ndarray:
+    """Read-only (len(steps) + 1, d) array of p0 and the vertex after each step."""
+    out = np.empty((len(steps) + 1, len(p0)))
+    out[0] = p0
+    for prev, row, step in zip(out, out[1:], steps):
+        row[:] = prev
+        row[step.k], row[step.l] = prev[step.l], prev[step.k]
+    out.setflags(write=False)
+    return out
+
+
 def _build(p0_pref, a_p, e_p, order, eps_pop, eps_grad, blocks=None) -> OptimalTrajectory:
     """Greedy trajectory from p0_pref; blocks=None is a single block.
 
     Each step takes the candidate `_choose` would pick from `_candidates` at
     the current vertex, from a `_SwapQueue` updated in O(pairs touching the
-    swapped positions · log) per step instead of rescanning every pair.
+    swapped positions · log) per step instead of rescanning every pair. The
+    loop records only the steps; the vertices are filled in afterwards by
+    replaying them from p0, so the build never holds them twice.
     """
-    p = np.asarray(p0_pref, dtype=float).copy()
+    p0 = np.asarray(p0_pref, dtype=float)
+    p = p0.copy()
     queue = _SwapQueue(p, a_p, e_p, eps_pop, blocks)
-    verts = [p.copy()]
     steps = []
     bps = [(float(np.dot(a_p, p)), float(np.dot(e_p, p)))]
     while (chosen := queue.best(eps_grad)) is not None:
@@ -397,10 +417,8 @@ def _build(p0_pref, a_p, e_p, order, eps_pop, eps_grad, blocks=None) -> OptimalT
                 alpha_end=alpha,
             )
         )
-        verts.append(p.copy())
         bps.append((alpha, omega))
-    vertices = np.array(verts)
-    vertices.setflags(write=False)
+    vertices = _replay(p0, steps)
     breakpoints = np.array(bps)
     breakpoints.setflags(write=False)
     return OptimalTrajectory(
@@ -442,7 +460,7 @@ def state_at(traj: OptimalTrajectory, alpha: float):
     Returns (population, segment_index, t) where t in [0, 1] is the position
     along the active segment (0 at its start vertex).
     """
-    alpha = _check_alpha(alpha, traj.alpha_min, traj.alpha_max)
+    alpha = check_alpha(alpha, traj.alpha_min, traj.alpha_max)
     alphas = traj.breakpoints[:, 0]
     if len(traj.steps) == 0:
         return traj.vertex_input(0), 0, 0.0

@@ -14,9 +14,10 @@ from trajopt.conserved import (
     generalized_vertex_count,
     jacobi_eigenvalues,
     maximal_point_generalized,
+    swap_candidates_generalized,
 )
 from trajopt.core import ProblemInstance, validate
-from trajopt.errors import NotHermitian, NotUnitTrace
+from trajopt.errors import NotAVertex, NotHermitian, NotUnitTrace
 from trajopt.polytope import av_swaps, is_edge
 from trajopt.trajectory import build
 
@@ -260,3 +261,24 @@ def test_from_density_matrix_spectra(rng):
     traj = build_generalized(gi)
     grads = [s.gradient for s in traj.steps]
     assert all(b - a >= -1e-12 for a, b in zip(grads[:-1], grads[1:]))
+
+
+def test_swap_candidates_generalized_checks_each_block():
+    # blocks {0, 1} and {2, 3}; spectra [0.4, 0.1] and [0.3, 0.2]
+    ginst = from_populations(
+        validate(
+            ProblemInstance(
+                eigenvalues=np.array([0.4, 0.1, 0.3, 0.2]),
+                target=np.array([0.0, 1.0, 2.0, 3.0]),
+                cost=np.array([0.0, 1.0, 2.0, 3.0]),
+                conserved=np.array([0.0, 0.0, 1.0, 1.0]),
+            )
+        )
+    )
+    assert len(swap_candidates_generalized(ginst, [0.1, 0.4, 0.2, 0.3])) == 0
+    assert len(swap_candidates_generalized(ginst, [0.4, 0.1, 0.3, 0.2])) == 2
+    # a permutation of the whole spectrum that moves mass across blocks
+    with pytest.raises(NotAVertex):
+        swap_candidates_generalized(ginst, [0.4, 0.3, 0.1, 0.2])
+    with pytest.raises(NotAVertex):
+        swap_candidates_generalized(ginst, [0.7, 0.1, 0.1, 0.1])

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
+from trajopt import oracle
+from trajopt.conserved import build_generalized, from_populations
+from trajopt.core import ProblemInstance, validate
 from trajopt.errors import AlphaOutOfRange
 from trajopt.oracle import (
+    _audit_images,
     envelope_min_cost,
     induced_polygon,
     monte_carlo_audit,
@@ -104,4 +108,81 @@ def test_audit_detects_tampered_trajectory(rng):
         breakpoints = bad
 
     report = monte_carlo_audit(inst, _Fake, n_samples=500, seed=0)
+    assert report.violations > 0
+
+
+def _conserved_instance(rng):
+    """Blocks of sizes 3, 1 and 4; the singleton keeps its eigenvalue."""
+    d = 8
+    return from_populations(
+        validate(
+            ProblemInstance(
+                eigenvalues=rng.dirichlet(np.ones(d)),
+                target=rng.normal(size=d),
+                cost=rng.normal(size=d),
+                conserved=np.array([0.0, 2.0, 0.0, 1.0, 2.0, 0.0, 2.0, 2.0]),
+            )
+        )
+    )
+
+
+def _assert_majorized_images(images, lam, blocks):
+    for idx in map(np.asarray, blocks):
+        part = images[:, idx]
+        assert np.max(np.abs(part.sum(axis=1) - lam[idx].sum())) < 1e-12
+        for row in part:
+            assert majorizes(lam[idx], row, 1e-12)
+
+
+def test_audit_images_are_majorized_per_block(rng):
+    flat = random_instance(rng, 6)
+    images = np.vstack(list(_audit_images(flat, 300, seed=4)))
+    assert images.shape == (300, 6)
+    _assert_majorized_images(images, np.asarray(flat.eigenvalues), [range(6)])
+
+    ginst = _conserved_instance(rng)
+    lam = np.asarray(ginst.base.eigenvalues)
+    images = np.vstack(list(_audit_images(ginst, 300, seed=4)))
+    assert images.shape == (300, 8)
+    _assert_majorized_images(images, lam, ginst.structure.blocks)
+    assert np.all(images[:, 3] == lam[3])
+
+
+def test_audit_images_deterministic_per_seed(rng):
+    for inst in (random_instance(rng, 5), _conserved_instance(rng)):
+        first = np.vstack(list(_audit_images(inst, 200, seed=7)))
+        again = np.vstack(list(_audit_images(inst, 200, seed=7)))
+        other = np.vstack(list(_audit_images(inst, 200, seed=8)))
+        assert np.array_equal(first, again)
+        assert not np.array_equal(first, other)
+
+
+def test_audit_images_span_chunks(rng, monkeypatch):
+    inst = random_instance(rng, 64)
+    lam = np.asarray(inst.eigenvalues)
+    chunks = list(_audit_images(inst, 100, seed=1))
+    assert len(chunks) > 1
+    images = np.vstack(chunks)
+    assert images.shape == (100, 64)
+    _assert_majorized_images(images, lam, [range(64)])
+    # a chunk budget below one sample splits each sample's permutations
+    # over several draws
+    monkeypatch.setattr(oracle, "AUDIT_CHUNK", 24)
+    small = random_instance(rng, 6)
+    chunks = list(_audit_images(small, 40, seed=1))
+    assert len(chunks) == 40
+    _assert_majorized_images(np.vstack(chunks), np.asarray(small.eigenvalues), [range(6)])
+
+
+def test_audit_detects_tampered_conserved_trajectory(rng):
+    ginst = _conserved_instance(rng)
+    traj = build_generalized(ginst)
+    assert monte_carlo_audit(ginst, traj, n_samples=500, seed=0).passed
+    bad = traj.breakpoints.copy()
+    bad[:, 1] += 0.05
+
+    class _Fake:
+        breakpoints = bad
+
+    report = monte_carlo_audit(ginst, _Fake, n_samples=500, seed=0)
     assert report.violations > 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trajopt import polytope
 from trajopt.errors import DimensionTooLarge, NotAVertex
 from trajopt.oracle import sample_doubly_stochastic
 from trajopt.polytope import (
@@ -104,3 +105,23 @@ def test_edge_structure_small_cases():
 def test_degenerate_triangle_every_pair_is_edge():
     vs = enumerate_vertices([0.5, 0.25, 0.25])
     assert edge_pairs(vs, symmetry=False) == {(0, 1), (0, 2), (1, 2)}
+
+
+@pytest.mark.parametrize(
+    "lam, solves",
+    [([0.32, 0.26, 0.2, 0.13, 0.09], 119), ([0.3, 0.3, 0.15, 0.15, 0.1], 10)],
+)
+def test_edge_pairs_solves_one_lp_per_orbit(lam, solves, monkeypatch):
+    # solve counts recorded from the per-pair orbit-key cache edge_pairs
+    # replaced; the edges must still be the adjacent-swap pairs
+    calls = []
+    real = polytope.is_edge
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "is_edge", counting)
+    vs = enumerate_vertices(lam)
+    assert edge_pairs(vs) == av_swap_pairs(vs)
+    assert len(calls) == solves

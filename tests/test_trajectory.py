@@ -14,6 +14,7 @@ from trajopt.trajectory import (
     next_step,
     omega_opt,
     state_at,
+    swap_candidates,
     uniqueness_at_minimum,
 )
 
@@ -88,6 +89,18 @@ def test_next_step_at_maximum_is_none():
     assert next_step(maximal_vertex(inst), inst) is None
     with pytest.raises(NotAVertex):
         next_step([0.25, 0.25, 0.25, 0.25], inst)
+
+
+def test_swap_candidates_rejects_non_vertex():
+    # same permutation check as next_step: [0.7, 0.1, 0.1, 0.1] is no
+    # permutation of the spectrum, so it has no adjacent-swap candidates
+    inst = make([0.4, 0.3, 0.2, 0.1], [0, 1, 2, 3], [0, 1, 2, 3])
+    with pytest.raises(NotAVertex):
+        swap_candidates([0.7, 0.1, 0.1, 0.1], inst)
+    with pytest.raises(NotAVertex):
+        next_step([0.7, 0.1, 0.1, 0.1], inst)
+    assert len(swap_candidates([0.4, 0.3, 0.2, 0.1], inst)) == 3
+    assert swap_candidates([0.1, 0.2, 0.3, 0.4], inst) == []
 
 
 def test_next_step_from_qubit_demo_initial_state():
