@@ -156,6 +156,8 @@ def _verify_checks(inst, args):
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {args.samples}")
     inst = _load(args.instance, args)
     results = list(_verify_checks(inst, args))
     failed = [name for name, ok, _ in results if ok is False]

@@ -2,6 +2,10 @@
 
 Floats are emitted with 17 significant digits so files reload bit-exactly,
 and field order is fixed so build -> load -> re-serialize is byte-identical.
+
+A trajectory file stores the minimal-point vertex and the steps, not every
+vertex: the reader replays the steps from it with the function the builder
+uses, so the reloaded vertices equal the built ones bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import numpy as np
 
 from .core import PreferredOrder, ProblemInstance
 from .errors import ParseError
-from .trajectory import OptimalTrajectory, SwapStep
+from .trajectory import OptimalTrajectory, SwapStep, _replay
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 TIE_BREAK = "lexicographic-kl"
 
 INSTANCE_FIELDS = (
@@ -26,6 +30,16 @@ INSTANCE_FIELDS = (
     "initial_populations",
     "eps_pop",
     "eps_grad",
+)
+
+TRAJECTORY_FIELDS = (
+    "alpha_range",
+    "breakpoints",
+    "steps",
+    "initial_vertex",
+    "target",
+    "cost",
+    "metadata",
 )
 
 
@@ -54,10 +68,17 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj)
-        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
-            return "[" + ", ".join(dumps_canonical(v) for v in items) + "]"
+        if set(map(type, items)) == {float} and all(map(math.isfinite, items)):
+            # one pass for a float row; v + 0.0 turns -0.0 into 0.0, as format_float does
+            return "[" + ", ".join(["%.17g" % (v + 0.0) for v in items]) + "]"
+        if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
+            return "[" + ", ".join(map(_dumps_scalar, items)) + "]"
         inner = ",\n".join(f"{pad}  {dumps_canonical(v, indent + 2)}" for v in items)
         return "[\n" + inner + "\n" + pad + "]"
+    return _dumps_scalar(obj)
+
+
+def _dumps_scalar(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -162,7 +183,7 @@ def trajectory_to_dict(traj: OptimalTrajectory) -> dict:
         meta["block_of_position"] = [int(b) for b in traj.block_of_position]
     return {
         "alpha_range": [float(traj.alpha_min), float(traj.alpha_max)],
-        "breakpoints": [[float(a), float(w)] for a, w in traj.breakpoints],
+        "breakpoints": traj.breakpoints.tolist(),
         "steps": [
             {
                 "k": int(s.k),
@@ -173,54 +194,140 @@ def trajectory_to_dict(traj: OptimalTrajectory) -> dict:
             }
             for s in traj.steps
         ],
-        "vertices": [[float(x) for x in v] for v in traj.vertices],
+        "initial_vertex": list(map(float, traj.vertices[0])),
+        "target": list(map(float, traj.target_pref)),
+        "cost": list(map(float, traj.cost_pref)),
         "metadata": meta,
     }
 
 
+def _index(raw, field: str, d: int) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ParseError(f"{field}: expected an integer index, got {raw!r}")
+    if not 0 <= raw < d:
+        raise ParseError(f"{field}: index {raw} outside [0, {d})")
+    return raw
+
+
+def _check_number(raw, field: str) -> None:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ParseError(f"{field}: expected a number, got {raw!r}")
+
+
+def _check_length(raw, field: str, d: int) -> None:
+    if not isinstance(raw, list) or len(raw) != d:
+        got = len(raw) if isinstance(raw, list) else type(raw).__name__
+        raise ParseError(f"{field}: expected {d} entries, one per position of metadata.order, got {got}")
+
+
 def trajectory_from_dict(doc: dict) -> dict:
-    """Validate the shape of a trajectory document; returns it unchanged."""
+    """Validate a trajectory document; returns it unchanged.
+
+    Every index the reader uses is checked: `metadata.order` is a
+    permutation of 0..d-1, each step's k and l are distinct positions in
+    [0, d), and `initial_vertex`, `target`, `cost` and `block_of_position`
+    hold one entry per position. A version 0.1.0 file, which stores every
+    vertex and no `initial_vertex`, is rejected.
+    """
     if not isinstance(doc, dict):
         raise ParseError("trajectory file must contain a JSON object")
-    for field in ("alpha_range", "breakpoints", "steps", "vertices", "metadata"):
+    for field in TRAJECTORY_FIELDS:
         if field not in doc:
-            raise ParseError(f"{field}: required field missing")
-    alphas = [bp[0] for bp in doc["breakpoints"]]
-    if any(b - a <= 0 for a, b in zip(alphas[:-1], alphas[1:])):
+            hint = " (a version 0.1.0 file; rebuild it)" if "vertices" in doc else ""
+            raise ParseError(f"{field}: required field missing{hint}")
+    meta = doc["metadata"]
+    if not isinstance(meta, dict):
+        raise ParseError("metadata: expected an object")
+    for field in ("order", "eps_pop", "eps_grad"):
+        if field not in meta:
+            raise ParseError(f"metadata.{field}: required field missing")
+    _check_number(meta["eps_pop"], "metadata.eps_pop")
+    _check_number(meta["eps_grad"], "metadata.eps_grad")
+    order = meta["order"]
+    if not isinstance(order, list) or not order:
+        raise ParseError("metadata.order: expected a non-empty index array")
+    d = len(order)
+    seen = [False] * d
+    for i, raw in enumerate(order):
+        j = _index(raw, f"metadata.order[{i}]", d)
+        if seen[j]:
+            raise ParseError(f"metadata.order[{i}]: index {j} repeats, so order is not a permutation")
+        seen[j] = True
+    for field in ("initial_vertex", "target", "cost"):
+        _check_length(doc[field], field, d)
+    blocks = meta.get("block_of_position")
+    if blocks is not None:
+        _check_length(blocks, "metadata.block_of_position", d)
+        for i, raw in enumerate(blocks):
+            _index(raw, f"metadata.block_of_position[{i}]", d)
+    steps = doc["steps"]
+    if not isinstance(steps, list):
+        raise ParseError("steps: expected an array")
+    for i, step in enumerate(steps):
+        if not isinstance(step, dict):
+            raise ParseError(f"steps[{i}]: expected an object")
+        k = _index(step.get("k"), f"steps[{i}].k", d)
+        if _index(step.get("l"), f"steps[{i}].l", d) == k:
+            raise ParseError(f"steps[{i}]: k and l are both {k}")
+        for field in ("gradient", "alpha_start", "alpha_end"):
+            _check_number(step.get(field), f"steps[{i}].{field}")
+    try:
+        breakpoints = np.asarray(doc["breakpoints"], dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError("breakpoints: expected [alpha, omega] number pairs") from None
+    if breakpoints.shape != (len(steps) + 1, 2):
+        raise ParseError(f"breakpoints: expected {len(steps) + 1} [alpha, omega] pairs, one more than the steps")
+    if np.any(np.diff(breakpoints[:, 0]) <= 0):
         raise ParseError("breakpoints: alpha values must be strictly increasing")
     return doc
 
 
 def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
-    """Rebuild a runtime trajectory from a trajectory document.
+    """Rebuild the runtime trajectory of a trajectory document.
 
-    Target/cost vectors are not stored in the file, so the result supports
-    evaluation (breakpoints, vertices, steps) but not re-lifting.
+    The vertices are replayed from `initial_vertex` by `_replay`, and each
+    step's delta_alpha is recomputed, both as `_build` computes them, so
+    the result equals the built trajectory in every field. Files write
+    zeros unsigned, so a -0.0 of the build reloads as 0.0.
     """
     doc = trajectory_from_dict(doc)
-    perm = np.asarray(doc["metadata"]["order"], dtype=int)
-    order = PreferredOrder(perm=perm, inverse=np.argsort(perm))
+    meta = doc["metadata"]
+    perm = np.asarray(meta["order"], dtype=int)
+    inverse = np.argsort(perm)
+    perm.setflags(write=False)
+    inverse.setflags(write=False)
+    a_p = _number_list(doc["target"], "target")
+    e_p = _number_list(doc["cost"], "cost")
+    p0 = _number_list(doc["initial_vertex"], "initial_vertex")
+    raw_steps = doc["steps"]
+    ks = [s["k"] for s in raw_steps]
+    ls = [s["l"] for s in raw_steps]
+    vertices = _replay(p0, ks, ls)
+    rows = np.arange(len(ks))  # step i swaps k and l of vertex i
+    deltas = (a_p[ks] - a_p[ls]) * (vertices[rows, ls] - vertices[rows, ks])
     steps = tuple(
         SwapStep(
-            k=int(s["k"]),
-            l=int(s["l"]),
-            delta_alpha=float(s["alpha_end"]) - float(s["alpha_start"]),
+            k=k,
+            l=l,
+            delta_alpha=delta,
             gradient=float(s["gradient"]),
             alpha_start=float(s["alpha_start"]),
             alpha_end=float(s["alpha_end"]),
         )
-        for s in doc["steps"]
+        for k, l, delta, s in zip(ks, ls, deltas.tolist(), raw_steps)
     )
-    blocks = doc["metadata"].get("block_of_position")
+    breakpoints = np.asarray(doc["breakpoints"], dtype=float)
+    breakpoints.setflags(write=False)
+    blocks = meta.get("block_of_position")
     return OptimalTrajectory(
-        order=order,
-        target_pref=np.array([]),
-        cost_pref=np.array([]),
-        vertices=np.asarray(doc["vertices"], dtype=float),
+        order=PreferredOrder(perm=perm, inverse=inverse),
+        target_pref=a_p,
+        cost_pref=e_p,
+        vertices=vertices,
         steps=steps,
-        breakpoints=np.asarray(doc["breakpoints"], dtype=float),
-        eps_pop=float(doc["metadata"]["eps_pop"]),
-        eps_grad=float(doc["metadata"]["eps_grad"]),
+        breakpoints=breakpoints,
+        eps_pop=float(meta["eps_pop"]),
+        eps_grad=float(meta["eps_grad"]),
         block_of_position=None if blocks is None else np.asarray(blocks, dtype=int),
     )
 
@@ -228,9 +335,7 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
 def lifted_to_dict(lifted, alpha: float) -> dict:
     return {
         "alpha": float(alpha),
-        "unitary": [[float(x) for x in row] for row in lifted.unitary],
-        "doubly_stochastic": [
-            [float(x) for x in row] for row in lifted.doubly_stochastic
-        ],
-        "density_diagonal": [float(x) for x in lifted.density_diagonal],
+        "unitary": lifted.unitary.tolist(),
+        "doubly_stochastic": lifted.doubly_stochastic.tolist(),
+        "density_diagonal": lifted.density_diagonal.tolist(),
     }

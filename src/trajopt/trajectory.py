@@ -375,13 +375,13 @@ class _SwapQueue:
             self._push(m, l)
 
 
-def _replay(p0, steps) -> np.ndarray:
-    """Read-only (len(steps) + 1, d) array of p0 and the vertex after each step."""
-    out = np.empty((len(steps) + 1, len(p0)))
+def _replay(p0, ks, ls) -> np.ndarray:
+    """Read-only (len(ks) + 1, d) array of p0 and the vertex after each swap of ks[i], ls[i]."""
+    out = np.empty((len(ks) + 1, len(p0)))
     out[0] = p0
-    for prev, row, step in zip(out, out[1:], steps):
+    for prev, row, k, l in zip(out, out[1:], ks, ls):
         row[:] = prev
-        row[step.k], row[step.l] = prev[step.l], prev[step.k]
+        row[k], row[l] = prev[l], prev[k]
     out.setflags(write=False)
     return out
 
@@ -418,7 +418,7 @@ def _build(p0_pref, a_p, e_p, order, eps_pop, eps_grad, blocks=None) -> OptimalT
             )
         )
         bps.append((alpha, omega))
-    vertices = _replay(p0, steps)
+    vertices = _replay(p0, [s.k for s in steps], [s.l for s in steps])
     breakpoints = np.array(bps)
     breakpoints.setflags(write=False)
     return OptimalTrajectory(

@@ -220,3 +220,10 @@ def test_enum_cap_env_var(tmp_path, capsys, instance_file, monkeypatch):
     code, out, _ = run(capsys, "verify", instance_file, "--samples", "100")
     assert code == 0
     assert "skipped" in out and "envelope-equivalence" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_non_positive_samples(capsys, instance_file, samples):
+    code, out, err = run(capsys, "verify", instance_file, "--samples", samples)
+    assert code == 2
+    assert "--samples" in err and out == ""

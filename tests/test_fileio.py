@@ -1,0 +1,155 @@
+"""Trajectory files: reload equals build, every index the reader uses is checked."""
+
+import copy
+import dataclasses
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import assert_single_step_rule, random_instance, tie_instance
+from trajopt import fileio
+from trajopt.cli import _build_any, main
+from trajopt.core import ProblemInstance, validate
+from trajopt.errors import ParseError
+from trajopt.trajectory import OptimalTrajectory
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = sorted(json.loads((GOLDEN / "cases.json").read_text()))
+
+
+def _bits(x):
+    """dtype, shape, write flag and bytes of x; zeros unsigned, as files write them."""
+    x = np.asarray(x)
+    flag = x.flags.writeable if x.ndim else None
+    if x.dtype.kind == "f":
+        x = x + 0.0  # -0.0 + 0.0 is 0.0; every other value keeps its bits
+    return x.dtype, x.shape, flag, x.tobytes()
+
+
+def assert_same_trajectory(got, want):
+    """Every field of got equals the one of want bit for bit, up to the sign of zeros."""
+    assert _bits(got.order.perm) == _bits(want.order.perm)
+    assert _bits(got.order.inverse) == _bits(want.order.inverse)
+    assert len(got.steps) == len(want.steps)
+    for g, w in zip(got.steps, want.steps):
+        for field in dataclasses.fields(g):
+            gv, wv = getattr(g, field.name), getattr(w, field.name)
+            assert type(gv) is type(wv), field.name
+            assert _bits(gv) == _bits(wv), field.name
+    for field in dataclasses.fields(OptimalTrajectory):
+        if field.name in ("order", "steps"):
+            continue
+        gv, wv = getattr(got, field.name), getattr(want, field.name)
+        if wv is None:
+            assert gv is None, field.name
+        else:
+            assert _bits(gv) == _bits(wv), field.name
+
+
+def reload(traj):
+    text = fileio.dumps_canonical(fileio.trajectory_to_dict(traj))
+    return fileio.trajectory_to_runtime(json.loads(text))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_golden_build_file_reloads_as_built(name):
+    inst = validate(fileio.load_instance(str(GOLDEN / name / "instance.json")))
+    built, _ = _build_any(inst)
+    loaded = fileio.trajectory_to_runtime(fileio.load_json(str(GOLDEN / name / "build.json")))
+    assert_same_trajectory(loaded, built)
+    assert_single_step_rule(loaded)
+
+
+def test_random_trajectories_reload_as_built(rng):
+    for i in range(30):
+        d = int(rng.integers(2, 31))
+        conserved = None if i < 20 else rng.integers(0, int(rng.integers(1, 5)), d).astype(float)
+        if i % 3 == 0:
+            inst = random_instance(rng, d)
+            if conserved is not None:
+                inst = validate(
+                    ProblemInstance(
+                        eigenvalues=inst.eigenvalues,
+                        target=inst.target,
+                        cost=inst.cost,
+                        conserved=conserved,
+                    )
+                )
+        elif i % 3 == 1 and conserved is None:
+            inst = random_instance(rng, d, degenerate=True)
+        else:
+            inst = tie_instance(rng, d, conserved=conserved)
+        built, _ = _build_any(inst)
+        loaded = reload(built)
+        assert_same_trajectory(loaded, built)
+        assert_single_step_rule(loaded)
+
+
+@pytest.fixture
+def doc():
+    """The generic golden trajectory document: d = 6, 15 steps."""
+    return fileio.load_json(str(GOLDEN / "generic" / "build.json"))
+
+
+def _rejects(doc, match):
+    with pytest.raises(ParseError, match=match):
+        fileio.trajectory_to_runtime(doc)
+
+
+@pytest.mark.parametrize("field, value", [("k", -1), ("k", 6), ("l", -2), ("l", 9)])
+def test_step_index_outside_dim_rejected(doc, field, value):
+    doc["steps"][3][field] = value
+    _rejects(doc, rf"steps\[3\]\.{field}: index {value} outside \[0, 6\)")
+
+
+def test_step_with_k_equal_l_rejected(doc):
+    doc["steps"][5]["l"] = doc["steps"][5]["k"]
+    _rejects(doc, r"steps\[5\]: k and l are both")
+
+
+def test_order_that_is_not_a_permutation_rejected(doc):
+    bad = copy.deepcopy(doc)
+    bad["metadata"]["order"][4] = bad["metadata"]["order"][1]
+    _rejects(bad, r"metadata\.order\[4\]: index \d repeats")
+    doc["metadata"]["order"][0] = -1
+    _rejects(doc, r"metadata\.order\[0\]: index -1 outside \[0, 6\)")
+
+
+def test_non_number_rejected(doc):
+    bad = copy.deepcopy(doc)
+    bad["steps"][2]["gradient"] = "1.5"
+    _rejects(bad, r"steps\[2\]\.gradient: expected a number")
+    doc["metadata"]["eps_grad"] = None
+    _rejects(doc, r"metadata\.eps_grad: expected a number")
+
+
+@pytest.mark.parametrize("field", ["initial_vertex", "target", "cost"])
+def test_vector_of_wrong_length_rejected(doc, field):
+    doc[field] = doc[field][:-1]
+    _rejects(doc, rf"{field}: expected 6 entries, one per position of metadata\.order, got 5")
+
+
+def test_version_1_document_rejected(doc, tmp_path, capsys):
+    v1 = {key: doc[key] for key in ("alpha_range", "breakpoints", "steps")}
+    v1["vertices"] = fileio.trajectory_to_runtime(doc).vertices.tolist()
+    v1["metadata"] = dict(doc["metadata"], tool_version="0.1.0")
+    _rejects(v1, "initial_vertex: required field missing")
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(v1))
+    instance = GOLDEN / "generic" / "instance.json"
+    code = main(["verify", str(instance), "--samples", "10", "--trajectory", str(path)])
+    assert code == 2
+    assert "initial_vertex" in capsys.readouterr().err
+
+
+def test_dumps_canonical_scalar_lists():
+    items = [1.5, -0.0, 3, True, None, "x", np.float64(0.1), np.int64(-4), 1e-300]
+    want = '[1.5, 0, 3, true, null, "x", 0.10000000000000001, -4, 1e-300]'
+    assert fileio.dumps_canonical(items) == want
+    assert fileio.dumps_canonical(np.array([-0.0, 2.0])) == "[0, 2]"
+    assert fileio.dumps_canonical({"a": [[1.0, 2], []]}) == '{\n  "a": [\n    [1, 2],\n    []\n  ]\n}'
+    for bad in (float("nan"), [1.0, float("inf")], np.array([0.0, -np.inf])):
+        with pytest.raises(ValueError, match="non-finite"):
+            fileio.dumps_canonical(bad)
