@@ -2,28 +2,22 @@
 
 Allowed unitaries are block-diagonal in the conserved eigenbasis, so the
 reachable populations form a direct product of per-block population
-polytopes. The trajectory machinery is shared with the base problem: the
-only change is that adjacent-valued swaps are confined to blocks.
+polytopes. The construction is the base problem's, applied block by block:
+`trajectory` prepares an instance together with its conserved blocks, and
+the build, the swap candidates and the maximal point run on that one
+prepared instance. A flat instance is the one-block case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance, cluster_ranks, preferred_order, validate
+from .core import ProblemInstance, cluster_ranks, validate
 from .errors import DimensionTooLarge, NotHermitian, NotUnitTrace
 from .polytope import DEFAULT_MAX_ENUM_DIM, enumerate_vertices, vertex_count
-from .trajectory import (
-    OptimalTrajectory,
-    _build,
-    _candidates,
-    _check_vertex,
-    _maximal_pref,
-    _position_groups,
-)
+from .trajectory import OptimalTrajectory, _build, _maximal_point, _prepare, _swap_candidates
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,15 +38,16 @@ class BlockStructure:
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedInstance:
-    """Base instance plus its conserved block decomposition.
-
-    block_lambdas[i] is the spectrum of the dephased state restricted to
-    block i; their concatenation carries the whole spectrum.
-    """
+    """Base instance plus its conserved block decomposition."""
 
     base: ProblemInstance
     structure: BlockStructure
-    block_lambdas: tuple[np.ndarray, ...]
+
+    @property
+    def block_lambdas(self) -> tuple[np.ndarray, ...]:
+        """block_lambdas[i] is the spectrum restricted to block i (base.eigenvalues sliced)."""
+        lam = np.asarray(self.base.eigenvalues)
+        return tuple(lam[np.asarray(b)] for b in self.structure.blocks)
 
 
 def block_decompose(c, eps: float = 1e-9) -> BlockStructure:
@@ -95,55 +90,12 @@ def coherence_mass(rho, structure: BlockStructure) -> float:
     return float(np.sqrt(np.sum(np.abs(rho - dephase(rho, structure)) ** 2)))
 
 
-def jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations, ascending.
-
-    Each sweep annihilates every off-diagonal entry once via a complex plane
-    rotation; quadratic convergence makes a handful of sweeps enough at desk
-    scale.
-    """
-    a = np.array(np.asarray(a), dtype=complex)
-    d = a.shape[0]
-    if d == 1:
-        return np.array([a[0, 0].real])
-    scale = max(np.max(np.abs(a)), 1.0)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                g = a[p, q]
-                mag = abs(g)
-                off = max(off, mag)
-                if mag <= tol * scale:
-                    continue
-                phase = g / mag
-                app, aqq = a[p, p].real, a[q, q].real
-                tau = (aqq - app) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                co = 1.0 / math.hypot(1.0, t)
-                si = t * co
-                # rotation columns: p' = co*p - si*conj(phase)*q ; q' = si*phase*p + co*q
-                col_p = co * a[:, p] - si * np.conj(phase) * a[:, q]
-                col_q = si * phase * a[:, p] + co * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = co * a[p, :] - si * phase * a[q, :]
-                row_q = si * np.conj(phase) * a[p, :] + co * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-        if off <= tol * scale:
-            break
-    else:
-        raise RuntimeError("Jacobi sweep limit reached without convergence")
-    return np.sort(np.real(np.diag(a)))
-
-
-def block_spectra(rho, structure: BlockStructure, tol: float = 1e-12):
+def block_spectra(rho, structure: BlockStructure):
     """Per-block eigenvalues of the dephased state, each ascending."""
     deph = dephase(rho, structure)
-    out = []
-    for block in structure.blocks:
-        idx = np.asarray(block)
-        out.append(jacobi_eigenvalues(deph[np.ix_(idx, idx)], tol=tol))
-    return tuple(out)
+    return tuple(
+        np.linalg.eigvalsh(deph[np.ix_(idx, idx)]) for idx in map(np.asarray, structure.blocks)
+    )
 
 
 def from_populations(inst: ProblemInstance) -> GeneralizedInstance:
@@ -155,11 +107,7 @@ def from_populations(inst: ProblemInstance) -> GeneralizedInstance:
     if inst.conserved is None:
         raise ValueError("instance has no conserved vector")
     inst = validate(inst)
-    structure = block_decompose(inst.conserved)
-    lams = tuple(
-        np.asarray(inst.eigenvalues)[np.asarray(b)] for b in structure.blocks
-    )
-    return GeneralizedInstance(base=inst, structure=structure, block_lambdas=lams)
+    return GeneralizedInstance(base=inst, structure=block_decompose(inst.conserved))
 
 
 def from_density_matrix(
@@ -168,7 +116,9 @@ def from_density_matrix(
     """Generalized instance from a Hermitian density matrix.
 
     Cross-block coherences are discarded (they cannot affect conserved
-    dynamics); intra-block eigenbases are fixed by the Jacobi output order.
+    dynamics). Each block's eigenvalues go onto its indices in ascending
+    order, as `block_spectra` returns them; `validate` then clips round-off
+    negatives (a rank-deficient block gives entries near -1e-17) to 0.
     """
     structure = block_decompose(np.asarray(conserved, dtype=float))
     spectra = block_spectra(rho, structure)
@@ -185,38 +135,19 @@ def from_density_matrix(
             eps_grad=eps_grad,
         )
     )
-    return GeneralizedInstance(
-        base=base, structure=structure, block_lambdas=spectra
-    )
-
-
-def _block_of_position(ginst: GeneralizedInstance, order) -> np.ndarray:
-    block_of_input = np.empty(ginst.structure.dim, dtype=int)
-    for b, block in enumerate(ginst.structure.blocks):
-        block_of_input[np.asarray(block)] = b
-    return block_of_input[order.perm]
+    return GeneralizedInstance(base=base, structure=structure)
 
 
 def build_generalized(ginst: GeneralizedInstance) -> OptimalTrajectory:
     """Optimal trajectory under the conserved constraint.
 
-    Starts from the direct sum of per-block minimal vertices and at each
-    step takes the within-block adjacent swap with the globally smallest
-    gradient, same tie-break as the unconstrained build. It is the same
-    build: one queue holds the adjacent pairs of every block, and a step
-    updates only the pairs touching the swapped positions. A constant
-    conserved vector reproduces the base trajectory exactly.
+    The flat build on the prepared instance with its conserved blocks: it
+    starts from the direct sum of per-block minimal vertices, and each step
+    takes the within-block adjacent swap with the globally smallest
+    gradient, ties broken as in the flat build. A constant conserved vector
+    (one block) reproduces the flat trajectory bit for bit.
     """
-    inst = ginst.base
-    order = preferred_order(inst.target, inst.cost)
-    a_p = order.to_preferred(inst.target)
-    e_p = order.to_preferred(inst.cost)
-    blocks = _block_of_position(ginst, order)
-    p0 = np.empty(ginst.structure.dim)
-    for b, lam in enumerate(ginst.block_lambdas):
-        positions = np.nonzero(blocks == b)[0]
-        p0[positions] = np.sort(np.asarray(lam))[::-1]
-    return _build(p0, a_p, e_p, order, inst.eps_pop, inst.eps_grad, blocks=blocks)
+    return _build(_prepare(ginst.base, ginst.structure))
 
 
 def swap_candidates_generalized(ginst: GeneralizedInstance, p):
@@ -227,36 +158,12 @@ def swap_candidates_generalized(ginst: GeneralizedInstance, p):
     this is where "only one swap cools" shows up. Raises NotAVertex unless
     p permutes the eigenvalues inside each conserved block.
     """
-    inst = ginst.base
-    p = np.asarray(p, dtype=float)
-    _check_vertex(p, inst, ginst.structure.blocks)
-    order = preferred_order(inst.target, inst.cost)
-    a_p = order.to_preferred(inst.target)
-    e_p = order.to_preferred(inst.cost)
-    blocks = _block_of_position(ginst, order)
-    pp = order.to_preferred(p)
-    groups = _position_groups(inst.dim, blocks)
-    ks, ls, grads = _candidates(pp, a_p, e_p, inst.eps_pop, groups)
-    return [
-        (int(order.perm[k]), int(order.perm[l]), float(g))
-        for k, l, g in zip(ks, ls, grads)
-    ]
+    return _swap_candidates(_prepare(ginst.base, ginst.structure), p)
 
 
 def maximal_point_generalized(ginst: GeneralizedInstance) -> np.ndarray:
     """Input-basis populations of the generalized maximal point."""
-    inst = ginst.base
-    order = preferred_order(inst.target, inst.cost)
-    a_p = order.to_preferred(inst.target)
-    e_p = order.to_preferred(inst.cost)
-    blocks = _block_of_position(ginst, order)
-    out = np.empty(ginst.structure.dim)
-    for b, lam in enumerate(ginst.block_lambdas):
-        positions = np.nonzero(blocks == b)[0]
-        out[positions] = _maximal_pref(
-            np.asarray(lam), a_p[positions], e_p[positions]
-        )
-    return order.to_input(out)
+    return _maximal_point(_prepare(ginst.base, ginst.structure))
 
 
 def generalized_vertex_count(

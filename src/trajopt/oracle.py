@@ -68,21 +68,14 @@ def _half_hull(pts) -> list:
     return chain
 
 
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull, counter-clockwise; collinear points dropped."""
-    pts = sorted(set(map(tuple, points)))
-    if len(pts) <= 2:
-        return np.array(pts)
-    bottom = _half_hull(pts)
-    top = _half_hull(reversed(pts))
-    return np.array(bottom[:-1] + top[:-1])
-
-
 def induced_polygon(vertices, a, e) -> InducedPolygon:
     """Project vertices (rows, input basis) to (target, cost) and take hulls.
 
     Accepts a VertexSet or a plain (N, d) array. At equal alpha only the
-    lower cost enters the lower envelope (it is a function of alpha).
+    lower cost enters the lower envelope and only the higher cost the upper
+    one (each is a function of alpha). Both are monotone chains, and the
+    hull is the lower envelope followed by the reversed upper envelope,
+    their shared end points taken once.
     """
     verts = getattr(vertices, "vertices", vertices)
     verts = np.asarray(verts, dtype=float)
@@ -90,23 +83,16 @@ def induced_polygon(vertices, a, e) -> InducedPolygon:
     costs = verts @ np.asarray(e, dtype=float)
     points = np.column_stack([alphas, costs])
 
-    order = np.lexsort((costs, alphas))
-    lo_pts, hi_pts = [], []
-    for idx in order:
-        al, ep = alphas[idx], costs[idx]
-        if lo_pts and al == lo_pts[-1][0]:
-            hi_pts[-1] = (al, max(hi_pts[-1][1], ep))
-            continue
-        lo_pts.append((al, ep))
-        hi_pts.append((al, ep))
-    if len(lo_pts) == 1:
-        lower = np.array(lo_pts)
-        upper = np.array(hi_pts)
-        hull = np.array(sorted({tuple(p) for p in (lo_pts + hi_pts)}))
-    else:
-        lower = np.array(_half_hull(lo_pts))
-        upper = np.array(_half_hull(list(reversed(hi_pts))))[::-1]
-        hull = convex_hull(points)
+    by_alpha = points[np.lexsort((costs, alphas))]
+    _, first, counts = np.unique(by_alpha[:, 0], return_index=True, return_counts=True)
+    lower = np.array(_half_hull(by_alpha[first].tolist()))
+    top = np.array(_half_hull(by_alpha[first + counts - 1][::-1].tolist()))
+    upper = top[::-1]
+    if np.array_equal(top[0], lower[-1]):
+        top = top[1:]
+    if len(top) and np.array_equal(top[-1], lower[0]):
+        top = top[:-1]
+    hull = np.concatenate([lower, top])
     return InducedPolygon(
         points=points, hull=hull, lower_envelope=lower, upper_envelope=upper
     )

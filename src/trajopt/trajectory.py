@@ -13,6 +13,11 @@ O(pairs touching k or l · log) instead of a pass over every pair. Ties
 within eps_grad resolve as the single-step rule (`next_step`) resolves
 them: smallest (k, l) first.
 
+Every construction runs on one prepared instance (`_prepare`): the
+preferred order, the coefficients and spectrum in that order, and the
+conserved block of each position. A flat instance is the one-block case,
+so `conserved` calls the same functions with its blocks.
+
 Vertices and step indices are stored in preferred-basis coordinates;
 population vectors returned to callers are in the input basis.
 """
@@ -118,38 +123,87 @@ class MinimumUniqueness:
     condition: int | None
 
 
-def _minimal_pref(lam: np.ndarray) -> np.ndarray:
-    return np.sort(lam)[::-1]
+@dataclass(frozen=True, eq=False)
+class _Prepared:
+    """An instance in preferred coordinates, split into its conserved blocks.
+
+    lam_p holds the eigenvalues in preferred order; blocks[i] is the block of
+    preferred position i, and blocks=None is a single block (a flat
+    instance). Every block is treated alike, so a flat instance is the
+    one-block case of a conserved one.
+    """
+
+    inst: ProblemInstance
+    order: PreferredOrder
+    a_p: np.ndarray
+    e_p: np.ndarray
+    lam_p: np.ndarray
+    blocks: np.ndarray | None
+
+    @property
+    def groups(self) -> list[np.ndarray]:
+        """The preferred positions of each block."""
+        return _position_groups(len(self.lam_p), self.blocks)
 
 
-def _maximal_pref(lam: np.ndarray, a_p: np.ndarray, e_p: np.ndarray) -> np.ndarray:
-    """Ascending spectrum across target blocks, descending with cost inside them."""
-    asc = np.sort(lam)
-    out = np.empty_like(asc)
-    ra = cluster_ranks(a_p, COEFF_EPS)
-    start = 0
-    for r in range(ra.max() + 1):
-        members = np.nonzero(ra == r)[0]
-        chunk = asc[start : start + len(members)]
-        # larger populations on smaller cost; ties keep position order
-        by_cost = members[np.argsort(e_p[members], kind="stable")]
-        out[by_cost] = chunk[::-1]
-        start += len(members)
+def _prepare(inst: ProblemInstance, structure=None) -> _Prepared:
+    """Preferred order, coefficients and spectrum of inst; structure is a BlockStructure."""
+    order = preferred_order(inst.target, inst.cost)
+    blocks = None
+    if structure is not None:
+        block_of_input = np.empty(inst.dim, dtype=int)
+        for b, block in enumerate(structure.blocks):
+            block_of_input[np.asarray(block)] = b
+        blocks = block_of_input[order.perm]
+    return _Prepared(
+        inst=inst,
+        order=order,
+        a_p=order.to_preferred(inst.target),
+        e_p=order.to_preferred(inst.cost),
+        lam_p=order.to_preferred(inst.eigenvalues),
+        blocks=blocks,
+    )
+
+
+def _minimal_pref(prep: _Prepared) -> np.ndarray:
+    """Descending spectrum inside each block."""
+    out = np.empty(len(prep.lam_p))
+    for pos in prep.groups:
+        out[pos] = np.sort(prep.lam_p[pos])[::-1]
     return out
 
 
-def minimal_vertex(inst: ProblemInstance, order: PreferredOrder | None = None) -> np.ndarray:
+def _maximal_point(prep: _Prepared) -> np.ndarray:
+    """Input-basis maximal point.
+
+    Per block: ascending spectrum across target classes, descending with cost
+    inside them.
+    """
+    out = np.empty(len(prep.lam_p))
+    for pos in prep.groups:
+        asc = np.sort(prep.lam_p[pos])
+        a_p, e_p = prep.a_p[pos], prep.e_p[pos]
+        ra = cluster_ranks(a_p, COEFF_EPS)
+        start = 0
+        for r in range(ra.max() + 1):
+            members = np.nonzero(ra == r)[0]
+            chunk = asc[start : start + len(members)]
+            # larger populations on smaller cost; ties keep position order
+            by_cost = members[np.argsort(e_p[members], kind="stable")]
+            out[pos[by_cost]] = chunk[::-1]
+            start += len(members)
+    return prep.order.to_input(out)
+
+
+def minimal_vertex(inst: ProblemInstance) -> np.ndarray:
     """Input-basis populations of the trajectory's minimal point."""
-    order = order or preferred_order(inst.target, inst.cost)
-    return order.to_input(_minimal_pref(np.asarray(inst.eigenvalues)))
+    prep = _prepare(inst)
+    return prep.order.to_input(_minimal_pref(prep))
 
 
-def maximal_vertex(inst: ProblemInstance, order: PreferredOrder | None = None) -> np.ndarray:
+def maximal_vertex(inst: ProblemInstance) -> np.ndarray:
     """Input-basis populations of the trajectory's maximal point."""
-    order = order or preferred_order(inst.target, inst.cost)
-    a_p = order.to_preferred(inst.target)
-    e_p = order.to_preferred(inst.cost)
-    return order.to_input(_maximal_pref(np.asarray(inst.eigenvalues), a_p, e_p))
+    return _maximal_point(_prepare(inst))
 
 
 def _position_groups(d: int, blocks: np.ndarray | None):
@@ -218,50 +272,48 @@ def _choose(ks, ls, grads, eps_grad):
     return int(ks[j]), int(ls[j]), float(grads[j])
 
 
-def _check_vertex(p, inst: ProblemInstance, blocks=None) -> None:
-    """Raise NotAVertex unless p (input basis) permutes the eigenvalues.
+def _candidates_at(prep: _Prepared, p):
+    """Input-basis p in preferred coordinates and its candidates: (pp, ks, ls, gradients).
 
-    With blocks (input-basis index tuples, the conserved blocks), p must
-    permute the eigenvalues inside each block separately.
+    Raises NotAVertex unless p has one entry per level and permutes the
+    eigenvalues inside each block.
     """
-    lam = np.asarray(inst.eigenvalues)
-    tol = max(inst.eps_pop, 1e-9)
-    for idx in [slice(None)] if blocks is None else map(np.asarray, blocks):
-        if np.max(np.abs(np.sort(p[idx]) - np.sort(lam[idx]))) > tol:
+    p = np.asarray(p, dtype=float)
+    if p.shape != prep.lam_p.shape:
+        raise NotAVertex(f"p has shape {p.shape}, not {prep.lam_p.shape}")
+    pp = prep.order.to_preferred(p)
+    tol = max(prep.inst.eps_pop, 1e-9)
+    groups = prep.groups
+    for pos in groups:
+        if np.max(np.abs(np.sort(pp[pos]) - np.sort(prep.lam_p[pos]))) > tol:
             raise NotAVertex("p is not a permutation of the eigenvalues")
+    return (pp, *_candidates(pp, prep.a_p, prep.e_p, prep.inst.eps_pop, groups))
 
 
-def swap_candidates(p, inst: ProblemInstance, order: PreferredOrder | None = None):
+def _swap_candidates(prep: _Prepared, p):
+    """The candidates at p as input-basis (i, j, gradient) triples."""
+    _, ks, ls, grads = _candidates_at(prep, p)
+    perm = prep.order.perm
+    return [(int(perm[k]), int(perm[l]), float(g)) for k, l, g in zip(ks, ls, grads)]
+
+
+def swap_candidates(p, inst: ProblemInstance):
     """Target-increasing adjacent-valued swaps at p, as (i, j, gradient).
 
     Indices are input-basis; i carries the larger target coefficient.
     Raises NotAVertex unless p is a permutation of the eigenvalues.
     """
-    p = np.asarray(p, dtype=float)
-    _check_vertex(p, inst)
-    order = order or preferred_order(inst.target, inst.cost)
-    a_p = order.to_preferred(inst.target)
-    e_p = order.to_preferred(inst.cost)
-    pp = order.to_preferred(p)
-    ks, ls, grads = _candidates(pp, a_p, e_p, inst.eps_pop, _position_groups(inst.dim, None))
-    return [
-        (int(order.perm[k]), int(order.perm[l]), float(g))
-        for k, l, g in zip(ks, ls, grads)
-    ]
+    return _swap_candidates(_prepare(inst), p)
 
 
-def next_step(p, inst: ProblemInstance, order: PreferredOrder | None = None) -> SwapStep | None:
+def next_step(p, inst: ProblemInstance) -> SwapStep | None:
     """The optimal swap out of vertex p (input basis), or None at the maximum."""
-    p = np.asarray(p, dtype=float)
-    _check_vertex(p, inst)
-    order = order or preferred_order(inst.target, inst.cost)
-    a_p = order.to_preferred(inst.target)
-    e_p = order.to_preferred(inst.cost)
-    pp = order.to_preferred(p)
-    ks, ls, grads = _candidates(pp, a_p, e_p, inst.eps_pop, _position_groups(inst.dim, None))
+    prep = _prepare(inst)
+    pp, ks, ls, grads = _candidates_at(prep, p)
     if len(ks) == 0:
         return None
     k, l, grad = _choose(ks, ls, grads, inst.eps_grad)
+    a_p = prep.a_p
     alpha = float(np.dot(a_p, pp))
     delta = (a_p[k] - a_p[l]) * (pp[l] - pp[k])
     return SwapStep(
@@ -291,15 +343,15 @@ class _SwapQueue:
     so they match it bit for bit, -0.0 included.
     """
 
-    def __init__(self, p, a_p, e_p, eps_pop, blocks):
-        self._a = a_p.tolist()
-        self._e = e_p.tolist()
+    def __init__(self, p, prep: _Prepared):
+        self._a = prep.a_p.tolist()
+        self._e = prep.e_p.tolist()
         self._version = [0] * len(p)
         self._run_of = [0] * len(p)
         self._runs = [set()]  # empty sentinels before, between and after blocks
-        for pos in _position_groups(len(p), blocks):
+        for pos in prep.groups:
             members = pos[np.argsort(p[pos], kind="stable")]
-            splits = np.nonzero(np.diff(p[members]) > eps_pop)[0] + 1
+            splits = np.nonzero(np.diff(p[members]) > prep.inst.eps_pop)[0] + 1
             for run in np.split(members, splits):
                 for k in run.tolist():
                     self._run_of[k] = len(self._runs)
@@ -386,8 +438,8 @@ def _replay(p0, ks, ls) -> np.ndarray:
     return out
 
 
-def _build(p0_pref, a_p, e_p, order, eps_pop, eps_grad, blocks=None) -> OptimalTrajectory:
-    """Greedy trajectory from p0_pref; blocks=None is a single block.
+def _build(prep: _Prepared) -> OptimalTrajectory:
+    """Greedy trajectory from the minimal point of prep, block by block.
 
     Each step takes the candidate `_choose` would pick from `_candidates` at
     the current vertex, from a `_SwapQueue` updated in O(pairs touching the
@@ -395,9 +447,10 @@ def _build(p0_pref, a_p, e_p, order, eps_pop, eps_grad, blocks=None) -> OptimalT
     loop records only the steps; the vertices are filled in afterwards by
     replaying them from p0, so the build never holds them twice.
     """
-    p0 = np.asarray(p0_pref, dtype=float)
+    a_p, e_p, eps_grad = prep.a_p, prep.e_p, prep.inst.eps_grad
+    p0 = _minimal_pref(prep)
     p = p0.copy()
-    queue = _SwapQueue(p, a_p, e_p, eps_pop, blocks)
+    queue = _SwapQueue(p, prep)
     steps = []
     bps = [(float(np.dot(a_p, p)), float(np.dot(e_p, p)))]
     while (chosen := queue.best(eps_grad)) is not None:
@@ -422,15 +475,15 @@ def _build(p0_pref, a_p, e_p, order, eps_pop, eps_grad, blocks=None) -> OptimalT
     breakpoints = np.array(bps)
     breakpoints.setflags(write=False)
     return OptimalTrajectory(
-        order=order,
+        order=prep.order,
         target_pref=a_p,
         cost_pref=e_p,
         vertices=vertices,
         steps=tuple(steps),
         breakpoints=breakpoints,
-        eps_pop=eps_pop,
+        eps_pop=prep.inst.eps_pop,
         eps_grad=eps_grad,
-        block_of_position=blocks,
+        block_of_position=prep.blocks,
     )
 
 
@@ -442,11 +495,7 @@ def build(inst: ProblemInstance) -> OptimalTrajectory:
     per step); ties within eps_grad go to the smallest (k, l), as in
     `next_step`. The polytope is never enumerated.
     """
-    order = preferred_order(inst.target, inst.cost)
-    a_p = order.to_preferred(inst.target)
-    e_p = order.to_preferred(inst.cost)
-    p0 = _minimal_pref(np.asarray(inst.eigenvalues))
-    return _build(p0, a_p, e_p, order, inst.eps_pop, inst.eps_grad)
+    return _build(_prepare(inst))
 
 
 def omega_opt(traj: OptimalTrajectory, alpha: float) -> float:
@@ -480,10 +529,9 @@ def uniqueness_at_minimum(inst: ProblemInstance) -> MinimumUniqueness:
     every target degeneracy. Condition 3: the minimal arrangement assigns
     equal populations wherever target and cost are both degenerate.
     """
-    order = preferred_order(inst.target, inst.cost)
-    a_p = order.to_preferred(inst.target)
-    e_p = order.to_preferred(inst.cost)
-    p_min = _minimal_pref(np.asarray(inst.eigenvalues))
+    prep = _prepare(inst)
+    a_p, e_p = prep.a_p, prep.e_p
+    p_min = _minimal_pref(prep)
     ra = cluster_ranks(a_p, COEFF_EPS)
     if len(np.unique(ra)) == len(a_p):
         return MinimumUniqueness(unique=True, condition=1)

@@ -12,14 +12,13 @@ from trajopt.conserved import (
     from_density_matrix,
     from_populations,
     generalized_vertex_count,
-    jacobi_eigenvalues,
     maximal_point_generalized,
     swap_candidates_generalized,
 )
 from trajopt.core import ProblemInstance, validate
 from trajopt.errors import NotAVertex, NotHermitian, NotUnitTrace
 from trajopt.polytope import av_swaps, is_edge
-from trajopt.trajectory import build
+from trajopt.trajectory import build, maximal_vertex, minimal_vertex, swap_candidates
 
 
 def test_block_decompose_examples():
@@ -41,12 +40,21 @@ def test_constant_conserved_reduces_to_base(rng):
                 conserved=np.full(inst.dim, 3.0),
             )
         )
+        ginst = from_populations(with_c)
         base = build(inst)
-        gen = build_generalized(from_populations(with_c))
+        gen = build_generalized(ginst)
         assert np.array_equal(base.breakpoints, gen.breakpoints)
         assert np.array_equal(base.vertices, gen.vertices)
         assert [(s.k, s.l) for s in base.steps] == [(s.k, s.l) for s in gen.steps]
         assert [s.gradient for s in base.steps] == [s.gradient for s in gen.steps]
+        # bit equality, signed zeros included
+        assert maximal_point_generalized(ginst).tobytes() == maximal_vertex(inst).tobytes()
+        p_min = minimal_vertex(inst)
+        flat = swap_candidates(p_min, inst)
+        assert swap_candidates_generalized(ginst, p_min) == flat
+        assert [np.signbit(g) for *_, g in swap_candidates_generalized(ginst, p_min)] == [
+            np.signbit(g) for *_, g in flat
+        ]
 
 
 def test_two_block_merge_is_sorted_union(rng):
@@ -215,14 +223,31 @@ def test_generalized_vertex_count_small_blocks(rng):
     assert generalized_vertex_count(from_populations(degenerate)) == 3
 
 
-def test_jacobi_matches_numpy(rng):
-    for d in (1, 2, 3, 5, 8):
-        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = (h + h.conj().T) / 2
-        assert np.max(np.abs(jacobi_eigenvalues(h) - np.linalg.eigvalsh(h))) < 1e-12
-        s = rng.normal(size=(d, d))
-        s = (s + s.T) / 2
-        assert np.max(np.abs(jacobi_eigenvalues(s) - np.linalg.eigvalsh(s))) < 1e-12
+def _random_unitary(rng, m):
+    q, r = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_block_spectra_recovers_planted_spectra(rng):
+    # each block is U diag(spectrum) U^dagger for a random unitary U, on
+    # interleaved indices, plus cross-block coherences that dephasing drops
+    for _ in range(10):
+        d = int(rng.integers(1, 10))
+        c = rng.integers(0, 3, d).astype(float)
+        st = block_decompose(c)
+        planted = [np.sort(rng.dirichlet(np.ones(len(b)))) * len(b) / d for b in st.blocks]
+        rho = np.zeros((d, d), dtype=complex)
+        for block, spec in zip(st.blocks, planted):
+            u = _random_unitary(rng, len(block))
+            rho[np.ix_(block, block)] = (u * spec) @ u.conj().T
+        for i, j in zip(*np.nonzero(c[:, None] != c[None, :])):
+            if i < j:
+                rho[i, j] = 1e-3 * (1 + 1j)
+                rho[j, i] = np.conj(rho[i, j])
+        spectra = block_spectra(rho, st)
+        assert len(spectra) == len(planted)
+        for got, want in zip(spectra, planted):
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_dephase_behavior(rng):
@@ -263,6 +288,21 @@ def test_from_density_matrix_spectra(rng):
     assert all(b - a >= -1e-12 for a, b in zip(grads[:-1], grads[1:]))
 
 
+def test_rank_one_density_matrix_has_nonnegative_vertices(rng):
+    # a pure state leaves each block rank one, so the block spectra carry
+    # round-off entries near -1e-17; the trajectory starts from the
+    # validated (clipped) spectrum, never from those
+    for _ in range(20):
+        d = int(rng.integers(2, 30))
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        c = rng.integers(0, max(1, d // 3), d).astype(float)
+        gi = from_density_matrix(np.outer(psi, psi.conj()), rng.normal(size=d), rng.normal(size=d), c)
+        traj = build_generalized(gi)
+        assert traj.vertices.min() >= 0.0
+        assert np.concatenate(gi.block_lambdas).min() >= 0.0
+
+
 def test_swap_candidates_generalized_checks_each_block():
     # blocks {0, 1} and {2, 3}; spectra [0.4, 0.1] and [0.3, 0.2]
     ginst = from_populations(
@@ -282,3 +322,6 @@ def test_swap_candidates_generalized_checks_each_block():
         swap_candidates_generalized(ginst, [0.4, 0.3, 0.1, 0.2])
     with pytest.raises(NotAVertex):
         swap_candidates_generalized(ginst, [0.7, 0.1, 0.1, 0.1])
+    # one entry too many
+    with pytest.raises(NotAVertex):
+        swap_candidates_generalized(ginst, [0.4, 0.1, 0.3, 0.2, 0.0])

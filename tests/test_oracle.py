@@ -51,6 +51,12 @@ def test_envelope_matches_trajectory(rng):
             assert tuple(bp) in hull_pts
         for hp in poly.hull:
             assert tuple(hp) in hull_pts
+        # every projected point lies on or inside the counter-clockwise hull cycle
+        h = poly.hull
+        nxt = np.roll(h, -1, axis=0)
+        for pt in poly.points:
+            cross = (nxt[:, 0] - h[:, 0]) * (pt[1] - h[:, 1]) - (nxt[:, 1] - h[:, 1]) * (pt[0] - h[:, 0])
+            assert np.all(cross >= -1e-12)
         # upper boundary is concave
         ue = poly.upper_envelope
         if len(ue) > 2:

@@ -99,6 +99,8 @@ def test_swap_candidates_rejects_non_vertex():
         swap_candidates([0.7, 0.1, 0.1, 0.1], inst)
     with pytest.raises(NotAVertex):
         next_step([0.7, 0.1, 0.1, 0.1], inst)
+    with pytest.raises(NotAVertex):
+        swap_candidates([0.4, 0.3, 0.2, 0.1, 0.0], inst)
     assert len(swap_candidates([0.4, 0.3, 0.2, 0.1], inst)) == 3
     assert swap_candidates([0.1, 0.2, 0.3, 0.4], inst) == []
 
@@ -112,7 +114,7 @@ def test_next_step_from_qubit_demo_initial_state():
     cool = demo_coherent_erasure()
     inst = cool.problem
     order = preferred_order(inst.target, inst.cost)
-    step = next_step(inst.initial_populations, inst, order)
+    step = next_step(inst.initial_populations, inst)
     assert {int(order.perm[step.k]), int(order.perm[step.l])} == {1, 4}
     assert step.gradient == pytest.approx(0.1 - 0.3, abs=1e-15)
 
