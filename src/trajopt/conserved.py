@@ -153,10 +153,13 @@ def build_generalized(ginst: GeneralizedInstance) -> OptimalTrajectory:
 def swap_candidates_generalized(ginst: GeneralizedInstance, p):
     """Target-increasing within-block adjacent swaps at p, as (i, j, gradient).
 
-    Indices are input-basis; i carries the larger target coefficient. At a
-    thermal-at-machine-temperature system with an infinite-temperature bath
-    this is where "only one swap cools" shows up. Raises NotAVertex unless
-    p permutes the eigenvalues inside each conserved block.
+    Indices are input-basis; i carries the larger target coefficient. The
+    list is sorted by the preferred-order positions (k, l) of (i, j), and
+    the build's step out of p is its first entry whose gradient lies within
+    eps_grad of the smallest. At a thermal-at-machine-temperature system
+    with an infinite-temperature bath this is where "only one swap cools"
+    shows up. Raises NotAVertex unless p permutes the eigenvalues inside
+    each conserved block.
     """
     return _swap_candidates(_prepare(ginst.base, ginst.structure), p)
 

@@ -226,8 +226,9 @@ def trajectory_from_dict(doc: dict) -> dict:
     Every index the reader uses is checked: `metadata.order` is a
     permutation of 0..d-1, each step's k and l are distinct positions in
     [0, d), and `initial_vertex`, `target`, `cost` and `block_of_position`
-    hold one entry per position. A version 0.1.0 file, which stores every
-    vertex and no `initial_vertex`, is rejected.
+    hold one entry per position. Step i runs exactly from the alpha of
+    breakpoint i to that of breakpoint i + 1. A version 0.1.0 file, which
+    stores every vertex and no `initial_vertex`, is rejected.
     """
     if not isinstance(doc, dict):
         raise ParseError("trajectory file must contain a JSON object")
@@ -279,6 +280,11 @@ def trajectory_from_dict(doc: dict) -> dict:
         raise ParseError(f"breakpoints: expected {len(steps) + 1} [alpha, omega] pairs, one more than the steps")
     if np.any(np.diff(breakpoints[:, 0]) <= 0):
         raise ParseError("breakpoints: alpha values must be strictly increasing")
+    alphas = breakpoints[:, 0].tolist()
+    for i, step in enumerate(steps):
+        for field, row in (("alpha_start", i), ("alpha_end", i + 1)):
+            if step[field] != alphas[row]:
+                raise ParseError(f"steps[{i}].{field}: {step[field]!r} is not the alpha of breakpoints[{row}], {alphas[row]!r}")
     return doc
 
 

@@ -6,12 +6,12 @@ adjacent-valued populations with the smallest cost-per-target gradient,
 until no such swap remains. The resulting minimal cost is continuous,
 piecewise linear and convex in the target value.
 
-`build` does not rescan the candidate swaps at each vertex. It keeps them
-in a queue that holds only the pairs adjacent now; a swap of k and l
-replaces just the pairs touching k or l, so a step costs
-O(pairs touching k or l · log) instead of a pass over every pair. Ties
-within eps_grad resolve as the single-step rule (`next_step`) resolves
-them: smallest (k, l) first.
+One candidate generator, `_SwapQueue`, answers every query. Built at any
+vertex it lists the candidate swaps (`swap_candidates`) and picks the
+optimal one (`next_step`); `build` keeps one queue for the whole
+trajectory. A swap of k and l replaces just the pairs touching k or l, so
+a step costs O(pairs touching k or l · log) instead of a pass over every
+pair. Ties within eps_grad go to the smallest (k, l).
 
 Every construction runs on one prepared instance (`_prepare`): the
 preferred order, the coefficients and spectrum in that order, and the
@@ -143,7 +143,9 @@ class _Prepared:
     @property
     def groups(self) -> list[np.ndarray]:
         """The preferred positions of each block."""
-        return _position_groups(len(self.lam_p), self.blocks)
+        if self.blocks is None:
+            return [np.arange(len(self.lam_p))]
+        return [np.nonzero(self.blocks == b)[0] for b in range(int(self.blocks.max()) + 1)]
 
 
 def _prepare(inst: ProblemInstance, structure=None) -> _Prepared:
@@ -181,17 +183,12 @@ def _maximal_point(prep: _Prepared) -> np.ndarray:
     """
     out = np.empty(len(prep.lam_p))
     for pos in prep.groups:
-        asc = np.sort(prep.lam_p[pos])
-        a_p, e_p = prep.a_p[pos], prep.e_p[pos]
-        ra = cluster_ranks(a_p, COEFF_EPS)
-        start = 0
-        for r in range(ra.max() + 1):
-            members = np.nonzero(ra == r)[0]
-            chunk = asc[start : start + len(members)]
-            # larger populations on smaller cost; ties keep position order
-            by_cost = members[np.argsort(e_p[members], kind="stable")]
-            out[pos[by_cost]] = chunk[::-1]
-            start += len(members)
+        # target classes are ranked per block: one pass over all positions
+        # would chain near-equal targets of different blocks into one class
+        ra = cluster_ranks(prep.a_p[pos], COEFF_EPS)
+        # ascending by class, then by descending cost; ties keep position order
+        rank = np.lexsort((-pos, -prep.e_p[pos], ra))
+        out[pos[rank]] = np.sort(prep.lam_p[pos])
     return prep.order.to_input(out)
 
 
@@ -206,102 +203,38 @@ def maximal_vertex(inst: ProblemInstance) -> np.ndarray:
     return _maximal_point(_prepare(inst))
 
 
-def _position_groups(d: int, blocks: np.ndarray | None):
-    if blocks is None:
-        return [np.arange(d)]
-    return [np.nonzero(blocks == b)[0] for b in range(int(blocks.max()) + 1)]
-
-
-def _group_pairs(p, pos, eps_pop):
-    """Index pairs (k, l) of adjacent value runs within one group, p[k] < p[l].
-
-    Sorts the group once and pairs every member of each run with every
-    member of the next run, fully vectorized (segmented arange), so a step
-    costs O(group size) numpy work regardless of the degeneracy pattern.
-    """
-    order = np.argsort(p[pos], kind="stable")
-    members = pos[order]
-    rid = np.empty(len(members), dtype=int)
-    rid[0] = 0
-    rid[1:] = np.cumsum(np.diff(p[pos][order]) > eps_pop)
-    n_runs = rid[-1] + 1
-    if n_runs == 1:
-        return members[:0], members[:0]
-    sizes = np.bincount(rid)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    # each element of run r pairs with all of run r+1 (none for the last run)
-    rep = np.where(rid < n_runs - 1, sizes[np.minimum(rid + 1, n_runs - 1)], 0)
-    ks = np.repeat(members, rep)
-    total = int(rep.sum())
-    within = np.arange(total) - np.repeat(np.cumsum(rep) - rep, rep)
-    ls = members[np.repeat(starts[np.minimum(rid + 1, n_runs - 1)], rep) + within]
-    return ks, ls
-
-
-def _candidates(p, a_p, e_p, eps_pop, groups):
-    """Target-increasing adjacent-valued swaps of p, as (ks, ls, gradients).
-
-    k carries the larger target coefficient and the smaller population.
-    Adjacency is evaluated within each position group independently (one
-    group per conserved block; a single group for the base problem).
-    """
-    ks_all, ls_all = [], []
-    for pos in groups:
-        if len(pos) < 2:
-            continue
-        ks, ls = _group_pairs(p, pos, eps_pop)
-        if len(ks):
-            ks_all.append(ks)
-            ls_all.append(ls)
-    if not ks_all:
-        empty = np.array([], dtype=int)
-        return empty, empty, np.array([])
-    ks = np.concatenate(ks_all)
-    ls = np.concatenate(ls_all)
-    gaps = a_p[ks] - a_p[ls]
-    increasing = gaps > COEFF_EPS
-    ks, ls, gaps = ks[increasing], ls[increasing], gaps[increasing]
-    grads = (e_p[ks] - e_p[ls]) / gaps
-    return ks, ls, grads
-
-
-def _choose(ks, ls, grads, eps_grad):
-    """Minimal-gradient candidate; ties within eps_grad go to the smallest (k, l)."""
-    tied = np.nonzero(grads <= grads.min() + eps_grad)[0]
-    j = tied[np.lexsort((ls[tied], ks[tied]))[0]]
-    return int(ks[j]), int(ls[j]), float(grads[j])
-
-
 def _candidates_at(prep: _Prepared, p):
-    """Input-basis p in preferred coordinates and its candidates: (pp, ks, ls, gradients).
+    """Input-basis p in preferred coordinates and its candidate queue: (pp, queue).
 
     Raises NotAVertex unless p has one entry per level and permutes the
-    eigenvalues inside each block.
+    eigenvalues inside each block (a NaN entry never does).
     """
     p = np.asarray(p, dtype=float)
     if p.shape != prep.lam_p.shape:
         raise NotAVertex(f"p has shape {p.shape}, not {prep.lam_p.shape}")
     pp = prep.order.to_preferred(p)
     tol = max(prep.inst.eps_pop, 1e-9)
-    groups = prep.groups
-    for pos in groups:
-        if np.max(np.abs(np.sort(pp[pos]) - np.sort(prep.lam_p[pos]))) > tol:
+    for pos in prep.groups:
+        if not np.max(np.abs(np.sort(pp[pos]) - np.sort(prep.lam_p[pos]))) <= tol:
             raise NotAVertex("p is not a permutation of the eigenvalues")
-    return (pp, *_candidates(pp, prep.a_p, prep.e_p, prep.inst.eps_pop, groups))
+    return pp, _SwapQueue(pp, prep)
 
 
 def _swap_candidates(prep: _Prepared, p):
-    """The candidates at p as input-basis (i, j, gradient) triples."""
-    _, ks, ls, grads = _candidates_at(prep, p)
+    """The candidates at p as input-basis (i, j, gradient), in preferred (k, l) order."""
+    _, queue = _candidates_at(prep, p)
     perm = prep.order.perm
-    return [(int(perm[k]), int(perm[l]), float(g)) for k, l, g in zip(ks, ls, grads)]
+    return [(int(perm[k]), int(perm[l]), g) for k, l, g in queue.entries()]
 
 
 def swap_candidates(p, inst: ProblemInstance):
     """Target-increasing adjacent-valued swaps at p, as (i, j, gradient).
 
-    Indices are input-basis; i carries the larger target coefficient.
-    Raises NotAVertex unless p is a permutation of the eigenvalues.
+    Indices are input-basis; i carries the larger target coefficient. The
+    list is sorted by the preferred-order positions (k, l) of (i, j), and
+    `next_step` takes its first entry whose gradient lies within eps_grad
+    of the smallest. Raises NotAVertex unless p is a permutation of the
+    eigenvalues.
     """
     return _swap_candidates(_prepare(inst), p)
 
@@ -309,21 +242,15 @@ def swap_candidates(p, inst: ProblemInstance):
 def next_step(p, inst: ProblemInstance) -> SwapStep | None:
     """The optimal swap out of vertex p (input basis), or None at the maximum."""
     prep = _prepare(inst)
-    pp, ks, ls, grads = _candidates_at(prep, p)
-    if len(ks) == 0:
+    pp, queue = _candidates_at(prep, p)
+    chosen = queue.best(inst.eps_grad)
+    if chosen is None:
         return None
-    k, l, grad = _choose(ks, ls, grads, inst.eps_grad)
+    k, l, grad = chosen
     a_p = prep.a_p
     alpha = float(np.dot(a_p, pp))
-    delta = (a_p[k] - a_p[l]) * (pp[l] - pp[k])
-    return SwapStep(
-        k=k,
-        l=l,
-        delta_alpha=float(delta),
-        gradient=grad,
-        alpha_start=alpha,
-        alpha_end=alpha + float(delta),
-    )
+    delta = float((a_p[k] - a_p[l]) * (pp[l] - pp[k]))
+    return SwapStep(k=k, l=l, delta_alpha=delta, gradient=grad, alpha_start=alpha, alpha_end=alpha + delta)
 
 
 class _SwapQueue:
@@ -338,9 +265,9 @@ class _SwapQueue:
     reach the top of their heap.
 
     Entries are bucketed by exact gradient, each bucket a heap ordered by
-    (k, l), so the eps_grad tie rule of `_choose` needs only the top of each
-    tied bucket. Gradients use the same float expression as `_candidates`,
-    so they match it bit for bit, -0.0 included.
+    (k, l), so the eps_grad tie rule (smallest (k, l) among the gradients
+    within eps_grad of the least) needs only the top of each tied bucket.
+    Each entry keeps its own gradient, so a -0.0 survives a shared bucket.
     """
 
     def __init__(self, p, prep: _Prepared):
@@ -388,7 +315,7 @@ class _SwapQueue:
         return None
 
     def best(self, eps_grad):
-        """(k, l, gradient) as `_choose` picks it, or None at the maximal vertex."""
+        """The smallest (k, l, gradient) within eps_grad of the least gradient, or None."""
         grads = self._grads
         best = limit = None
         kept = []
@@ -404,6 +331,16 @@ class _SwapQueue:
         for grad in kept:
             heapq.heappush(grads, grad)
         return None if best is None else (best[0], best[1], best[4])
+
+    def entries(self):
+        """The live (k, l, gradient) entries, sorted by (k, l)."""
+        version = self._version
+        return sorted(
+            (k, l, grad)
+            for bucket in self._buckets.values()
+            for k, l, vk, vl, grad in bucket
+            if version[k] == vk and version[l] == vl
+        )
 
     def swap(self, k, l):
         """Record the swap of k (run r) with l (run r + 1) and push the new pairs."""
@@ -441,9 +378,9 @@ def _replay(p0, ks, ls) -> np.ndarray:
 def _build(prep: _Prepared) -> OptimalTrajectory:
     """Greedy trajectory from the minimal point of prep, block by block.
 
-    Each step takes the candidate `_choose` would pick from `_candidates` at
-    the current vertex, from a `_SwapQueue` updated in O(pairs touching the
-    swapped positions · log) per step instead of rescanning every pair. The
+    Each step takes the queue's best swap, the one `next_step` picks at the
+    current vertex; the `_SwapQueue` is updated in O(pairs touching the
+    swapped positions · log) per step instead of being rebuilt. The
     loop records only the steps; the vertices are filled in afterwards by
     replaying them from p0, so the build never holds them twice.
     """

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from trajopt.core import ProblemInstance, validate
+from trajopt.core import COEFF_EPS, ProblemInstance, validate
+from trajopt.polytope import av_swaps
 
 
 def random_instance(rng, d, degenerate=False):
@@ -61,20 +62,40 @@ def tie_instance(rng, d, conserved=None):
     )
 
 
-def assert_single_step_rule(traj):
-    """Every step is what `_candidates` + `_choose` pick at its start vertex.
+def single_step_candidates(traj, p):
+    """Target-raising adjacent swaps of preferred-basis p, as (k, l, gradient).
 
-    The comparison is exact: same (k, l), same gradient bits (-0.0 included);
-    the last vertex has no candidate left.
+    Built on `polytope.av_swaps` inside each block, not on the package's
+    swap queue: a pair counts when its target gap exceeds COEFF_EPS.
     """
-    from trajopt.trajectory import _candidates, _choose, _position_groups
-
-    groups = _position_groups(traj.dim, traj.block_of_position)
+    blocks = traj.block_of_position
+    if blocks is None:
+        blocks = np.zeros(traj.dim, dtype=int)
     a_p, e_p = traj.target_pref, traj.cost_pref
+    out = []
+    for b in np.unique(blocks):
+        pos = np.nonzero(blocks == b)[0]
+        for sw in av_swaps(p[pos], traj.eps_pop):
+            k, l = int(pos[sw.k]), int(pos[sw.l])
+            gap = a_p[k] - a_p[l]
+            if gap > COEFF_EPS:
+                out.append((k, l, float((e_p[k] - e_p[l]) / gap)))
+    return out
+
+
+def assert_single_step_rule(traj):
+    """Every step is the single-step rule at its start vertex.
+
+    The reference lists the candidates with `single_step_candidates`
+    (`polytope.av_swaps` per block) and takes the smallest (k, l) among the
+    gradients within eps_grad of the least. The comparison is exact: same
+    (k, l), same gradient bits (-0.0 included); the last vertex has no
+    candidate left.
+    """
     for step, p in zip(traj.steps, traj.vertices[:-1]):
-        ks, ls, grads = _candidates(p, a_p, e_p, traj.eps_pop, groups)
-        k, l, grad = _choose(ks, ls, grads, traj.eps_grad)
+        cands = single_step_candidates(traj, p)
+        least = min(g for *_, g in cands)
+        k, l, grad = min(c for c in cands if c[2] <= least + traj.eps_grad)
         assert (step.k, step.l, step.gradient) == (k, l, grad)
         assert np.signbit(step.gradient) == np.signbit(grad)
-    ks, _, _ = _candidates(traj.vertices[-1], a_p, e_p, traj.eps_pop, groups)
-    assert len(ks) == 0
+    assert single_step_candidates(traj, traj.vertices[-1]) == []

@@ -100,6 +100,25 @@ def test_generalized_steps_stay_in_blocks(rng):
     assert np.allclose(traj.vertex_input(len(traj.steps)), maximal_point_generalized(ginst))
 
 
+def test_maximal_point_ranks_targets_per_block():
+    # targets 0, 0.6e-12, 1.2e-12 chain into one class across the blocks,
+    # but inside block {0, 1} the gap 1.2e-12 exceeds COEFF_EPS, so the
+    # larger population goes to the larger target, not to the cheaper level
+    ginst = from_populations(
+        validate(
+            ProblemInstance(
+                eigenvalues=np.array([0.4, 0.3, 0.2, 0.1]),
+                target=np.array([0.0, 1.2e-12, 0.6e-12, 5.0]),
+                cost=np.array([0.0, 1.0, 0.0, 0.0]),
+                conserved=np.array([0.0, 0.0, 1.0, 1.0]),
+            )
+        )
+    )
+    traj = build_generalized(ginst)
+    assert maximal_point_generalized(ginst).tolist() == [0.3, 0.4, 0.1, 0.2]
+    assert traj.vertex_input(len(traj.steps)).tolist() == [0.3, 0.4, 0.1, 0.2]
+
+
 def test_generalized_build_matches_single_step_rule(rng):
     # random block patterns, half of them with planted and eps_grad ties
     for i in range(30):
@@ -322,6 +341,8 @@ def test_swap_candidates_generalized_checks_each_block():
         swap_candidates_generalized(ginst, [0.4, 0.3, 0.1, 0.2])
     with pytest.raises(NotAVertex):
         swap_candidates_generalized(ginst, [0.7, 0.1, 0.1, 0.1])
+    with pytest.raises(NotAVertex):
+        swap_candidates_generalized(ginst, [np.nan, 0.1, 0.3, 0.2])
     # one entry too many
     with pytest.raises(NotAVertex):
         swap_candidates_generalized(ginst, [0.4, 0.1, 0.3, 0.2, 0.0])

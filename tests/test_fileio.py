@@ -125,6 +125,13 @@ def test_non_number_rejected(doc):
     _rejects(doc, r"metadata\.eps_grad: expected a number")
 
 
+@pytest.mark.parametrize("field, row", [("alpha_start", 4), ("alpha_end", 5)])
+def test_step_alpha_off_its_breakpoint_rejected(doc, field, row):
+    # cooling_steps reads the step alphas, state_at and omega_opt the breakpoints
+    doc["steps"][4][field] += 1e-9
+    _rejects(doc, rf"steps\[4\]\.{field}: .* is not the alpha of breakpoints\[{row}\]")
+
+
 @pytest.mark.parametrize("field", ["initial_vertex", "target", "cost"])
 def test_vector_of_wrong_length_rejected(doc, field):
     doc[field] = doc[field][:-1]

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import assert_single_step_rule, random_instance, tie_instance
+from conftest import assert_single_step_rule, random_instance, single_step_candidates, tie_instance
+from trajopt.conserved import build_generalized, from_populations, swap_candidates_generalized
 from trajopt.core import ProblemInstance, cost_value, target_value, validate
 from trajopt.errors import AlphaOutOfRange, NotAVertex
 from trajopt.lift import apply_chain
@@ -103,6 +106,11 @@ def test_swap_candidates_rejects_non_vertex():
         swap_candidates([0.4, 0.3, 0.2, 0.1, 0.0], inst)
     assert len(swap_candidates([0.4, 0.3, 0.2, 0.1], inst)) == 3
     assert swap_candidates([0.1, 0.2, 0.3, 0.4], inst) == []
+    # a NaN entry compares false against every tolerance
+    with pytest.raises(NotAVertex):
+        swap_candidates([np.nan, 0.3, 0.2, 0.1], inst)
+    with pytest.raises(NotAVertex):
+        next_step([np.nan, 0.3, 0.2, 0.1], inst)
 
 
 def test_next_step_from_qubit_demo_initial_state():
@@ -206,6 +214,53 @@ def test_build_matches_single_step_rule(rng):
         else:
             inst = tie_instance(rng, d)
         assert_single_step_rule(build(inst))
+
+
+def test_public_queries_follow_the_build(rng):
+    # at every vertex of a build, swap_candidates lists the reference
+    # candidates in preferred (k, l) order, its first entry within eps_grad
+    # of the least gradient is the built step, and so is next_step (flat
+    # instances; next_step has no conserved form)
+    for i in range(32):
+        d = int(rng.integers(2, 13))
+        if i % 4 == 0:
+            inst = random_instance(rng, d)
+        elif i % 4 == 1:
+            inst = tie_instance(rng, d)
+        else:
+            inst = tie_instance(rng, d, conserved=rng.integers(0, 3, d).astype(float))
+        if i % 8 >= 5:
+            # targets 0.6e-12 apart: some pairs differ by no more than COEFF_EPS
+            near = np.asarray(inst.target) + rng.integers(0, 3, d) * 0.6e-12
+            inst = validate(dataclasses.replace(inst, target=near))
+        if inst.conserved is None:
+            traj = build(inst)
+            candidates = lambda p: swap_candidates(p, inst)  # noqa: E731
+        else:
+            ginst = from_populations(inst)
+            traj = build_generalized(ginst)
+            candidates = lambda p: swap_candidates_generalized(ginst, p)  # noqa: E731
+        perm, inverse = traj.order.perm, traj.order.inverse
+        for v in range(len(traj.steps) + 1):
+            cands = candidates(traj.vertex_input(v))
+            keys = [(int(inverse[i]), int(inverse[j])) for i, j, _ in cands]
+            assert keys == sorted(keys)
+            ref = single_step_candidates(traj, traj.vertices[v])
+            want = sorted((int(perm[k]), int(perm[l]), g, np.signbit(g)) for k, l, g in ref)
+            assert sorted((i, j, g, np.signbit(g)) for i, j, g in cands) == want
+            got = next_step(traj.vertex_input(v), inst) if inst.conserved is None else None
+            if v == len(traj.steps):
+                assert cands == [] and got is None
+                continue
+            step = traj.steps[v]
+            least = min(g for *_, g in cands)
+            i_, j_, grad = next(c for c in cands if c[2] <= least + traj.eps_grad)
+            assert (i_, j_) == traj.step_input_pair(step)
+            assert (grad, np.signbit(grad)) == (step.gradient, np.signbit(step.gradient))
+            if got is not None:
+                fields = ("k", "l", "delta_alpha", "alpha_start", "gradient")
+                assert [getattr(got, f) for f in fields] == [getattr(step, f) for f in fields]
+                assert np.signbit(got.gradient) == np.signbit(step.gradient)
 
 
 def test_build_scales_to_hundreds(rng):
