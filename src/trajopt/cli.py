@@ -69,12 +69,16 @@ def cmd_eval(args) -> int:
         work_base = cost_value(inst.initial_populations, inst.cost)
     if args.alpha is not None:
         alphas = [args.alpha]
+        omegas = [trajectory.omega_opt(traj, args.alpha)]
     else:
+        # the grid lies inside [alpha_min, alpha_max], so one interpolation
+        # over it equals omega_opt at each point
+        bp = traj.breakpoints
         grid = np.linspace(traj.alpha_min, traj.alpha_max, args.grid)
-        alphas = np.unique(np.concatenate([grid, traj.breakpoints[:, 0]]))
+        alphas = np.unique(np.concatenate([grid, bp[:, 0]]))
+        omegas = np.interp(alphas, bp[:, 0], bp[:, 1])
     rows = []
-    for alpha in alphas:
-        omega = trajectory.omega_opt(traj, float(alpha))
+    for alpha, omega in zip(alphas, omegas):
         row = [fileio.format_float(alpha), fileio.format_float(omega)]
         if work_base is not None:
             row.append(fileio.format_float(omega - work_base))

@@ -212,6 +212,8 @@ def _index(raw, field: str, d: int) -> int:
 def _check_number(raw, field: str) -> None:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ParseError(f"{field}: expected a number, got {raw!r}")
+    if not math.isfinite(raw):
+        raise ParseError(f"{field}: expected a finite number, got {raw!r}")
 
 
 def _check_length(raw, field: str, d: int) -> None:
@@ -226,7 +228,8 @@ def trajectory_from_dict(doc: dict) -> dict:
     Every index the reader uses is checked: `metadata.order` is a
     permutation of 0..d-1, each step's k and l are distinct positions in
     [0, d), and `initial_vertex`, `target`, `cost` and `block_of_position`
-    hold one entry per position. Step i runs exactly from the alpha of
+    hold one entry per position. Every number is finite (Python's json
+    reads NaN and Infinity). Step i runs exactly from the alpha of
     breakpoint i to that of breakpoint i + 1. A version 0.1.0 file, which
     stores every vertex and no `initial_vertex`, is rejected.
     """
@@ -256,6 +259,8 @@ def trajectory_from_dict(doc: dict) -> dict:
         seen[j] = True
     for field in ("initial_vertex", "target", "cost"):
         _check_length(doc[field], field, d)
+        for i, raw in enumerate(doc[field]):
+            _check_number(raw, f"{field}[{i}]")
     blocks = meta.get("block_of_position")
     if blocks is not None:
         _check_length(blocks, "metadata.block_of_position", d)
@@ -278,6 +283,9 @@ def trajectory_from_dict(doc: dict) -> dict:
         raise ParseError("breakpoints: expected [alpha, omega] number pairs") from None
     if breakpoints.shape != (len(steps) + 1, 2):
         raise ParseError(f"breakpoints: expected {len(steps) + 1} [alpha, omega] pairs, one more than the steps")
+    for i, row in enumerate(doc["breakpoints"]):
+        for j, raw in enumerate(row):  # numpy would take "1.5" and true as numbers
+            _check_number(raw, f"breakpoints[{i}][{j}]")
     if np.any(np.diff(breakpoints[:, 0]) <= 0):
         raise ParseError("breakpoints: alpha values must be strictly increasing")
     alphas = breakpoints[:, 0].tolist()

@@ -6,6 +6,12 @@ unitary level, with cos^2(theta) equal to the mixing parameter t. The
 lifted unitary is taken relative to the minimal-point state (it is the
 identity at alpha_min); the permutation from the descending spectrum to
 the minimal point is exposed separately.
+
+Each completed trajectory step is an exact signed swap (the rotation by
+pi/2, with cos = 0 and sin = 1 exactly), so the lifted unitary is a signed
+permutation times one partial rotation on the active segment. Lifting a
+point costs O(steps + d^2), and applying a T-transform chain costs O(1) per
+transform: neither builds a d x d matrix per step.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, TOutOfRange
+from .errors import DimensionMismatch, IndexOutOfRange, TOutOfRange
 from .trajectory import OptimalTrajectory, state_at
 
 
@@ -61,10 +67,14 @@ def _check_pair(i: int, j: int, dim: int) -> None:
         raise IndexOutOfRange("two-level indices must differ")
 
 
-def t_transform_matrix(tt: TTransform) -> np.ndarray:
+def _check_t_transform(tt: TTransform) -> None:
     _check_pair(tt.i, tt.j, tt.dim)
     if not 0.0 <= tt.t <= 1.0:
         raise TOutOfRange(f"t={tt.t!r} outside [0, 1]")
+
+
+def t_transform_matrix(tt: TTransform) -> np.ndarray:
+    _check_t_transform(tt)
     m = np.eye(tt.dim)
     m[tt.i, tt.i] = m[tt.j, tt.j] = tt.t
     m[tt.i, tt.j] = m[tt.j, tt.i] = 1.0 - tt.t
@@ -100,31 +110,51 @@ def minimal_permutation(traj: OptimalTrajectory) -> np.ndarray:
 
 
 def apply_chain(chain, v: np.ndarray) -> np.ndarray:
-    """Apply a sequence of T-transforms to a population vector."""
+    """Apply a sequence of T-transforms to a population vector.
+
+    Each transform updates its two entries in place, as the product with
+    t_transform_matrix would, and is checked the same way.
+    """
     out = np.asarray(v, dtype=float).copy()
     for tt in chain:
-        out = t_transform_matrix(tt) @ out
+        _check_t_transform(tt)
+        if tt.dim != len(out):
+            raise DimensionMismatch(f"T-transform of dim {tt.dim} applied to {len(out)} entries")
+        i, j, t = tt.i, tt.j, tt.t
+        oi, oj = out[i], out[j]
+        out[i], out[j] = t * oi + (1.0 - t) * oj, (1.0 - t) * oi + t * oj
     return out
 
 
 def lift_point(traj: OptimalTrajectory, alpha: float) -> LiftedPoint:
     """Unitary and doubly-stochastic realization of the point at alpha.
 
-    Composes full rotations for the completed steps and one partial rotation
-    with theta = arccos(sqrt(t)) on the active segment, where t is the
-    T-transform parameter (t = 1 - segment fraction).
+    Every completed step is an exact signed swap of its two input-basis
+    rows, rows (i, j) <- (row j, -row i): the rotation by pi/2 without the
+    cos(pi/2) residue of floating point. The completed steps therefore
+    compose to a signed permutation, tracked as one source row and one sign
+    per row. Only the active segment carries a partial rotation, with
+    theta = arccos(sqrt(t)), where t = 1 - segment fraction is its
+    T-transform parameter; a fraction of 1 counts the step as completed.
+    Cost: O(steps + d^2).
     """
-    p, seg, frac = state_at(traj, alpha)
+    _, seg, frac = state_at(traj, alpha)
     d = traj.dim
-    u = np.eye(d)
+    perm = traj.order.perm.tolist()
+    src = list(range(d))
+    sign = [1.0] * d
     n_full = seg if frac < 1.0 else seg + 1
     for step in traj.steps[:n_full]:
-        i, j = traj.step_input_pair(step)
-        u = rotation_matrix(TwoLevelRotation(i=i, j=j, theta=math.pi / 2, dim=d)) @ u
+        i, j = perm[step.k], perm[step.l]
+        src[i], src[j] = src[j], src[i]
+        sign[i], sign[j] = sign[j], -sign[i]
+    u = np.zeros((d, d))
+    u[np.arange(d), src] = sign
     if 0.0 < frac < 1.0:
         i, j = traj.step_input_pair(traj.steps[seg])
         theta = math.acos(math.sqrt(1.0 - frac))
-        u = rotation_matrix(TwoLevelRotation(i=i, j=j, theta=theta, dim=d)) @ u
+        c, s = math.cos(theta), math.sin(theta)
+        u[i], u[j] = c * u[i] + s * u[j], -s * u[i] + c * u[j]
     ds = unistochastic_of(u)
     diag = ds @ traj.vertex_input(0)
     return LiftedPoint(

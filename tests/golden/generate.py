@@ -2,7 +2,12 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/generate.py
+    PYTHONPATH=src python tests/golden/generate.py          # rewrite the corpus
+    PYTHONPATH=src python tests/golden/generate.py --check  # compare, write nothing
+
+``--check`` regenerates the corpus in a temporary directory, prints the
+path of each corpus file whose bytes would change, and exits 1 if any
+would.
 
 Each case directory holds ``instance.json`` and the outputs of
 ``build`` (``build.json``), ``eval --grid 50`` (``eval.csv``) and
@@ -18,6 +23,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -101,8 +107,8 @@ def run_cli(argv) -> str:
     return buf.getvalue()
 
 
-def write_case(name, source) -> dict:
-    case = HERE / name
+def write_case(root, name, source) -> dict:
+    case = root / name
     case.mkdir(exist_ok=True)
     instance = case / "instance.json"
     if isinstance(source, list):
@@ -118,11 +124,34 @@ def write_case(name, source) -> dict:
     return {"cool": source if isinstance(source, list) else None, "lift_alpha": alpha}
 
 
-def main_generate() -> int:
-    manifest = {name: write_case(name, source) for name, source in CASES.items()}
-    (HERE / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n")
+def write_corpus(root) -> None:
+    manifest = {name: write_case(root, name, source) for name, source in CASES.items()}
+    (root / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n")
+
+
+def check_corpus() -> int:
+    """Print each corpus file that regeneration would change; 1 if any."""
+    changed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp)
+        write_corpus(fresh)
+        for path in sorted(p for p in fresh.rglob("*") if p.is_file()):
+            disk = HERE / path.relative_to(fresh)
+            if not disk.is_file() or disk.read_bytes() != path.read_bytes():
+                print(disk.relative_to(HERE.parents[1]))
+                changed += 1
+    return 1 if changed else 0
+
+
+def main_generate(argv) -> int:
+    if argv == ["--check"]:
+        return check_corpus()
+    if argv:
+        print("usage: generate.py [--check]", file=sys.stderr)
+        return 2
+    write_corpus(HERE)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main_generate())
+    sys.exit(main_generate(sys.argv[1:]))

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,10 @@ def test_non_number_rejected(doc):
     bad = copy.deepcopy(doc)
     bad["steps"][2]["gradient"] = "1.5"
     _rejects(bad, r"steps\[2\]\.gradient: expected a number")
+    for value in ("1.5", True):
+        bad = copy.deepcopy(doc)
+        bad["breakpoints"][3][1] = value
+        _rejects(bad, r"breakpoints\[3\]\[1\]: expected a number")
     doc["metadata"]["eps_grad"] = None
     _rejects(doc, r"metadata\.eps_grad: expected a number")
 
@@ -136,6 +141,47 @@ def test_step_alpha_off_its_breakpoint_rejected(doc, field, row):
 def test_vector_of_wrong_length_rejected(doc, field):
     doc[field] = doc[field][:-1]
     _rejects(doc, rf"{field}: expected 6 entries, one per position of metadata\.order, got 5")
+
+
+def _set(doc, path, value):
+    """Set the entry of doc reached by a path of keys and indices."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("breakpoints", 3, 1),
+        ("breakpoints", 0, 0),
+        ("steps", 2, "gradient"),
+        ("steps", 4, "alpha_end"),
+        ("initial_vertex", 0),
+        ("target", 2),
+        ("cost", 5),
+        ("metadata", "eps_pop"),
+        ("metadata", "eps_grad"),
+    ],
+)
+def test_non_finite_number_rejected(doc, path, value):
+    # Python's json reads NaN and Infinity, and comparisons with NaN are False
+    _set(doc, path, value)
+    label = path[0] + "".join(f".{k}" if isinstance(k, str) else f"[{k}]" for k in path[1:])
+    _rejects(doc, re.escape(label) + ": expected a finite number")
+
+
+@pytest.mark.parametrize("path", [("breakpoints", 3, 1), ("initial_vertex", 0)])
+def test_verify_rejects_non_finite_trajectory_file(doc, path, tmp_path, capsys):
+    _set(doc, path, float("nan"))
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    instance = GOLDEN / "generic" / "instance.json"
+    code = main(["verify", str(instance), "--samples", "10", "--trajectory", str(bad)])
+    assert code == 2
+    assert f"{path[0]}[" in capsys.readouterr().err
 
 
 def test_version_1_document_rejected(doc, tmp_path, capsys):
