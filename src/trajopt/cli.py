@@ -73,10 +73,9 @@ def cmd_eval(args) -> int:
     else:
         # the grid lies inside [alpha_min, alpha_max], so one interpolation
         # over it equals omega_opt at each point
-        bp = traj.breakpoints
         grid = np.linspace(traj.alpha_min, traj.alpha_max, args.grid)
-        alphas = np.unique(np.concatenate([grid, bp[:, 0]]))
-        omegas = np.interp(alphas, bp[:, 0], bp[:, 1])
+        alphas = np.unique(np.concatenate([grid, traj.alphas]))
+        omegas = np.interp(alphas, traj.alphas, traj.omegas)
     rows = []
     for alpha, omega in zip(alphas, omegas):
         row = [fileio.format_float(alpha), fileio.format_float(omega)]
@@ -105,7 +104,7 @@ def _verify_checks(inst, args):
     cap = _max_enum_dim()
     rng = np.random.default_rng(args.seed)
 
-    grads = [s.gradient for s in traj.steps]
+    grads = traj.gradients.tolist()
     convex = all(b - a >= -1e-12 for a, b in zip(grads[:-1], grads[1:]))
     yield "gradient-monotone", convex, f"{len(grads)} steps"
 

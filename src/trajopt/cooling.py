@@ -233,7 +233,8 @@ def qubit_gradient(cool: CoolingInstance, i: int, j: int) -> float:
 
 def cooling_steps(traj, alpha_in: float):
     """Steps of a built trajectory at or above the initial target value."""
-    return tuple(s for s in traj.steps if s.alpha_start >= alpha_in - 1e-9)
+    starts = traj.alphas[:-1]
+    return tuple(traj.steps[i] for i in np.flatnonzero(starts >= alpha_in - 1e-9).tolist())
 
 
 def demo_coherent_erasure() -> CoolingInstance:

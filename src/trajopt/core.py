@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
     NegativeEigenvalue,
+    NonFiniteValue,
     NonPositiveTolerance,
     NotMajorized,
     NotNormalized,
@@ -35,12 +37,13 @@ def _vector(x, name: str) -> np.ndarray:
     if v.ndim != 1 or v.size == 0:
         raise DimensionMismatch(f"{name} must be a non-empty 1-d vector")
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteValue(f"{name} contains non-finite entries")
     return v
 
 
-def _frozen(v: np.ndarray) -> np.ndarray:
-    out = np.array(v, dtype=float)
+def _frozen(v, dtype=float) -> np.ndarray:
+    """A read-only copy of v."""
+    out = np.array(v, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -176,8 +179,10 @@ def validate(raw: ProblemInstance) -> ProblemInstance:
         conserved = _vector(raw.conserved, "conserved")
         if len(conserved) != d:
             raise DimensionMismatch(f"conserved length must equal dim {d}")
-    if raw.eps_pop <= 0 or raw.eps_grad <= 0:
-        raise NonPositiveTolerance("eps_pop and eps_grad must be positive")
+    for name in ("eps_pop", "eps_grad"):
+        eps = getattr(raw, name)
+        if not 0 < eps < math.inf:  # False for NaN
+            raise NonPositiveTolerance(f"{name} must be a positive finite number, got {eps!r}")
 
     if np.any(lam < -1e-12):
         raise NegativeEigenvalue(f"negative eigenvalue {lam.min():.3e}")

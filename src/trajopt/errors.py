@@ -17,8 +17,12 @@ class DimensionMismatch(TrajoptError):
     """Vector fields of an instance have inconsistent lengths."""
 
 
+class NonFiniteValue(TrajoptError):
+    """An instance vector holds a NaN or infinite entry."""
+
+
 class NonPositiveTolerance(TrajoptError):
-    """A tolerance parameter is zero or negative."""
+    """A tolerance parameter is not a positive finite number."""
 
 
 class DimensionTooLarge(TrajoptError):

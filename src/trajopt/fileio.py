@@ -4,8 +4,9 @@ Floats are emitted with 17 significant digits so files reload bit-exactly,
 and field order is fixed so build -> load -> re-serialize is byte-identical.
 
 A trajectory file stores the minimal-point vertex and the steps, not every
-vertex: the reader replays the steps from it with the function the builder
-uses, so the reloaded vertices equal the built ones bit for bit.
+vertex, as the runtime trajectory does: the reader makes the step arrays
+with the function the builder uses, so a reloaded trajectory equals the
+built one bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .core import PreferredOrder, ProblemInstance
 from .errors import ParseError
-from .trajectory import OptimalTrajectory, SwapStep, _replay
+from .trajectory import OptimalTrajectory, _trajectory
 
 TOOL_VERSION = "0.2.0"
 TIE_BREAK = "lexicographic-kl"
@@ -181,22 +182,19 @@ def trajectory_to_dict(traj: OptimalTrajectory) -> dict:
     }
     if traj.block_of_position is not None:
         meta["block_of_position"] = [int(b) for b in traj.block_of_position]
+    alphas = traj.alphas.tolist()
     return {
-        "alpha_range": [float(traj.alpha_min), float(traj.alpha_max)],
+        "alpha_range": [alphas[0], alphas[-1]],
         "breakpoints": traj.breakpoints.tolist(),
         "steps": [
-            {
-                "k": int(s.k),
-                "l": int(s.l),
-                "gradient": float(s.gradient),
-                "alpha_start": float(s.alpha_start),
-                "alpha_end": float(s.alpha_end),
-            }
-            for s in traj.steps
+            {"k": k, "l": l, "gradient": grad, "alpha_start": start, "alpha_end": end}
+            for k, l, grad, start, end in zip(
+                traj.ks.tolist(), traj.ls.tolist(), traj.gradients.tolist(), alphas, alphas[1:]
+            )
         ],
-        "initial_vertex": list(map(float, traj.vertices[0])),
-        "target": list(map(float, traj.target_pref)),
-        "cost": list(map(float, traj.cost_pref)),
+        "initial_vertex": traj.initial_vertex.tolist(),
+        "target": traj.target_pref.tolist(),
+        "cost": traj.cost_pref.tolist(),
         "metadata": meta,
     }
 
@@ -299,10 +297,10 @@ def trajectory_from_dict(doc: dict) -> dict:
 def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
     """Rebuild the runtime trajectory of a trajectory document.
 
-    The vertices are replayed from `initial_vertex` by `_replay`, and each
-    step's delta_alpha is recomputed, both as `_build` computes them, so
-    the result equals the built trajectory in every field. Files write
-    zeros unsigned, so a -0.0 of the build reloads as 0.0.
+    The step arrays are made by the function the build uses, which also
+    recomputes each step's delta_alpha, so the result equals the built
+    trajectory in every field. Files write zeros unsigned, so a -0.0 of
+    the build reloads as 0.0.
     """
     doc = trajectory_from_dict(doc)
     meta = doc["metadata"]
@@ -310,39 +308,22 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
     inverse = np.argsort(perm)
     perm.setflags(write=False)
     inverse.setflags(write=False)
-    a_p = _number_list(doc["target"], "target")
-    e_p = _number_list(doc["cost"], "cost")
-    p0 = _number_list(doc["initial_vertex"], "initial_vertex")
-    raw_steps = doc["steps"]
-    ks = [s["k"] for s in raw_steps]
-    ls = [s["l"] for s in raw_steps]
-    vertices = _replay(p0, ks, ls)
-    rows = np.arange(len(ks))  # step i swaps k and l of vertex i
-    deltas = (a_p[ks] - a_p[ls]) * (vertices[rows, ls] - vertices[rows, ks])
-    steps = tuple(
-        SwapStep(
-            k=k,
-            l=l,
-            delta_alpha=delta,
-            gradient=float(s["gradient"]),
-            alpha_start=float(s["alpha_start"]),
-            alpha_end=float(s["alpha_end"]),
-        )
-        for k, l, delta, s in zip(ks, ls, deltas.tolist(), raw_steps)
-    )
-    breakpoints = np.asarray(doc["breakpoints"], dtype=float)
-    breakpoints.setflags(write=False)
+    steps = doc["steps"]
+    breakpoints = doc["breakpoints"]
     blocks = meta.get("block_of_position")
-    return OptimalTrajectory(
-        order=PreferredOrder(perm=perm, inverse=inverse),
-        target_pref=a_p,
-        cost_pref=e_p,
-        vertices=vertices,
-        steps=steps,
-        breakpoints=breakpoints,
-        eps_pop=float(meta["eps_pop"]),
-        eps_grad=float(meta["eps_grad"]),
-        block_of_position=None if blocks is None else np.asarray(blocks, dtype=int),
+    return _trajectory(
+        PreferredOrder(perm=perm, inverse=inverse),
+        _number_list(doc["target"], "target"),
+        _number_list(doc["cost"], "cost"),
+        _number_list(doc["initial_vertex"], "initial_vertex"),
+        [s["k"] for s in steps],
+        [s["l"] for s in steps],
+        [float(s["gradient"]) for s in steps],
+        [float(alpha) for alpha, _ in breakpoints],
+        [float(omega) for _, omega in breakpoints],
+        float(meta["eps_pop"]),
+        float(meta["eps_grad"]),
+        None if blocks is None else np.asarray(blocks, dtype=int),
     )
 
 

@@ -144,14 +144,14 @@ def lift_point(traj: OptimalTrajectory, alpha: float) -> LiftedPoint:
     src = list(range(d))
     sign = [1.0] * d
     n_full = seg if frac < 1.0 else seg + 1
-    for step in traj.steps[:n_full]:
-        i, j = perm[step.k], perm[step.l]
+    for k, l in zip(traj.ks[:n_full].tolist(), traj.ls[:n_full].tolist()):
+        i, j = perm[k], perm[l]
         src[i], src[j] = src[j], src[i]
         sign[i], sign[j] = sign[j], -sign[i]
     u = np.zeros((d, d))
     u[np.arange(d), src] = sign
     if 0.0 < frac < 1.0:
-        i, j = traj.step_input_pair(traj.steps[seg])
+        i, j = perm[traj.ks[seg]], perm[traj.ls[seg]]
         theta = math.acos(math.sqrt(1.0 - frac))
         c, s = math.cos(theta), math.sin(theta)
         u[i], u[j] = c * u[i] + s * u[j], -s * u[i] + c * u[j]

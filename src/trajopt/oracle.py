@@ -186,9 +186,8 @@ def monte_carlo_audit(
     base = getattr(inst, "base", inst)
     ae = np.column_stack([base.target, base.cost])
     alphas, costs = np.concatenate([p @ ae for p in _audit_images(inst, n_samples, seed)]).T
-    bp = traj.breakpoints
-    clipped = np.clip(alphas, bp[0, 0], bp[-1, 0])
-    omega = np.interp(clipped, bp[:, 0], bp[:, 1])
+    clipped = np.clip(alphas, traj.alpha_min, traj.alpha_max)
+    omega = np.interp(clipped, traj.alphas, traj.omegas)
     slack = costs - omega
     return AuditReport(
         n_samples=n_samples,

@@ -18,6 +18,14 @@ preferred order, the coefficients and spectrum in that order, and the
 conserved block of each position. A flat instance is the one-block case,
 so `conserved` calls the same functions with its blocks.
 
+A trajectory is stored as its steps: the minimal-point vertex
+(`initial_vertex`) and one entry per step in flat arrays (`ks`, `ls`,
+`gradients`, `delta_alphas`) plus the target and cost value of every vertex
+(`alphas`, `omegas`), O(steps + d) in all. Each vertex is the one before it
+with two entries exchanged, so `vertex(i)` replays the first i swaps from
+`initial_vertex`; `steps` is a read-only sequence that makes a `SwapStep`
+when one is read, and `breakpoints` stacks `alphas` and `omegas`.
+
 Vertices and step indices are stored in preferred-basis coordinates;
 population vectors returned to callers are in the input basis.
 """
@@ -25,7 +33,9 @@ population vectors returned to callers are in the input basis.
 from __future__ import annotations
 
 import heapq
+import operator
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +44,7 @@ from .core import (
     COEFF_EPS,
     PreferredOrder,
     ProblemInstance,
+    _frozen,
     check_alpha,
     cluster_ranks,
     preferred_order,
@@ -78,14 +89,72 @@ class MinimalCostFunction:
         return float(np.interp(alpha, self.alphas, self.omegas))
 
 
+class StepSequence(Sequence):
+    """The steps of a trajectory as a read-only sequence of SwapStep.
+
+    Each SwapStep is made from the trajectory's step arrays when it is
+    read; a slice gives a tuple of them.
+    """
+
+    __slots__ = ("_traj",)
+
+    def __init__(self, traj: OptimalTrajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.ks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._step, range(len(self))[i]))
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError(f"step {i} outside a trajectory of {n} steps")
+        return self._step(i % n)
+
+    def __iter__(self):
+        t = self._traj
+        alphas = t.alphas.tolist()
+        for k, l, delta, grad, a0, a1 in zip(
+            t.ks.tolist(), t.ls.tolist(), t.delta_alphas.tolist(), t.gradients.tolist(), alphas, alphas[1:]
+        ):
+            yield SwapStep(k=k, l=l, delta_alpha=delta, gradient=grad, alpha_start=a0, alpha_end=a1)
+
+    def _step(self, i: int) -> SwapStep:
+        t = self._traj
+        return SwapStep(
+            k=int(t.ks[i]),
+            l=int(t.ls[i]),
+            delta_alpha=float(t.delta_alphas[i]),
+            gradient=float(t.gradients[i]),
+            alpha_start=float(t.alphas[i]),
+            alpha_end=float(t.alphas[i + 1]),
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class OptimalTrajectory:
+    """The minimal-point vertex and the steps out of it, as read-only arrays.
+
+    Step i swaps preferred positions ks[i] and ls[i] of vertex i, which
+    gives vertex i + 1; it raises the target by delta_alphas[i] at cost
+    slope gradients[i]. alphas and omegas hold the target and cost value
+    of each of the steps + 1 vertices, so memory is O(steps + d). Vertices
+    are replayed from initial_vertex on request (`vertex`), and `steps`
+    reads the arrays as SwapStep objects.
+    """
+
     order: PreferredOrder
     target_pref: np.ndarray
     cost_pref: np.ndarray
-    vertices: np.ndarray  # (n_steps + 1, d), preferred coordinates
-    steps: tuple[SwapStep, ...]
-    breakpoints: np.ndarray  # (n_steps + 1, 2) columns (alpha, omega)
+    initial_vertex: np.ndarray  # (d,), preferred coordinates
+    ks: np.ndarray  # (steps,) int32
+    ls: np.ndarray  # (steps,) int32
+    gradients: np.ndarray  # (steps,)
+    delta_alphas: np.ndarray  # (steps,)
+    alphas: np.ndarray  # (steps + 1,)
+    omegas: np.ndarray  # (steps + 1,)
     eps_pop: float
     eps_grad: float
     block_of_position: np.ndarray | None = None
@@ -96,21 +165,45 @@ class OptimalTrajectory:
 
     @property
     def alpha_min(self) -> float:
-        return float(self.breakpoints[0, 0])
+        return float(self.alphas[0])
 
     @property
     def alpha_max(self) -> float:
-        return float(self.breakpoints[-1, 0])
+        return float(self.alphas[-1])
+
+    @property
+    def steps(self) -> StepSequence:
+        return StepSequence(self)
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """(steps + 1, 2) array of the (alpha, omega) of each vertex."""
+        out = np.column_stack((self.alphas, self.omegas))
+        out.setflags(write=False)
+        return out
 
     @property
     def cost_function(self) -> MinimalCostFunction:
-        return MinimalCostFunction(
-            alphas=self.breakpoints[:, 0], omegas=self.breakpoints[:, 1]
-        )
+        return MinimalCostFunction(alphas=self.alphas, omegas=self.omegas)
+
+    def vertex(self, i: int) -> np.ndarray:
+        """Vertex i in preferred coordinates: initial_vertex after the first i steps.
+
+        i runs over 0..steps; a negative i counts from the last vertex.
+        """
+        n = len(self.ks)
+        i = operator.index(i)
+        if not -n - 1 <= i <= n:
+            raise IndexError(f"vertex {i} outside a trajectory of {n + 1} vertices")
+        m = i % (n + 1)
+        p = self.initial_vertex.tolist()
+        for k, l in zip(self.ks[:m].tolist(), self.ls[:m].tolist()):
+            p[k], p[l] = p[l], p[k]
+        return np.array(p)
 
     def vertex_input(self, i: int) -> np.ndarray:
         """Vertex i as an input-basis population vector."""
-        return self.order.to_input(self.vertices[i])
+        return self.order.to_input(self.vertex(i))
 
     def step_input_pair(self, step: SwapStep) -> tuple[int, int]:
         """The swapped pair of a step as input-basis indices."""
@@ -364,15 +457,35 @@ class _SwapQueue:
             self._push(m, l)
 
 
-def _replay(p0, ks, ls) -> np.ndarray:
-    """Read-only (len(ks) + 1, d) array of p0 and the vertex after each swap of ks[i], ls[i]."""
-    out = np.empty((len(ks) + 1, len(p0)))
-    out[0] = p0
-    for prev, row, k, l in zip(out, out[1:], ks, ls):
-        row[:] = prev
-        row[k], row[l] = prev[l], prev[k]
-    out.setflags(write=False)
-    return out
+def _trajectory(order, a_p, e_p, p0, ks, ls, gradients, alphas, omegas, eps_pop, eps_grad, blocks):
+    """An OptimalTrajectory from its initial vertex and step lists.
+
+    The build and the file reader both make trajectories here, so their
+    arrays share dtypes and flags. Each step's delta_alpha is computed
+    from the lists alone, replaying the swaps on a list copy of p0:
+    Python floats round exactly as numpy float64 scalars do.
+    """
+    a = a_p.tolist()
+    p = p0.tolist()
+    deltas = []
+    for k, l in zip(ks, ls):
+        deltas.append((a[k] - a[l]) * (p[l] - p[k]))
+        p[k], p[l] = p[l], p[k]
+    return OptimalTrajectory(
+        order=order,
+        target_pref=_frozen(a_p),
+        cost_pref=_frozen(e_p),
+        initial_vertex=_frozen(p0),
+        ks=_frozen(ks, np.int32),
+        ls=_frozen(ls, np.int32),
+        gradients=_frozen(gradients),
+        delta_alphas=_frozen(deltas),
+        alphas=_frozen(alphas),
+        omegas=_frozen(omegas),
+        eps_pop=eps_pop,
+        eps_grad=eps_grad,
+        block_of_position=blocks,
+    )
 
 
 def _build(prep: _Prepared) -> OptimalTrajectory:
@@ -380,47 +493,28 @@ def _build(prep: _Prepared) -> OptimalTrajectory:
 
     Each step takes the queue's best swap, the one `next_step` picks at the
     current vertex; the `_SwapQueue` is updated in O(pairs touching the
-    swapped positions · log) per step instead of being rebuilt. The
-    loop records only the steps; the vertices are filled in afterwards by
-    replaying them from p0, so the build never holds them twice.
+    swapped positions · log) per step instead of being rebuilt. The loop
+    appends to flat lists, one entry per step, and holds one vertex.
+    alpha and omega are the dot products of each vertex, not running
+    sums, so they do not accumulate rounding.
     """
     a_p, e_p, eps_grad = prep.a_p, prep.e_p, prep.inst.eps_grad
     p0 = _minimal_pref(prep)
     p = p0.copy()
     queue = _SwapQueue(p, prep)
-    steps = []
-    bps = [(float(np.dot(a_p, p)), float(np.dot(e_p, p)))]
+    ks, ls, grads = [], [], []
+    alphas, omegas = [float(np.dot(a_p, p))], [float(np.dot(e_p, p))]
     while (chosen := queue.best(eps_grad)) is not None:
         k, l, grad = chosen
-        delta = (a_p[k] - a_p[l]) * (p[l] - p[k])
         p[k], p[l] = p[l], p[k]
         queue.swap(k, l)
-        alpha = float(np.dot(a_p, p))
-        omega = float(np.dot(e_p, p))
-        steps.append(
-            SwapStep(
-                k=k,
-                l=l,
-                delta_alpha=float(delta),
-                gradient=grad,
-                alpha_start=bps[-1][0],
-                alpha_end=alpha,
-            )
-        )
-        bps.append((alpha, omega))
-    vertices = _replay(p0, [s.k for s in steps], [s.l for s in steps])
-    breakpoints = np.array(bps)
-    breakpoints.setflags(write=False)
-    return OptimalTrajectory(
-        order=prep.order,
-        target_pref=a_p,
-        cost_pref=e_p,
-        vertices=vertices,
-        steps=tuple(steps),
-        breakpoints=breakpoints,
-        eps_pop=prep.inst.eps_pop,
-        eps_grad=eps_grad,
-        block_of_position=prep.blocks,
+        ks.append(k)
+        ls.append(l)
+        grads.append(grad)
+        alphas.append(float(np.dot(a_p, p)))
+        omegas.append(float(np.dot(e_p, p)))
+    return _trajectory(
+        prep.order, a_p, e_p, p0, ks, ls, grads, alphas, omegas, prep.inst.eps_pop, eps_grad, prep.blocks
     )
 
 
@@ -447,15 +541,20 @@ def state_at(traj: OptimalTrajectory, alpha: float):
     along the active segment (0 at its start vertex).
     """
     alpha = check_alpha(alpha, traj.alpha_min, traj.alpha_max)
-    alphas = traj.breakpoints[:, 0]
-    if len(traj.steps) == 0:
+    alphas = traj.alphas
+    n = len(traj.ks)
+    if n == 0:
         return traj.vertex_input(0), 0, 0.0
-    seg = min(bisect_right(alphas, alpha) - 1, len(traj.steps) - 1)
+    seg = min(bisect_right(alphas, alpha) - 1, n - 1)
     seg = max(seg, 0)
     lo, hi = alphas[seg], alphas[seg + 1]
     t = 0.0 if hi == lo else (alpha - lo) / (hi - lo)
     t = min(max(t, 0.0), 1.0)
-    p = (1.0 - t) * traj.vertices[seg] + t * traj.vertices[seg + 1]
+    start = traj.vertex(seg)
+    end = start.copy()
+    k, l = traj.ks[seg], traj.ls[seg]
+    end[k], end[l] = start[l], start[k]
+    p = (1.0 - t) * start + t * end
     return traj.order.to_input(p), int(seg), float(t)
 
 
@@ -525,10 +624,10 @@ def entry_point(traj: OptimalTrajectory, alpha_in: float):
         for c in cycle[1:]:
             chain.append(TTransform(i=cycle[0], j=c, t=0.0, dim=d))
     n_full = seg if t < 1.0 else seg + 1
-    for step in traj.steps[:n_full]:
-        i, j = traj.step_input_pair(step)
-        chain.append(TTransform(i=i, j=j, t=0.0, dim=d))
+    input_of = perm.tolist()
+    for k, l in zip(traj.ks[:n_full].tolist(), traj.ls[:n_full].tolist()):
+        chain.append(TTransform(i=input_of[k], j=input_of[l], t=0.0, dim=d))
     if 0.0 < t < 1.0:
-        i, j = traj.step_input_pair(traj.steps[seg])
-        chain.append(TTransform(i=i, j=j, t=1.0 - t, dim=d))
+        k, l = traj.ks[seg], traj.ls[seg]
+        chain.append(TTransform(i=input_of[k], j=input_of[l], t=1.0 - t, dim=d))
     return p, tuple(chain)

@@ -62,6 +62,21 @@ def tie_instance(rng, d, conserved=None):
     )
 
 
+def replayed_vertices(traj):
+    """Every vertex of traj, one row each, in preferred coordinates.
+
+    The reference for `OptimalTrajectory.vertex`: row 0 is the initial
+    vertex and each later row is the one before it with the step's two
+    entries exchanged.
+    """
+    rows = [np.array(traj.initial_vertex)]
+    for step in traj.steps:
+        row = rows[-1].copy()
+        row[[step.k, step.l]] = row[[step.l, step.k]]
+        rows.append(row)
+    return np.array(rows)
+
+
 def single_step_candidates(traj, p):
     """Target-raising adjacent swaps of preferred-basis p, as (k, l, gradient).
 
@@ -92,10 +107,11 @@ def assert_single_step_rule(traj):
     (k, l), same gradient bits (-0.0 included); the last vertex has no
     candidate left.
     """
-    for step, p in zip(traj.steps, traj.vertices[:-1]):
+    vertices = replayed_vertices(traj)
+    for step, p in zip(traj.steps, vertices[:-1]):
         cands = single_step_candidates(traj, p)
         least = min(g for *_, g in cands)
         k, l, grad = min(c for c in cands if c[2] <= least + traj.eps_grad)
         assert (step.k, step.l, step.gradient) == (k, l, grad)
         assert np.signbit(step.gradient) == np.signbit(grad)
-    assert single_step_candidates(traj, traj.vertices[-1]) == []
+    assert single_step_candidates(traj, vertices[-1]) == []

@@ -166,7 +166,7 @@ def test_c06_convexity_and_gradient_bounds(built_corpus):
             assert all(b - a >= -1e-12 for a, b in zip(grads[:-1], grads[1:]))
             if inst.dim > 6:
                 continue
-            for vi in range(1, len(traj.vertices) - 1):
+            for vi in range(1, len(traj.steps)):
                 v = traj.vertex_input(vi)
                 plus, minus = [], []
                 for sw in av_swaps(v, inst.eps_pop):

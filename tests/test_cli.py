@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajopt
 from trajopt import fileio
 from trajopt.cli import main
+
+GENERIC = Path(__file__).resolve().parent / "golden" / "generic" / "instance.json"
 
 
 def run(capsys, *argv):
@@ -227,3 +234,45 @@ def test_verify_rejects_non_positive_samples(capsys, instance_file, samples):
     code, out, err = run(capsys, "verify", instance_file, "--samples", samples)
     assert code == 2
     assert "--samples" in err and out == ""
+
+
+def _tampered_instance(tmp_path, field, value):
+    """The generic golden instance with field (or its entry 0) set to value."""
+    doc = json.loads(GENERIC.read_text())
+    if isinstance(doc.get(field), list):
+        doc[field][0] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))  # json writes NaN and Infinity and reads them back
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("target", float("nan")), ("eigenvalues", float("inf")), ("cost", -float("inf")),
+     ("eps_pop", float("nan")), ("eps_grad", float("nan")), ("eps_grad", float("inf"))],
+)
+def test_non_finite_instance_is_a_parse_error(tmp_path, capsys, field, value):
+    path = _tampered_instance(tmp_path, field, value)
+    code, _, err = run(capsys, "build", path, str(tmp_path / "traj.json"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
+
+@pytest.mark.parametrize("flag", ["--eps-pop", "--eps-grad"])
+def test_non_finite_tolerance_flag_is_a_parse_error(tmp_path, capsys, flag):
+    code, _, err = run(capsys, flag, "nan", "build", str(GENERIC), str(tmp_path / "traj.json"))
+    assert code == 2 and flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize("field", ["target", "eps_grad"])
+def test_non_finite_instance_exits_without_traceback(tmp_path, field):
+    path = _tampered_instance(tmp_path, field, float("nan"))
+    env = dict(os.environ, PYTHONPATH=str(Path(trajopt.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trajopt.cli", "build", path, str(tmp_path / "traj.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and field in proc.stderr

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import assert_single_step_rule, random_instance, tie_instance
+from conftest import assert_single_step_rule, random_instance, replayed_vertices, tie_instance
 from trajopt.conserved import (
     block_decompose,
     block_spectra,
@@ -44,7 +44,7 @@ def test_constant_conserved_reduces_to_base(rng):
         base = build(inst)
         gen = build_generalized(ginst)
         assert np.array_equal(base.breakpoints, gen.breakpoints)
-        assert np.array_equal(base.vertices, gen.vertices)
+        assert np.array_equal(replayed_vertices(base), replayed_vertices(gen))
         assert [(s.k, s.l) for s in base.steps] == [(s.k, s.l) for s in gen.steps]
         assert [s.gradient for s in base.steps] == [s.gradient for s in gen.steps]
         # bit equality, signed zeros included
@@ -318,7 +318,7 @@ def test_rank_one_density_matrix_has_nonnegative_vertices(rng):
         c = rng.integers(0, max(1, d // 3), d).astype(float)
         gi = from_density_matrix(np.outer(psi, psi.conj()), rng.normal(size=d), rng.normal(size=d), c)
         traj = build_generalized(gi)
-        assert traj.vertices.min() >= 0.0
+        assert replayed_vertices(traj).min() >= 0.0
         assert np.concatenate(gi.block_lambdas).min() >= 0.0
 
 

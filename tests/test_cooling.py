@@ -115,7 +115,7 @@ def test_every_trajectory_vertex_subspace_passive():
     for gaps in itertools.permutations((0.1, 0.3, 0.7)):
         cool = qubit_machine_instance(gaps)
         traj = build(cool.problem)
-        for i in range(len(traj.vertices)):
+        for i in range(len(traj.steps) + 1):
             assert subspace_passive(traj.vertex_input(i), cool)
     # constructed violation: swap p00 and p03
     cool = demo_coherent_erasure()

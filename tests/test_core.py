@@ -11,6 +11,7 @@ from trajopt.core import (
 from trajopt.errors import (
     DimensionMismatch,
     NegativeEigenvalue,
+    NonFiniteValue,
     NonPositiveTolerance,
     NotMajorized,
     NotNormalized,
@@ -58,6 +59,38 @@ def test_validate_rejects_bad_inputs():
                 initial_populations=np.array([0.9, 0.1]),
             )
         )
+
+
+WELL_FORMED = {
+    "eigenvalues": [0.5, 0.3, 0.2],
+    "target": [1.0, 0.0, 2.0],
+    "cost": [0.0, 0.3, 0.1],
+    "conserved": [1.0, 1.0, 2.0],
+    "initial_populations": [0.4, 0.3, 0.3],
+}
+
+
+def _instance(**changes):
+    fields = dict(WELL_FORMED, **changes)
+    vectors = {k: np.array(v) for k, v in fields.items() if k in WELL_FORMED}
+    return ProblemInstance(**vectors, **{k: v for k, v in fields.items() if k not in WELL_FORMED})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", list(WELL_FORMED))
+def test_validate_rejects_non_finite_entries(field, value):
+    validate(_instance())
+    vec = list(WELL_FORMED[field])
+    vec[1] = value
+    with pytest.raises(NonFiniteValue, match=field):
+        validate(_instance(**{field: vec}))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["eps_pop", "eps_grad"])
+def test_validate_rejects_non_positive_or_non_finite_tolerances(name, value):
+    with pytest.raises(NonPositiveTolerance, match=name):
+        validate(_instance(**{name: value}))
 
 
 def test_preferred_order_examples():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,13 +109,9 @@ def test_monte_carlo_audit_clean_and_identity(rng):
 def test_audit_detects_tampered_trajectory(rng):
     inst = random_instance(rng, 5)
     traj = build(inst)
-    bad = traj.breakpoints.copy()
-    bad[:, 1] += 0.05  # claim impossibly high optimal cost
-
-    class _Fake:
-        breakpoints = bad
-
-    report = monte_carlo_audit(inst, _Fake, n_samples=500, seed=0)
+    # claim impossibly high optimal cost
+    bad = dataclasses.replace(traj, omegas=traj.omegas + 0.05)
+    report = monte_carlo_audit(inst, bad, n_samples=500, seed=0)
     assert report.violations > 0
 
 
@@ -184,11 +182,6 @@ def test_audit_detects_tampered_conserved_trajectory(rng):
     ginst = _conserved_instance(rng)
     traj = build_generalized(ginst)
     assert monte_carlo_audit(ginst, traj, n_samples=500, seed=0).passed
-    bad = traj.breakpoints.copy()
-    bad[:, 1] += 0.05
-
-    class _Fake:
-        breakpoints = bad
-
-    report = monte_carlo_audit(ginst, _Fake, n_samples=500, seed=0)
+    bad = dataclasses.replace(traj, omegas=traj.omegas + 0.05)
+    report = monte_carlo_audit(ginst, bad, n_samples=500, seed=0)
     assert report.violations > 0

@@ -3,13 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import assert_single_step_rule, random_instance, single_step_candidates, tie_instance
+from conftest import (
+    assert_single_step_rule,
+    random_instance,
+    replayed_vertices,
+    single_step_candidates,
+    tie_instance,
+)
 from trajopt.conserved import build_generalized, from_populations, swap_candidates_generalized
 from trajopt.core import ProblemInstance, cost_value, target_value, validate
 from trajopt.errors import AlphaOutOfRange, NotAVertex
 from trajopt.lift import apply_chain
 from trajopt.polytope import enumerate_vertices, is_edge, majorizes
 from trajopt.trajectory import (
+    OptimalTrajectory,
+    SwapStep,
     build,
     entry_point,
     maximal_vertex,
@@ -146,10 +154,10 @@ def test_build_gradients_non_decreasing(rng):
         for s in traj.steps:
             assert abs((s.alpha_end - s.alpha_start) - s.delta_alpha) < 1e-12
         # consecutive vertices differ by exactly the step transposition
-        for s, v0, v1 in zip(traj.steps, traj.vertices[:-1], traj.vertices[1:]):
-            w = v0.copy()
+        for i, s in enumerate(traj.steps):
+            w = traj.vertex(i)
             w[[s.k, s.l]] = w[[s.l, s.k]]
-            assert np.array_equal(w, v1)
+            assert np.array_equal(w, traj.vertex(i + 1))
 
 
 def test_trajectory_vertices_are_polytope_edges(rng):
@@ -245,7 +253,7 @@ def test_public_queries_follow_the_build(rng):
             cands = candidates(traj.vertex_input(v))
             keys = [(int(inverse[i]), int(inverse[j])) for i, j, _ in cands]
             assert keys == sorted(keys)
-            ref = single_step_candidates(traj, traj.vertices[v])
+            ref = single_step_candidates(traj, traj.vertex(v))
             want = sorted((int(perm[k]), int(perm[l]), g, np.signbit(g)) for k, l, g in ref)
             assert sorted((i, j, g, np.signbit(g)) for i, j, g in cands) == want
             got = next_step(traj.vertex_input(v), inst) if inst.conserved is None else None
@@ -296,3 +304,82 @@ def test_entry_point_chains(rng):
         p2, chain2 = entry_point(traj, float(mid))
         assert 0.0 < chain2[-1].t < 1.0  # ends with one partial mix
         assert np.max(np.abs(apply_chain(chain2, lam_desc) - p2)) < 1e-12
+
+
+def _built_mix(rng, n):
+    """n trajectories: flat generic, flat tied (with eps_grad ties or -0.0) and conserved, in turn."""
+    out = []
+    for i in range(n):
+        d = int(rng.integers(2, 16))
+        if i % 3 == 0:
+            out.append(build(random_instance(rng, d, degenerate=bool(i % 2))))
+        elif i % 3 == 1:
+            out.append(build(tie_instance(rng, d)))
+        else:
+            c = rng.integers(0, int(rng.integers(1, 4)), d).astype(float)
+            out.append(build_generalized(from_populations(tie_instance(rng, d, conserved=c))))
+    return out
+
+
+def test_vertex_and_state_at_replay_the_steps(rng):
+    for traj in _built_mix(rng, 36):
+        want = replayed_vertices(traj)
+        n = len(traj.steps)
+        for i in range(n + 1):
+            assert traj.vertex(i).tobytes() == want[i].tobytes()
+            assert traj.vertex(i - n - 1).tobytes() == want[i].tobytes()
+            p, seg, t = state_at(traj, float(traj.alphas[i]))
+            assert np.array_equal(p, traj.order.to_input(want[i]))
+            assert (seg, t) == ((i, 0.0) if i < n else (max(n - 1, 0), float(n > 0)))
+        for i in (n + 1, -n - 2):
+            with pytest.raises(IndexError):
+                traj.vertex(i)
+
+
+def test_steps_is_a_read_only_sequence_of_swap_steps(rng):
+    for traj in _built_mix(rng, 9):
+        want = tuple(
+            SwapStep(k=int(traj.ks[i]), l=int(traj.ls[i]), delta_alpha=float(traj.delta_alphas[i]),
+                     gradient=float(traj.gradients[i]), alpha_start=float(traj.alphas[i]),
+                     alpha_end=float(traj.alphas[i + 1]))
+            for i in range(len(traj.ks))
+        )
+        steps = traj.steps
+        n = len(want)
+        assert len(steps) == n and bool(steps) == bool(want)
+        assert tuple(steps) == want and tuple(reversed(steps)) == want[::-1]
+        for i in range(-n, n):
+            assert steps[i] == want[i]
+            assert [type(v) for v in dataclasses.astuple(steps[i])] == [int, int] + [float] * 4
+            assert np.signbit(steps[i].gradient) == np.signbit(traj.gradients[i])
+        for sl in (slice(None), slice(1, 4), slice(-3, None), slice(4, 1), slice(None, None, -2)):
+            assert steps[sl] == want[sl]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                steps[i]
+        with pytest.raises(TypeError):
+            steps[1.0]
+        with pytest.raises(TypeError):
+            steps[0] = None
+        if n:
+            assert want[-1] in steps and steps.index(want[-1]) == want.index(want[-1])
+
+
+def _array_bytes(traj):
+    fields = [getattr(traj, f.name) for f in dataclasses.fields(OptimalTrajectory)]
+    arrays = [x for x in fields if isinstance(x, np.ndarray)] + [traj.order.perm, traj.order.inverse]
+    return sum(x.nbytes for x in arrays)
+
+
+def test_trajectory_memory_is_linear_in_steps_and_dim(rng):
+    d = 128
+    flat = build(random_instance(rng, d))
+    assert len(flat.steps) == d * (d - 1) // 2
+    base = random_instance(rng, d)
+    c = (np.arange(d) % 4).astype(float)
+    conserved = build_generalized(from_populations(make(base.eigenvalues, base.target, base.cost, conserved=c)))
+    assert len(conserved.steps) == 4 * 32 * 31 // 2
+    for traj in (flat, conserved):
+        assert _array_bytes(traj) <= 64 * (len(traj.steps) + d)
+        for name in ("initial_vertex", "ks", "ls", "gradients", "delta_alphas", "alphas", "omegas"):
+            assert not getattr(traj, name).flags.writeable, name
