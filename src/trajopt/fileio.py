@@ -93,20 +93,25 @@ def _dumps_scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _is_number(raw) -> bool:
+    """A JSON number: bool is an int subclass, but true and false are not numbers."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _number_list(raw, field: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{field}: expected a non-empty number array")
-    try:
-        return np.array([float(v) for v in raw])
-    except (TypeError, ValueError):
-        raise ParseError(f"{field}: entries must be numbers") from None
+    for i, v in enumerate(raw):
+        if not _is_number(v):
+            raise ParseError(f"{field}[{i}]: expected a number, got {v!r}")
+    return np.array([float(v) for v in raw])
 
 
 def _number(raw, field: str, default: float) -> float:
     if raw is None:
         return default
-    if not isinstance(raw, (int, float)):
-        raise ParseError(f"{field}: expected a number")
+    if not _is_number(raw):
+        raise ParseError(f"{field}: expected a number, got {raw!r}")
     return float(raw)
 
 
@@ -208,7 +213,7 @@ def _index(raw, field: str, d: int) -> int:
 
 
 def _check_number(raw, field: str) -> None:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+    if not _is_number(raw):
         raise ParseError(f"{field}: expected a number, got {raw!r}")
     if not math.isfinite(raw):
         raise ParseError(f"{field}: expected a finite number, got {raw!r}")

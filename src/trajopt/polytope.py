@@ -5,6 +5,15 @@ of the permutations of λ. This module provides the majorization test, the
 vertex enumeration with degeneracy counting, adjacent-valued swap
 enumeration, and a brute-force edge oracle that is independent of the
 adjacent-swap characterization (it solves a small LP instead).
+
+Enumeration order is a contract: `enumerate_vertices` lists the distinct
+arrangements lexicographically in the positions of the distinct values,
+largest value first, so row 0 is the descending spectrum and the last row
+the ascending one. Each vertex is also one int64, its value ranks
+(0 = largest) read as digits in base m, the number of distinct values;
+rows in enumeration order have increasing codes. `edge_pairs` keys an
+unordered vertex pair by the smaller code of its two ordered orbit keys,
+and `av_swap_pairs` finds a swapped vertex by its code.
 """
 
 from __future__ import annotations
@@ -82,31 +91,24 @@ def vertex_count(lam, eps: float = 1e-12) -> int:
     return count
 
 
-def _distinct_permutations(values_desc: np.ndarray):
-    """Yield the distinct arrangements of a descending multiset, lexicographically."""
+def _distinct_permutations(values_desc: np.ndarray) -> np.ndarray:
+    """The distinct arrangements of a descending multiset, one per row, lexicographically.
+
+    Rows grow one position per level: every prefix is extended by each value
+    it still has left, largest first, which is the order a depth-first walk
+    emits them in.
+    """
     d = len(values_desc)
-    uniq, counts = [], []
-    for v in values_desc:
-        if uniq and v == uniq[-1]:
-            counts[-1] += 1
-        else:
-            uniq.append(float(v))
-            counts.append(1)
-    out = np.empty(d)
-
-    def rec(pos):
-        if pos == d:
-            yield out.copy()
-            return
-        for i, v in enumerate(uniq):
-            if counts[i] == 0:
-                continue
-            counts[i] -= 1
-            out[pos] = v
-            yield from rec(pos + 1)
-            counts[i] += 1
-
-    yield from rec(0)
+    starts = np.flatnonzero(np.r_[True, values_desc[1:] != values_desc[:-1]])
+    itype = np.min_scalar_type(d)
+    left = np.diff(np.r_[starts, d]).astype(itype)[None, :]
+    rows = np.empty((1, 0), dtype=itype)
+    for _ in range(d):
+        prefix, value = np.nonzero(left)
+        rows = np.column_stack([rows[prefix], value.astype(itype)])
+        left = left[prefix]
+        left[np.arange(len(prefix)), value] -= 1
+    return values_desc[starts][rows]
 
 
 def enumerate_vertices(
@@ -119,7 +121,7 @@ def enumerate_vertices(
         raise DimensionTooLarge(f"dim {d} exceeds enumeration cap {max_dim}")
     reg, sizes = degeneracy_classes(lam, eps)
     desc = np.sort(reg)[::-1]
-    verts = np.array(list(_distinct_permutations(desc)))
+    verts = _distinct_permutations(desc)
     verts.setflags(write=False)
     return VertexSet(
         vertices=verts, count=len(verts), eigenvalues=reg, class_sizes=sizes
@@ -151,23 +153,30 @@ def _find_vertex(vset: VertexSet, v: np.ndarray, eps: float) -> int:
     return idx
 
 
-def segment_weight(v1, v2, vset: VertexSet, tol: float = 1e-9) -> float:
-    """Minimal total weight on {v1, v2} over convex representations of their midpoint."""
-    mid = 0.5 * (np.asarray(v1, dtype=float) + np.asarray(v2, dtype=float))
-    i1 = _find_vertex(vset, v1, tol)
-    i2 = _find_vertex(vset, v2, tol)
-    if i1 == i2:
-        raise NotAVertex("v1 and v2 are the same vertex")
-    n = vset.count
-    A = np.vstack([vset.vertices.T, np.ones(n)])
-    b = np.append(mid, 1.0)
-    c = np.zeros(n)
+def _convexity_rows(verts: np.ndarray) -> np.ndarray:
+    """Equality rows of "a convex combination of the vertices": coordinates, then weight sum."""
+    return np.vstack([verts.T, np.ones(len(verts))])
+
+
+def _pair_weight(verts: np.ndarray, A: np.ndarray, i1: int, i2: int, tol: float) -> float:
+    """segment_weight of vertices i1 != i2, given A = _convexity_rows(verts)."""
+    b = np.append(0.5 * (verts[i1] + verts[i2]), 1.0)
+    c = np.zeros(len(verts))
     c[i1] = 1.0
     c[i2] = 1.0
     status, _, obj = solve_lp(c, A, b, tol=tol)
     if status != LPStatus.OPTIMAL:
         raise RuntimeError(f"midpoint LP ended with status {status}")
     return obj
+
+
+def segment_weight(v1, v2, vset: VertexSet, tol: float = 1e-9) -> float:
+    """Minimal total weight on {v1, v2} over convex representations of their midpoint."""
+    i1 = _find_vertex(vset, v1, tol)
+    i2 = _find_vertex(vset, v2, tol)
+    if i1 == i2:
+        raise NotAVertex("v1 and v2 are the same vertex")
+    return _pair_weight(vset.vertices, _convexity_rows(vset.vertices), i1, i2, tol)
 
 
 def is_edge(v1, v2, vset: VertexSet, eps: float = 1e-9) -> bool:
@@ -181,56 +190,77 @@ def is_edge(v1, v2, vset: VertexSet, eps: float = 1e-9) -> bool:
     return segment_weight(v1, v2, vset, tol=eps) >= 0.5
 
 
+def _rank_codes(vset: VertexSet):
+    """Vertices as value ranks (0 = largest distinct value) and the int64 code weights.
+
+    A row of ranks r encodes as r @ weights, its digits in base m, the
+    number of distinct values; distinct arrangements get distinct codes.
+    """
+    values = np.unique(vset.eigenvalues)
+    m = len(values)
+    d = vset.vertices.shape[1]
+    if m**d > np.iinfo(np.int64).max:
+        raise DimensionTooLarge(f"{m}**{d} vertex codes do not fit in int64")
+    ranks = m - 1 - np.searchsorted(values, vset.vertices)
+    return ranks, m ** np.arange(d - 1, -1, -1, dtype=np.int64)
+
+
 def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set:
     """All unordered vertex-index pairs passing is_edge.
 
     With symmetry=False every pair is solved independently (the reference).
     With symmetry=True pairs related by a coordinate permutation share one
-    LP (the polytope is permutation invariant). The orbit key of (v_i, v_j)
-    relabels coordinates so v_i becomes the descending spectrum (one stable
-    argsort per i), then sorts v_j descending inside each degeneracy block
-    of the spectrum, the residual relabeling freedom. Keys of all pairs
-    i < j are computed at once and grouped bitwise (an int64 view of the
-    floats); is_edge runs once per orbit, at its first pair in row-major
-    order.
+    LP (the polytope is permutation invariant). The ordered key of
+    (v_i, v_j) relabels coordinates so v_i becomes the descending spectrum
+    (one stable argsort per i), then sorts v_j descending inside each
+    degeneracy block of the spectrum, the residual relabeling freedom. The
+    key is itself an arrangement of the spectrum, so it encodes as one
+    int64 (see _rank_codes); the orbit key of {v_i, v_j} is the smaller of
+    the codes of (i, j) and (j, i). Keys of all pairs i < j are computed at
+    once, and one LP runs per orbit, at its first pair in row-major order.
     """
-    n = vset.count
-    pairs = set()
-    if not symmetry:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if is_edge(vset.vertices[i], vset.vertices[j], vset, eps):
-                    pairs.add((i, j))
-        return pairs
-
     verts = vset.vertices
-    desc = np.sort(vset.eigenvalues)[::-1]
+    A = _convexity_rows(verts)
+    n = len(verts)
     iu, ju = np.triu_indices(n, 1)
-    order = np.argsort(-verts, axis=1, kind="stable")
-    keys = verts[ju[:, None], order[iu]]
-    bounds = np.flatnonzero(np.diff(desc, prepend=np.nan, append=np.nan))
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if stop - start > 1:
-            keys[:, start:stop] = -np.sort(-keys[:, start:stop], axis=1)
-    _, first, orbit = np.unique(
-        keys.view(np.int64), axis=0, return_index=True, return_inverse=True
-    )
+    if not symmetry:
+        hits = [_pair_weight(verts, A, i, j, eps) >= 0.5 for i, j in zip(iu, ju)]
+        return {(int(i), int(j)) for i, j in zip(iu[hits], ju[hits])}
+
+    ranks, weights = _rank_codes(vset)
+    order = np.argsort(ranks, axis=1, kind="stable")
+    sizes = np.bincount(ranks[0])
+    bounds = np.r_[0, np.cumsum(sizes)]
+
+    def ordered_codes(first, second):
+        keys = ranks[second[:, None], order[first]]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if stop - start > 1:
+                keys[:, start:stop] = np.sort(keys[:, start:stop], axis=1)
+        return keys @ weights
+
+    codes = np.minimum(ordered_codes(iu, ju), ordered_codes(ju, iu))
+    _, first, orbit = np.unique(codes, return_index=True, return_inverse=True)
     verdicts = np.array(
-        [is_edge(verts[iu[f]], verts[ju[f]], vset, eps) for f in first], dtype=bool
+        [_pair_weight(verts, A, iu[f], ju[f], eps) >= 0.5 for f in first], dtype=bool
     )
     hits = verdicts[orbit.reshape(-1)]
     return {(int(i), int(j)) for i, j in zip(iu[hits], ju[hits])}
 
 
 def av_swap_pairs(vset: VertexSet, eps: float = 1e-12) -> set:
-    """Vertex-index pairs predicted to be edges by the adjacent-swap rule."""
-    index = {vset.vertices[i].tobytes(): i for i in range(vset.count)}
-    pairs = set()
-    for i in range(vset.count):
-        v = vset.vertices[i]
-        for sw in av_swaps(v, eps):
-            w = v.copy()
-            w[sw.k], w[sw.l] = w[sw.l], w[sw.k]
-            j = index[w.tobytes()]
-            pairs.add((min(i, j), max(i, j)))
-    return pairs
+    """Vertex-index pairs predicted to be edges by the adjacent-swap rule.
+
+    The pairs av_swaps gives at every vertex, found in one broadcast over
+    all vertices: positions k, l whose values sit in neighboring eps-classes,
+    p[k] below p[l]. The swapped vertex is looked up by its code.
+    """
+    ranks, weights = _rank_codes(vset)
+    values = np.unique(vset.eigenvalues)[::-1]
+    cls = cluster_ranks(values, eps)[ranks]
+    v, k, l = np.nonzero(cls[:, None, :] == cls[:, :, None] + 1)
+    codes = ranks @ weights
+    swapped = codes[v] + (ranks[v, l] - ranks[v, k]) * (weights[k] - weights[l])
+    sorter = np.argsort(codes)
+    w = sorter[np.searchsorted(codes, swapped, sorter=sorter)]
+    return set(zip(np.minimum(v, w).tolist(), np.maximum(v, w).tolist()))

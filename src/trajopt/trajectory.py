@@ -571,23 +571,19 @@ def uniqueness_at_minimum(inst: ProblemInstance) -> MinimumUniqueness:
     ra = cluster_ranks(a_p, COEFF_EPS)
     if len(np.unique(ra)) == len(a_p):
         return MinimumUniqueness(unique=True, condition=1)
-    cond2 = True
-    cond3 = True
-    for r in np.unique(ra):
-        members = np.nonzero(ra == r)[0]
-        if len(members) < 2:
-            continue
-        re = cluster_ranks(e_p[members], COEFF_EPS)
-        for rr in np.unique(re):
-            sub = members[np.nonzero(re == rr)[0]]
-            if len(sub) < 2:
-                continue
-            cond2 = False
-            if np.max(p_min[sub]) - np.min(p_min[sub]) > inst.eps_pop:
-                cond3 = False
-    if cond2:
+    # cost classes are formed inside each target class, as cluster_ranks on
+    # its members would: near-equal costs of other target classes must not
+    # chain two of them into one
+    by = np.lexsort((e_p, ra))
+    new_class = np.r_[True, (np.diff(ra[by]) != 0) | (np.diff(e_p[by]) > COEFF_EPS)]
+    starts = np.flatnonzero(new_class)
+    sizes = np.diff(np.r_[starts, len(by)])
+    pop = p_min[by]
+    spread = np.maximum.reduceat(pop, starts) - np.minimum.reduceat(pop, starts)
+    tied = sizes >= 2
+    if not tied.any():
         return MinimumUniqueness(unique=True, condition=2)
-    if cond3:
+    if not np.any(spread[tied] > inst.eps_pop):
         return MinimumUniqueness(unique=True, condition=3)
     return MinimumUniqueness(unique=False, condition=None)
 

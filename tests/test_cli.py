@@ -260,6 +260,15 @@ def test_non_finite_instance_is_a_parse_error(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
 
+@pytest.mark.parametrize("field", ["eps_grad", "eps_pop", "target", "cost"])
+def test_boolean_instance_number_is_a_parse_error(tmp_path, capsys, field):
+    # true is no number: read as 1.0 it would merge every eps_grad tie class
+    path = _tampered_instance(tmp_path, field, True)
+    code, out, err = run(capsys, "build", path, str(tmp_path / "traj.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err and "True" in err
+
+
 @pytest.mark.parametrize("flag", ["--eps-pop", "--eps-grad"])
 def test_non_finite_tolerance_flag_is_a_parse_error(tmp_path, capsys, flag):
     code, _, err = run(capsys, flag, "nan", "build", str(GENERIC), str(tmp_path / "traj.json"))

@@ -147,6 +147,20 @@ def test_non_number_rejected(doc):
     _rejects(doc, r"metadata\.eps_grad: expected a number")
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [(("eps_grad",), True), (("eps_pop",), False), (("target", 0), True),
+     (("eigenvalues", 2), False), (("cost", 1), "0.5")],
+)
+def test_instance_non_number_rejected(path, value):
+    # bool is an int subclass, so an unchecked true would read as 1.0
+    inst = fileio.load_json(str(GOLDEN / "generic" / "instance.json"))
+    _set(inst, path, value)
+    label = path[0] + "".join(f"[{k}]" for k in path[1:])
+    with pytest.raises(ParseError, match=re.escape(label) + ": expected a number, got"):
+        fileio.instance_from_dict(inst)
+
+
 @pytest.mark.parametrize("field, row", [("alpha_start", 4), ("alpha_end", 5)])
 def test_step_alpha_off_its_breakpoint_rejected(doc, field, row):
     # cooling_steps reads the step alphas, state_at and omega_opt the breakpoints

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,45 @@ def test_enumerate_vertices_counts():
     assert enumerate_vertices([1 / 3, 1 / 3, 1 / 3]).count == 1
     with pytest.raises(DimensionTooLarge):
         enumerate_vertices(np.full(10, 0.1), max_dim=9)
+
+
+def _recursive_permutations(values_desc):
+    """The depth-first generator enumerate_vertices was first built on (the reference)."""
+    d = len(values_desc)
+    uniq, counts = [], []
+    for v in values_desc:
+        if uniq and v == uniq[-1]:
+            counts[-1] += 1
+        else:
+            uniq.append(float(v))
+            counts.append(1)
+    out = np.empty(d)
+
+    def rec(pos):
+        if pos == d:
+            yield out.copy()
+            return
+        for i, v in enumerate(uniq):
+            if counts[i] == 0:
+                continue
+            counts[i] -= 1
+            out[pos] = v
+            yield from rec(pos + 1)
+            counts[i] += 1
+
+    yield from rec(0)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_enumeration_is_the_recursive_generator_byte_for_byte(d, rng):
+    # every multiset pattern: each composition of d into class sizes, largest value first
+    for cuts in itertools.product((False, True), repeat=d - 1):
+        sizes = np.diff(np.flatnonzero(np.r_[True, cuts, True]))
+        lam = np.repeat(np.linspace(0.9, 0.1, len(sizes)), sizes)
+        vs = enumerate_vertices(rng.permutation(lam))
+        ref = np.array(list(_recursive_permutations(np.sort(vs.eigenvalues)[::-1])))
+        got = vs.vertices
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
 
 
 def test_vertex_count_formula(rng):
@@ -93,13 +133,45 @@ def test_is_edge_examples():
         is_edge([0.6, 0.4], [0.3, 0.7], vs2)
 
 
+def _av_swap_pairs_by_vertex(vs, eps):
+    """av_swap_pairs as av_swaps at every vertex plus a lookup by bytes (the reference)."""
+    index = {v.tobytes(): i for i, v in enumerate(vs.vertices)}
+    pairs = set()
+    for i, v in enumerate(vs.vertices):
+        for sw in av_swaps(v, eps):
+            w = v.copy()
+            w[[sw.k, sw.l]] = w[[sw.l, sw.k]]
+            j = index[w.tobytes()]
+            pairs.add((min(i, j), max(i, j)))
+    return pairs
+
+
 def test_edge_structure_small_cases():
-    for lam in ([0.1, 0.2, 0.3, 0.4], [0.1, 0.1, 0.35, 0.45], [0.5, 0.25, 0.25]):
+    for lam in (
+        [0.1, 0.2, 0.3, 0.4],
+        [0.1, 0.1, 0.35, 0.45],
+        [0.5, 0.25, 0.25],
+        [0.1, 0.2, 0.2, 0.2, 0.3],
+        [0.4, 0.25, 0.25, 0.1],
+    ):
         vs = enumerate_vertices(lam)
         brute = edge_pairs(vs, symmetry=False)
         cached = edge_pairs(vs, symmetry=True)
         predicted = av_swap_pairs(vs)
-        assert brute == cached == predicted
+        assert brute == cached == predicted == _av_swap_pairs_by_vertex(vs, 1e-12)
+
+
+def test_av_swap_pairs_matches_per_vertex_swaps(rng):
+    from conftest import random_degenerate_spectrum
+
+    for _ in range(20):
+        lam = random_degenerate_spectrum(rng, int(rng.integers(2, 7)))
+        vs = enumerate_vertices(lam)
+        assert av_swap_pairs(vs) == _av_swap_pairs_by_vertex(vs, 1e-12)
+    # a coarser eps merges values 1e-9 apart into one swap class
+    vs = enumerate_vertices([0.4, 0.3, 0.3 + 1e-9, 0.0])
+    assert av_swap_pairs(vs, eps=1e-6) == _av_swap_pairs_by_vertex(vs, 1e-6)
+    assert av_swap_pairs(vs, eps=1e-6) != av_swap_pairs(vs)
 
 
 def test_degenerate_triangle_every_pair_is_edge():
@@ -109,19 +181,20 @@ def test_degenerate_triangle_every_pair_is_edge():
 
 @pytest.mark.parametrize(
     "lam, solves",
-    [([0.32, 0.26, 0.2, 0.13, 0.09], 119), ([0.3, 0.3, 0.15, 0.15, 0.1], 10)],
+    [([0.32, 0.26, 0.2, 0.13, 0.09], 72), ([0.3, 0.3, 0.15, 0.15, 0.1], 8)],
 )
 def test_edge_pairs_solves_one_lp_per_orbit(lam, solves, monkeypatch):
-    # solve counts recorded from the per-pair orbit-key cache edge_pairs
-    # replaced; the edges must still be the adjacent-swap pairs
+    # one LP per orbit of unordered pairs: 72 of the 7 140 pairs at d=5
+    # generic (119 with ordered orbit keys); the edges must still be the
+    # adjacent-swap pairs
     calls = []
-    real = polytope.is_edge
+    real = polytope.solve_lp
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(polytope, "is_edge", counting)
+    monkeypatch.setattr(polytope, "solve_lp", counting)
     vs = enumerate_vertices(lam)
     assert edge_pairs(vs) == av_swap_pairs(vs)
     assert len(calls) == solves

@@ -210,6 +210,53 @@ def test_uniqueness_conditions():
     assert (r4.unique, r4.condition) == (True, 3)
 
 
+def _uniqueness_by_loops(inst):
+    """uniqueness_at_minimum as nested per-class loops, cost classes per target class."""
+    from trajopt.core import COEFF_EPS, cluster_ranks
+    from trajopt.trajectory import MinimumUniqueness, _minimal_pref, _prepare
+
+    prep = _prepare(inst)
+    p_min = _minimal_pref(prep)
+    ra = cluster_ranks(prep.a_p, COEFF_EPS)
+    if len(np.unique(ra)) == len(ra):
+        return MinimumUniqueness(unique=True, condition=1)
+    cond2 = cond3 = True
+    for r in np.unique(ra):
+        members = np.nonzero(ra == r)[0]
+        re = cluster_ranks(prep.e_p[members], COEFF_EPS)
+        for rr in np.unique(re):
+            sub = members[re == rr]
+            if len(sub) < 2:
+                continue
+            cond2 = False
+            if np.max(p_min[sub]) - np.min(p_min[sub]) > inst.eps_pop:
+                cond3 = False
+    if cond2:
+        return MinimumUniqueness(unique=True, condition=2)
+    if cond3:
+        return MinimumUniqueness(unique=True, condition=3)
+    return MinimumUniqueness(unique=False, condition=None)
+
+
+def test_uniqueness_matches_per_class_loops(rng):
+    # ties within COEFF_EPS = 1e-12 chain: 0, 0.7e-12, 1.4e-12 form one cost
+    # class in a target class holding all three, two where 0.7e-12 sits elsewhere
+    from conftest import random_degenerate_spectrum
+
+    seen = set()
+    for _ in range(400):
+        d = int(rng.integers(2, 9))
+        lam = random_degenerate_spectrum(rng, d)
+        a = rng.integers(0, 3, d) + rng.integers(0, 2, d) * 0.6e-12
+        e = rng.integers(0, 2, d) + rng.integers(0, 3, d) * 0.7e-12
+        conserved = rng.integers(0, 2, d) if rng.integers(0, 4) == 0 else None
+        inst = make(lam, a, e, conserved=conserved)
+        got = uniqueness_at_minimum(inst)
+        assert got == _uniqueness_by_loops(inst)
+        seen.add(got.condition)
+    assert seen == {1, 2, 3, None}
+
+
 def test_build_matches_single_step_rule(rng):
     # the incremental build against a full rescan at every vertex
     for i in range(45):
