@@ -93,26 +93,29 @@ def _dumps_scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _is_number(raw) -> bool:
-    """A JSON number: bool is an int subclass, but true and false are not numbers."""
-    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+def _float(raw, field: str) -> float:
+    """A JSON number as a float.
+
+    bool is an int subclass, but true and false are not numbers; an
+    integer beyond float range (JSON integers are unbounded) is refused
+    rather than left to overflow.
+    """
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise ParseError(f"{field}: expected a number, got {raw!r}")
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ParseError(f"{field}: a {len(str(abs(raw)))}-digit integer is too large for a float") from None
 
 
 def _number_list(raw, field: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{field}: expected a non-empty number array")
-    for i, v in enumerate(raw):
-        if not _is_number(v):
-            raise ParseError(f"{field}[{i}]: expected a number, got {v!r}")
-    return np.array([float(v) for v in raw])
+    return np.array([_float(v, f"{field}[{i}]") for i, v in enumerate(raw)])
 
 
 def _number(raw, field: str, default: float) -> float:
-    if raw is None:
-        return default
-    if not _is_number(raw):
-        raise ParseError(f"{field}: expected a number, got {raw!r}")
-    return float(raw)
+    return default if raw is None else _float(raw, field)
 
 
 def instance_to_dict(inst: ProblemInstance) -> dict:
@@ -165,6 +168,10 @@ def load_json(path: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})")
+    except ValueError as exc:  # an integer beyond Python's digit limit for int()
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise ParseError(f"{path}: invalid JSON (arrays or objects nested too deeply)") from None
 
 
 def load_instance(path: str) -> ProblemInstance:
@@ -213,9 +220,8 @@ def _index(raw, field: str, d: int) -> int:
 
 
 def _check_number(raw, field: str) -> None:
-    if not _is_number(raw):
-        raise ParseError(f"{field}: expected a number, got {raw!r}")
-    if not math.isfinite(raw):
+    value = raw if type(raw) is float else _float(raw, field)  # a file holds mostly floats
+    if not math.isfinite(value):
         raise ParseError(f"{field}: expected a finite number, got {raw!r}")
 
 
@@ -280,15 +286,15 @@ def trajectory_from_dict(doc: dict) -> dict:
             raise ParseError(f"steps[{i}]: k and l are both {k}")
         for field in ("gradient", "alpha_start", "alpha_end"):
             _check_number(step.get(field), f"steps[{i}].{field}")
-    try:
-        breakpoints = np.asarray(doc["breakpoints"], dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError("breakpoints: expected [alpha, omega] number pairs") from None
-    if breakpoints.shape != (len(steps) + 1, 2):
+    rows = doc["breakpoints"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) and len(row) == 2 for row in rows):
+        raise ParseError("breakpoints: expected [alpha, omega] number pairs")
+    if len(rows) != len(steps) + 1:
         raise ParseError(f"breakpoints: expected {len(steps) + 1} [alpha, omega] pairs, one more than the steps")
-    for i, row in enumerate(doc["breakpoints"]):
+    for i, row in enumerate(rows):
         for j, raw in enumerate(row):  # numpy would take "1.5" and true as numbers
             _check_number(raw, f"breakpoints[{i}][{j}]")
+    breakpoints = np.asarray(rows, dtype=float)
     if np.any(np.diff(breakpoints[:, 0]) <= 0):
         raise ParseError("breakpoints: alpha values must be strictly increasing")
     alphas = breakpoints[:, 0].tolist()

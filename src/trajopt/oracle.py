@@ -55,16 +55,24 @@ class AuditReport:
         return self.violations == 0
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _half_hull(pts: np.ndarray) -> np.ndarray:
+    """The chain of points (sorted by x) that turns strictly counter-clockwise.
 
-
-def _half_hull(pts) -> list:
-    chain: list = []
-    for p in pts:
-        while len(chain) > 1 and _cross(chain[-2], chain[-1], p) <= 0.0:
-            chain.pop()
-        chain.append(p)
+    Each pass takes every interior point a of the current chain with its
+    current neighbours o and b and drops it where (a-o)x(b-o) <= 0.0, the
+    monotone chain's test; passes repeat until one drops nothing. A
+    dropped point is not a strict turn between two points of the set, so
+    it is no vertex of the hull, and in exact arithmetic the passes end
+    at the monotone chain's output.
+    """
+    chain = pts
+    while len(chain) > 2:
+        o, a, b = chain[:-2], chain[1:-1], chain[2:]
+        cross = (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
+        drop = cross <= 0.0
+        if not drop.any():
+            break
+        chain = chain[~np.r_[False, drop, False]]
     return chain
 
 
@@ -85,8 +93,8 @@ def induced_polygon(vertices, a, e) -> InducedPolygon:
 
     by_alpha = points[np.lexsort((costs, alphas))]
     _, first, counts = np.unique(by_alpha[:, 0], return_index=True, return_counts=True)
-    lower = np.array(_half_hull(by_alpha[first].tolist()))
-    top = np.array(_half_hull(by_alpha[first + counts - 1][::-1].tolist()))
+    lower = _half_hull(by_alpha[first])
+    top = _half_hull(by_alpha[first + counts - 1][::-1])
     upper = top[::-1]
     if np.array_equal(top[0], lower[-1]):
         top = top[1:]

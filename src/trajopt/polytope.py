@@ -29,6 +29,9 @@ from .simplex import LPStatus, solve_lp
 
 DEFAULT_MAX_ENUM_DIM = 9
 
+# Simplex tableau entries one stacked LP solve holds (2 MB of float64).
+LP_CHUNK = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class VertexSet:
@@ -158,16 +161,30 @@ def _convexity_rows(verts: np.ndarray) -> np.ndarray:
     return np.vstack([verts.T, np.ones(len(verts))])
 
 
-def _pair_weight(verts: np.ndarray, A: np.ndarray, i1: int, i2: int, tol: float) -> float:
-    """segment_weight of vertices i1 != i2, given A = _convexity_rows(verts)."""
-    b = np.append(0.5 * (verts[i1] + verts[i2]), 1.0)
-    c = np.zeros(len(verts))
-    c[i1] = 1.0
-    c[i2] = 1.0
-    status, _, obj = solve_lp(c, A, b, tol=tol)
-    if status != LPStatus.OPTIMAL:
-        raise RuntimeError(f"midpoint LP ended with status {status}")
-    return obj
+def _pair_weights(verts: np.ndarray, A: np.ndarray, i1, i2, tol: float) -> np.ndarray:
+    """segment_weight of each vertex pair (i1[k], i2[k]), given A = _convexity_rows(verts).
+
+    i1[k] != i2[k]. The LPs share A, so each chunk of them is one stacked `solve_lp` call;
+    a chunk holds at most LP_CHUNK tableau entries (at least one LP).
+    """
+    n = len(verts)
+    m = len(A)
+    per_chunk = max(1, LP_CHUNK // ((m + 1) * (n + m + 1)))
+    weights = np.empty(len(i1))
+    for first in range(0, len(i1), per_chunk):
+        rows1 = i1[first : first + per_chunk]
+        rows2 = i2[first : first + per_chunk]
+        lps = np.arange(len(rows1))
+        b = np.column_stack([0.5 * (verts[rows1] + verts[rows2]), np.ones(len(lps))])
+        c = np.zeros((len(lps), n))
+        c[lps, rows1] = 1.0
+        c[lps, rows2] = 1.0
+        status, _, obj = solve_lp(c, A, b, tol=tol)
+        for s in status:
+            if s != LPStatus.OPTIMAL:
+                raise RuntimeError(f"midpoint LP ended with status {s}")
+        weights[first : first + per_chunk] = obj
+    return weights
 
 
 def segment_weight(v1, v2, vset: VertexSet, tol: float = 1e-9) -> float:
@@ -176,7 +193,8 @@ def segment_weight(v1, v2, vset: VertexSet, tol: float = 1e-9) -> float:
     i2 = _find_vertex(vset, v2, tol)
     if i1 == i2:
         raise NotAVertex("v1 and v2 are the same vertex")
-    return _pair_weight(vset.vertices, _convexity_rows(vset.vertices), i1, i2, tol)
+    verts = vset.vertices
+    return float(_pair_weights(verts, _convexity_rows(verts), np.array([i1]), np.array([i2]), tol)[0])
 
 
 def is_edge(v1, v2, vset: VertexSet, eps: float = 1e-9) -> bool:
@@ -218,13 +236,16 @@ def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set
     int64 (see _rank_codes); the orbit key of {v_i, v_j} is the smaller of
     the codes of (i, j) and (j, i). Keys of all pairs i < j are computed at
     once, and one LP runs per orbit, at its first pair in row-major order.
+    Either way the LPs share one constraint matrix and are solved as
+    stacks of up to LP_CHUNK tableau entries, one `solve_lp` call each;
+    each LP gives the weight it gives alone.
     """
     verts = vset.vertices
     A = _convexity_rows(verts)
     n = len(verts)
     iu, ju = np.triu_indices(n, 1)
     if not symmetry:
-        hits = [_pair_weight(verts, A, i, j, eps) >= 0.5 for i, j in zip(iu, ju)]
+        hits = _pair_weights(verts, A, iu, ju, eps) >= 0.5
         return {(int(i), int(j)) for i, j in zip(iu[hits], ju[hits])}
 
     ranks, weights = _rank_codes(vset)
@@ -241,9 +262,7 @@ def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set
 
     codes = np.minimum(ordered_codes(iu, ju), ordered_codes(ju, iu))
     _, first, orbit = np.unique(codes, return_index=True, return_inverse=True)
-    verdicts = np.array(
-        [_pair_weight(verts, A, iu[f], ju[f], eps) >= 0.5 for f in first], dtype=bool
-    )
+    verdicts = _pair_weights(verts, A, iu[first], ju[first], eps) >= 0.5
     hits = verdicts[orbit.reshape(-1)]
     return {(int(i), int(j)) for i, j in zip(iu[hits], ju[hits])}
 

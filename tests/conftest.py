@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from trajopt.core import COEFF_EPS, ProblemInstance, validate
 from trajopt.polytope import av_swaps
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite's verdict does not depend on earlier runs.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 def random_instance(rng, d, degenerate=False):

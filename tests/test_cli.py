@@ -285,3 +285,51 @@ def test_non_finite_instance_exits_without_traceback(tmp_path, field):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and field in proc.stderr
+
+
+@pytest.mark.parametrize("field", ["target", "eps_grad", "eigenvalues"])
+def test_huge_integer_instance_number_is_a_parse_error(tmp_path, capsys, field):
+    # JSON integers are unbounded; 10**400 overflows float() and used to
+    # end in an OverflowError traceback
+    path = _tampered_instance(tmp_path, field, 10**400)
+    code, out, err = run(capsys, "build", path, str(tmp_path / "traj.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+    assert "401-digit integer is too large for a float" in err
+
+
+@pytest.mark.parametrize("path", [("breakpoints", 3, 1), ("steps", 2, "gradient"), ("metadata", "eps_pop")])
+def test_verify_rejects_huge_integer_in_trajectory_file(tmp_path, capsys, path):
+    code, _, _ = run(capsys, "build", str(GENERIC), str(tmp_path / "traj.json"))
+    assert code == 0
+    doc = json.loads((tmp_path / "traj.json").read_text())
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = 10**400
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(GENERIC), "--samples", "10", "--trajectory", str(bad))
+    assert code == 2 and out == ""
+    label = path[0] + "".join(f".{k}" if isinstance(k, str) else f"[{k}]" for k in path[1:])
+    assert label in err and "too large for a float" in err
+
+
+def test_integer_beyond_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # Python's json refuses integer literals past sys.get_int_max_str_digits()
+    # with a plain ValueError, not a JSONDecodeError
+    text = json.dumps(dict(json.loads(GENERIC.read_text()), eps_grad=0)).replace('"eps_grad": 0', '"eps_grad": ' + "1" * 5000)
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "build", str(path), str(tmp_path / "traj.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "invalid JSON" in err
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    # json recurses once per nesting level and raised RecursionError
+    path = tmp_path / "instance.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "build", str(path), str(tmp_path / "traj.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err

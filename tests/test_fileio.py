@@ -237,3 +237,26 @@ def test_dumps_canonical_scalar_lists():
     for bad in (float("nan"), [1.0, float("inf")], np.array([0.0, -np.inf])):
         with pytest.raises(ValueError, match="non-finite"):
             fileio.dumps_canonical(bad)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("breakpoints", 3, 1), ("steps", 2, "gradient"), ("initial_vertex", 0), ("metadata", "eps_grad")],
+)
+def test_huge_integer_rejected(doc, path):
+    # math.isfinite and float() overflow on an integer beyond float range
+    _set(doc, path, -(10**400))
+    label = path[0] + "".join(f".{k}" if isinstance(k, str) else f"[{k}]" for k in path[1:])
+    _rejects(doc, re.escape(label) + ": a 401-digit integer is too large for a float")
+
+
+@pytest.mark.parametrize("path", [("target", 0), ("eigenvalues", 2), ("eps_pop",), ("eps_grad",)])
+def test_instance_huge_integer_rejected(path):
+    inst = fileio.load_json(str(GOLDEN / "generic" / "instance.json"))
+    _set(inst, path, 10**400)
+    label = path[0] + "".join(f"[{k}]" for k in path[1:])
+    with pytest.raises(ParseError, match=re.escape(label) + ": a 401-digit integer is too large for a float"):
+        fileio.instance_from_dict(inst)
+    _set(inst, path, 10**300)  # a large integer that fits a float is still a number
+    parsed = getattr(fileio.instance_from_dict(inst), path[0])
+    assert (parsed if len(path) == 1 else parsed[path[1]]) == 1e300

@@ -37,6 +37,90 @@ def test_induced_polygon_degenerate_target():
         envelope_min_cost(poly, 1.5)
 
 
+def _chain_hull(pts):
+    """Andrew's monotone chain, point by point: the hull builder the array passes replaced."""
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    chain = []
+    for p in pts:
+        while len(chain) > 1 and cross(chain[-2], chain[-1], p) <= 0.0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _chain_polygon(points):
+    """lower envelope, upper envelope and hull of (alpha, cost) rows, built with _chain_hull."""
+    by_alpha = points[np.lexsort((points[:, 1], points[:, 0]))]
+    _, first, counts = np.unique(by_alpha[:, 0], return_index=True, return_counts=True)
+    lower = np.array(_chain_hull(by_alpha[first].tolist()))
+    top = np.array(_chain_hull(by_alpha[first + counts - 1][::-1].tolist()))
+    upper = top[::-1]
+    if np.array_equal(top[0], lower[-1]):
+        top = top[1:]
+    if len(top) and np.array_equal(top[-1], lower[0]):
+        top = top[:-1]
+    return lower, upper, np.concatenate([lower, top])
+
+
+def _clouds(rng):
+    """Point clouds for the hull: random, tied alphas, collinear runs, convex and concave curves."""
+    x = np.linspace(-1.0, 1.0, 33)
+    yield rng.normal(size=(200, 2))
+    yield np.column_stack([rng.integers(0, 8, 300), rng.normal(size=300)]).astype(float)
+    yield np.column_stack([np.arange(12.0), 2.0 * np.arange(12.0) - 3.0])  # one line
+    run = np.arange(-4.0, 5.0)
+    yield np.concatenate([np.column_stack([run, np.abs(run)]), np.column_stack([run, 8.0 - np.abs(run)])])
+    yield np.column_stack([x, x * x])  # lower keeps all, upper keeps the ends
+    yield np.column_stack([x, -x * x])  # the reverse
+    yield np.array([[0.5, 0.25]])
+    yield np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 1.0]])
+
+
+def test_hull_passes_equal_monotone_chain(rng):
+    # the hull, both envelopes and their shapes equal the point-by-point
+    # chain's exactly, on hand-made clouds and on projected vertex sets
+    cases = [(cloud, np.array([1.0, 0.0]), np.array([0.0, 1.0])) for cloud in _clouds(rng)]
+    for _ in range(60):
+        d = int(rng.integers(2, 8))
+        inst = random_instance(rng, d, degenerate=bool(rng.integers(0, 2)))
+        cases.append((enumerate_vertices(inst.eigenvalues).vertices, inst.target, inst.cost))
+    for verts, a, e in cases:
+        poly = induced_polygon(verts, a, e)
+        lower, upper, hull = _chain_polygon(poly.points)
+        assert poly.lower_envelope.tobytes() == lower.tobytes() and poly.lower_envelope.shape == lower.shape
+        assert poly.upper_envelope.tobytes() == upper.tobytes() and poly.upper_envelope.shape == upper.shape
+        assert poly.hull.tobytes() == hull.tobytes() and poly.hull.shape == hull.shape
+
+
+def test_hull_passes_differ_from_chain_only_by_rounding():
+    # a tied d=8 instance whose lower envelope has four points on one line
+    # in exact arithmetic; rounding makes one interior point look convex,
+    # and the two builders test it against different neighbours, so each
+    # keeps a different one. The envelopes agree to the last bit of cost.
+    lam = [0.056999657492113574, 0.09265044030195523, 0.13358701872493253, 0.13358701872493253,
+           0.1489136788894637, 0.14439083315715823, 0.14548051955228597, 0.14439083315715823]
+    a = [0.0, 1.0, 1.0, 0.0, 1.0, 2.0, 0.0, 1.0]
+    e = [0.25, 1.0, 0.75, 0.5, 1.0, 1.5, 0.5, 0.0]
+    poly = induced_polygon(enumerate_vertices(lam), a, e)
+    lower, _, _ = _chain_polygon(poly.points)
+    assert len(lower) == len(poly.lower_envelope)
+    assert (lower != poly.lower_envelope).any(axis=1).sum() == 1
+    alphas = np.linspace(poly.alpha_min, poly.alpha_max, 10_001)
+    gap = np.interp(alphas, *lower.T) - np.interp(alphas, *poly.lower_envelope.T)
+    assert np.abs(gap).max() <= 2.0**-52
+
+
+def test_hull_passes_on_curves():
+    x = np.linspace(-1.0, 1.0, 33)
+    convex = induced_polygon(np.column_stack([x, x * x]), [1.0, 0.0], [0.0, 1.0])
+    assert len(convex.lower_envelope) == 33 and len(convex.upper_envelope) == 2
+    concave = induced_polygon(np.column_stack([x, -x * x]), [1.0, 0.0], [0.0, 1.0])
+    assert len(concave.lower_envelope) == 2 and len(concave.upper_envelope) == 33
+
+
 def test_envelope_matches_trajectory(rng):
     for i in range(20):
         inst = random_instance(rng, int(rng.integers(3, 7)), degenerate=(i % 2 == 0))

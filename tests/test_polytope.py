@@ -161,6 +161,16 @@ def test_edge_structure_small_cases():
         assert brute == cached == predicted == _av_swap_pairs_by_vertex(vs, 1e-12)
 
 
+def test_edge_pairs_across_lp_chunks(monkeypatch):
+    # stacks cut at any size give the same edges: here one LP per call,
+    # then a few LPs per call
+    cases = [enumerate_vertices(lam) for lam in ([0.1, 0.2, 0.3, 0.4], [0.1, 0.1, 0.35, 0.45])]
+    for cap in (1, 3 * 6 * 30):
+        monkeypatch.setattr(polytope, "LP_CHUNK", cap)
+        for vs in cases:
+            assert edge_pairs(vs, symmetry=False) == edge_pairs(vs) == av_swap_pairs(vs)
+
+
 def test_av_swap_pairs_matches_per_vertex_swaps(rng):
     from conftest import random_degenerate_spectrum
 
@@ -186,15 +196,17 @@ def test_degenerate_triangle_every_pair_is_edge():
 def test_edge_pairs_solves_one_lp_per_orbit(lam, solves, monkeypatch):
     # one LP per orbit of unordered pairs: 72 of the 7 140 pairs at d=5
     # generic (119 with ordered orbit keys); the edges must still be the
-    # adjacent-swap pairs
-    calls = []
+    # adjacent-swap pairs. A call may solve a stack of LPs, one per row
+    # of its b, so the LPs are counted, not the calls.
+    lps = []
     real = polytope.solve_lp
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(c, A, b, **kwargs):
+        lps.append(len(np.atleast_2d(b)))
+        return real(c, A, b, **kwargs)
 
     monkeypatch.setattr(polytope, "solve_lp", counting)
     vs = enumerate_vertices(lam)
     assert edge_pairs(vs) == av_swap_pairs(vs)
-    assert len(calls) == solves
+    assert sum(lps) == solves
+    assert len(lps) == 1  # one chunk holds them all
