@@ -191,7 +191,7 @@ def free_energy_bound(cool: CoolingInstance, alpha: float) -> float:
     _require_coherent_qubit(cool)
     if cool.beta <= 0:
         raise WrongInstanceKind("free-energy bound needs beta > 0")
-    if alpha < -1e-9 or alpha > 1.0 + 1e-9:
+    if not -1e-9 <= alpha <= 1.0 + 1e-9:
         raise AlphaOutOfRange(f"ground population {alpha!r} outside [0, 1]")
     alpha = min(max(alpha, 0.0), 1.0)
     e = np.sort(cool.system.energies)

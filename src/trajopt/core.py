@@ -121,8 +121,8 @@ def cluster_ranks(values: np.ndarray, eps: float) -> np.ndarray:
 
 
 def check_alpha(alpha: float, lo: float, hi: float) -> float:
-    """alpha clamped to [lo, hi]; AlphaOutOfRange beyond ALPHA_TOL outside it."""
-    if alpha < lo - ALPHA_TOL or alpha > hi + ALPHA_TOL:
+    """alpha clamped to [lo, hi]; AlphaOutOfRange beyond ALPHA_TOL outside it or for NaN."""
+    if not lo - ALPHA_TOL <= alpha <= hi + ALPHA_TOL:
         raise AlphaOutOfRange(f"alpha {alpha!r} outside [{lo!r}, {hi!r}]")
     return min(max(alpha, lo), hi)
 

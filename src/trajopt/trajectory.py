@@ -11,7 +11,10 @@ vertex it lists the candidate swaps (`swap_candidates`) and picks the
 optimal one (`next_step`); `build` keeps one queue for the whole
 trajectory. A swap of k and l replaces just the pairs touching k or l, so
 a step costs O(pairs touching k or l · log) instead of a pass over every
-pair. Ties within eps_grad go to the smallest (k, l).
+pair. Ties within eps_grad go to the smallest (k, l). A build step makes
+no numpy call: the vertex's entries are swapped through a memoryview, and
+the target and cost values of the vertices are dotted a buffer of
+vertices at a time (`np.vecdot`), equal bit for bit to one `np.dot` each.
 
 Every construction runs on one prepared instance (`_prepare`): the
 preferred order, the coefficients and spectrum in that order, and the
@@ -25,6 +28,8 @@ A trajectory is stored as its steps: the minimal-point vertex
 with two entries exchanged, so `vertex(i)` replays the first i swaps from
 `initial_vertex`; `steps` is a read-only sequence that makes a `SwapStep`
 when one is read, and `breakpoints` stacks `alphas` and `omegas`.
+`omega_opt` interpolates on the two breakpoints around alpha, found by
+binary search, so it costs O(log steps) per call.
 
 Vertices and step indices are stored in preferred-basis coordinates;
 population vectors returned to callers are in the input basis.
@@ -37,6 +42,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +56,9 @@ from .core import (
     preferred_order,
 )
 from .errors import NotAVertex
+
+# float64 entries of the vertex buffer whose rows `_build` dots in one call (64 KB)
+_DOT_BUFFER = 2**13
 
 
 @dataclass(frozen=True)
@@ -71,7 +80,13 @@ class SwapStep:
 
 @dataclass(frozen=True, eq=False)
 class MinimalCostFunction:
-    """Piecewise-linear convex minimal cost on [alpha_min, alpha_max]."""
+    """Piecewise-linear convex minimal cost on [alpha_min, alpha_max].
+
+    A call finds alpha's segment by binary search and gives `np.interp`
+    only its two breakpoints, so it costs O(log steps): np.interp copies
+    the read-only arrays it is given. The value is the one `np.interp`
+    gives on the whole arrays, bit for bit.
+    """
 
     alphas: np.ndarray
     omegas: np.ndarray
@@ -86,7 +101,8 @@ class MinimalCostFunction:
 
     def __call__(self, alpha: float) -> float:
         alpha = check_alpha(alpha, self.alpha_min, self.alpha_max)
-        return float(np.interp(alpha, self.alphas, self.omegas))
+        j = int(self.alphas.searchsorted(alpha, "right")) - 1
+        return float(np.interp(alpha, self.alphas[j : j + 2], self.omegas[j : j + 2]))
 
 
 class StepSequence(Sequence):
@@ -182,7 +198,7 @@ class OptimalTrajectory:
         out.setflags(write=False)
         return out
 
-    @property
+    @cached_property
     def cost_function(self) -> MinimalCostFunction:
         return MinimalCostFunction(alphas=self.alphas, omegas=self.omegas)
 
@@ -343,7 +359,10 @@ def next_step(p, inst: ProblemInstance) -> SwapStep | None:
     a_p = prep.a_p
     alpha = float(np.dot(a_p, pp))
     delta = float((a_p[k] - a_p[l]) * (pp[l] - pp[k]))
-    return SwapStep(k=k, l=l, delta_alpha=delta, gradient=grad, alpha_start=alpha, alpha_end=alpha + delta)
+    # alpha_end is the dot of the next vertex, as in the build, not alpha + delta
+    pp[k], pp[l] = pp[l], pp[k]
+    alpha_end = float(np.dot(a_p, pp))
+    return SwapStep(k=k, l=l, delta_alpha=delta, gradient=grad, alpha_start=alpha, alpha_end=alpha_end)
 
 
 class _SwapQueue:
@@ -361,6 +380,9 @@ class _SwapQueue:
     (k, l), so the eps_grad tie rule (smallest (k, l) among the gradients
     within eps_grad of the least) needs only the top of each tied bucket.
     Each entry keeps its own gradient, so a -0.0 survives a shared bucket.
+
+    Each run is a list, and a position's slot in its run is kept, so a swap
+    exchanges k and l in their runs' lists in O(1).
     """
 
     def __init__(self, p, prep: _Prepared):
@@ -368,32 +390,51 @@ class _SwapQueue:
         self._e = prep.e_p.tolist()
         self._version = [0] * len(p)
         self._run_of = [0] * len(p)
-        self._runs = [set()]  # empty sentinels before, between and after blocks
+        self._slot = [0] * len(p)  # index of each position in its run's list
+        self._runs = [[]]  # empty sentinels before, between and after blocks
         for pos in prep.groups:
             members = pos[np.argsort(p[pos], kind="stable")]
             splits = np.nonzero(np.diff(p[members]) > prep.inst.eps_pop)[0] + 1
             for run in np.split(members, splits):
-                for k in run.tolist():
+                run = run.tolist()
+                for i, k in enumerate(run):
                     self._run_of[k] = len(self._runs)
-                self._runs.append(set(run.tolist()))
-            self._runs.append(set())
+                    self._slot[k] = i
+                self._runs.append(run)
+            self._runs.append([])
         self._grads = []  # heap of the bucket keys
         self._buckets = {}  # gradient -> heap of (k, l, version k, version l, gradient)
         for lows, highs in zip(self._runs, self._runs[1:]):
             for k in lows:
-                for l in highs:
-                    self._push(k, l)
+                self._push_from(k, highs, None)
 
-    def _push(self, k, l):
-        gap = self._a[k] - self._a[l]
-        if gap <= COEFF_EPS:
-            return
-        grad = (self._e[k] - self._e[l]) / gap
-        bucket = self._buckets.get(grad)
-        if bucket is None:
-            bucket = self._buckets[grad] = []
-            heapq.heappush(self._grads, grad)
-        heapq.heappush(bucket, (k, l, self._version[k], self._version[l], grad))
+    def _push_from(self, k, highs, skip):
+        """Push (k, m) for every m in highs but skip, where a[k] - a[m] > COEFF_EPS."""
+        a, e, version, buckets = self._a, self._e, self._version, self._buckets
+        ak, ek, vk = a[k], e[k], version[k]
+        for m in highs:
+            gap = ak - a[m]
+            if gap > COEFF_EPS and m != skip:
+                grad = (ek - e[m]) / gap
+                bucket = buckets.get(grad)
+                if bucket is None:
+                    bucket = buckets[grad] = []
+                    heapq.heappush(self._grads, grad)
+                heapq.heappush(bucket, (k, m, vk, version[m], grad))
+
+    def _push_to(self, lows, l, skip):
+        """Push (m, l) for every m in lows but skip, where a[m] - a[l] > COEFF_EPS."""
+        a, e, version, buckets = self._a, self._e, self._version, self._buckets
+        al, el, vl = a[l], e[l], version[l]
+        for m in lows:
+            gap = a[m] - al
+            if gap > COEFF_EPS and m != skip:
+                grad = (e[m] - el) / gap
+                bucket = buckets.get(grad)
+                if bucket is None:
+                    bucket = buckets[grad] = []
+                    heapq.heappush(self._grads, grad)
+                heapq.heappush(bucket, (m, l, version[m], vl, grad))
 
     def _top(self, grad):
         """Smallest live entry of a bucket; drops the bucket when none is left."""
@@ -410,20 +451,29 @@ class _SwapQueue:
     def best(self, eps_grad):
         """The smallest (k, l, gradient) within eps_grad of the least gradient, or None."""
         grads = self._grads
-        best = limit = None
-        kept = []
-        while grads and (limit is None or grads[0] <= limit):
+        while grads:
+            top = self._top(grads[0])
+            if top is not None:
+                break
+            heapq.heappop(grads)
+        else:
+            return None
+        limit = grads[0] + eps_grad
+        n = len(grads)
+        # every other key is at least the least of the root's children
+        if (n < 2 or grads[1] > limit) and (n < 3 or grads[2] > limit):
+            return top[0], top[1], top[4]
+        best = top
+        kept = [heapq.heappop(grads)]
+        while grads and grads[0] <= limit:
             grad = heapq.heappop(grads)
             top = self._top(grad)
-            if top is None:
-                continue
-            if limit is None:
-                limit = grad + eps_grad
-            kept.append(grad)
-            best = top if best is None else min(best, top)
+            if top is not None:
+                kept.append(grad)
+                best = min(best, top)
         for grad in kept:
             heapq.heappush(grads, grad)
-        return None if best is None else (best[0], best[1], best[4])
+        return best[0], best[1], best[4]
 
     def entries(self):
         """The live (k, l, gradient) entries, sorted by (k, l)."""
@@ -436,25 +486,23 @@ class _SwapQueue:
         )
 
     def swap(self, k, l):
-        """Record the swap of k (run r) with l (run r + 1) and push the new pairs."""
-        runs = self._runs
-        r = self._run_of[k]
-        runs[r].remove(k)
-        runs[r].add(l)
-        runs[r + 1].remove(l)
-        runs[r + 1].add(k)
-        self._run_of[k], self._run_of[l] = r + 1, r
-        self._version[k] += 1
-        self._version[l] += 1
-        for m in runs[r + 2]:
-            self._push(k, m)
-        for m in runs[r]:
-            self._push(m, k)
-        for m in runs[r + 1]:
-            if m != k:
-                self._push(l, m)
-        for m in runs[r - 1]:
-            self._push(m, l)
+        """Record the swap of k (run r) with l (run r + 1) and push the new pairs.
+
+        The swapped pair itself is not pushed back: (l, k) lowers the target.
+        """
+        runs, run_of, slot, version = self._runs, self._run_of, self._slot, self._version
+        r = run_of[k]
+        sk, sl = slot[k], slot[l]
+        runs[r][sk] = l
+        runs[r + 1][sl] = k
+        slot[k], slot[l] = sl, sk
+        run_of[k], run_of[l] = r + 1, r
+        version[k] += 1
+        version[l] += 1
+        self._push_from(k, runs[r + 2], None)
+        self._push_to(runs[r], k, l)
+        self._push_from(l, runs[r + 1], k)
+        self._push_to(runs[r - 1], l, None)
 
 
 def _trajectory(order, a_p, e_p, p0, ks, ls, gradients, alphas, omegas, eps_pop, eps_grad, blocks):
@@ -494,25 +542,42 @@ def _build(prep: _Prepared) -> OptimalTrajectory:
     Each step takes the queue's best swap, the one `next_step` picks at the
     current vertex; the `_SwapQueue` is updated in O(pairs touching the
     swapped positions · log) per step instead of being rebuilt. The loop
-    appends to flat lists, one entry per step, and holds one vertex.
-    alpha and omega are the dot products of each vertex, not running
-    sums, so they do not accumulate rounding.
+    appends to flat lists, one entry per step, holds one vertex and swaps
+    its entries through a memoryview, with no numpy call per step.
+
+    alpha and omega are the dot products of each vertex, not running sums,
+    so they do not accumulate rounding. Vertices are copied into a buffer
+    of at most _DOT_BUFFER entries, and each full buffer gets one
+    `np.vecdot` with a_p and one with e_p: vecdot takes each row's dot with
+    the routine `np.dot` uses, so every value equals float(np.dot(a_p, v))
+    bit for bit, and memory stays O(steps + d).
     """
     a_p, e_p, eps_grad = prep.a_p, prep.e_p, prep.inst.eps_grad
     p0 = _minimal_pref(prep)
     p = p0.copy()
+    pv = memoryview(p)
     queue = _SwapQueue(p, prep)
-    ks, ls, grads = [], [], []
-    alphas, omegas = [float(np.dot(a_p, p))], [float(np.dot(e_p, p))]
+    ks, ls, grads, alphas, omegas = [], [], [], [], []
+    d = len(p)
+    flat = np.empty(max(1, _DOT_BUFFER // d) * d)
+    buf, bv = flat.reshape(-1, d), memoryview(flat)
+    bv[:d] = pv
+    end = d  # flat[:end] holds the vertices not yet dotted
     while (chosen := queue.best(eps_grad)) is not None:
         k, l, grad = chosen
-        p[k], p[l] = p[l], p[k]
+        pv[k], pv[l] = pv[l], pv[k]
         queue.swap(k, l)
         ks.append(k)
         ls.append(l)
         grads.append(grad)
-        alphas.append(float(np.dot(a_p, p)))
-        omegas.append(float(np.dot(e_p, p)))
+        if end == len(flat):
+            alphas += np.vecdot(buf, a_p).tolist()
+            omegas += np.vecdot(buf, e_p).tolist()
+            end = 0
+        bv[end : end + d] = pv
+        end += d
+    alphas += np.vecdot(buf[: end // d], a_p).tolist()
+    omegas += np.vecdot(buf[: end // d], e_p).tolist()
     return _trajectory(
         prep.order, a_p, e_p, p0, ks, ls, grads, alphas, omegas, prep.inst.eps_pop, eps_grad, prep.blocks
     )
@@ -523,8 +588,9 @@ def build(inst: ProblemInstance) -> OptimalTrajectory:
 
     Each step takes the next swap from a queue of the adjacent pairs, updated
     only for the pairs touching the swapped positions (O(those pairs · log)
-    per step); ties within eps_grad go to the smallest (k, l), as in
-    `next_step`. The polytope is never enumerated.
+    per step, with no numpy call); ties within eps_grad go to the smallest
+    (k, l), as in `next_step`. alphas and omegas are the exact dot products
+    of each vertex, taken in batches. The polytope is never enumerated.
     """
     return _build(_prepare(inst))
 

@@ -130,6 +130,21 @@ def test_eval_alpha_out_of_range(capsys, instance_file):
     assert out == ""
 
 
+@pytest.mark.parametrize("sub", ["eval", "lift"])
+def test_nan_alpha_exits_out_of_range_without_traceback(tmp_path, sub):
+    # NaN compares false with both ends of the range; it used to pass the
+    # range check and end in a ValueError traceback
+    argv = [sub, str(GENERIC)] + ([str(tmp_path / "lift.json")] if sub == "lift" else []) + ["--alpha", "nan"]
+    env = dict(os.environ, PYTHONPATH=str(Path(trajopt.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trajopt.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: alpha nan outside") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "lift.json").exists()
+
+
 def test_build_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"eigenvalues": [0.5, "x"], "target": [1, 0], "cost": [0, 1]}')

@@ -139,8 +139,9 @@ def test_free_energy_bound():
     cool = demo_coherent_erasure()
     assert free_energy_bound(cool, cool.alpha_in) == 0.0
     assert free_energy_bound(cool, 1.0) == pytest.approx(math.log(2) - 0.15, abs=1e-12)
-    with pytest.raises(AlphaOutOfRange):
-        free_energy_bound(cool, 1.5)
+    for alpha in (1.5, float("nan")):
+        with pytest.raises(AlphaOutOfRange):
+            free_energy_bound(cool, alpha)
     traj = build(cool.problem)
     omega_in = omega_opt(traj, cool.alpha_in)
     for alpha in np.linspace(traj.alpha_min, traj.alpha_max, 100):

@@ -10,6 +10,7 @@ from conftest import (
     single_step_candidates,
     tie_instance,
 )
+from trajopt import trajectory
 from trajopt.conserved import build_generalized, from_populations, swap_candidates_generalized
 from trajopt.core import ProblemInstance, cost_value, target_value, validate
 from trajopt.errors import AlphaOutOfRange, NotAVertex
@@ -191,6 +192,64 @@ def test_omega_opt_breakpoints_exact(rng):
         omega_opt(traj, traj.alpha_max + 1.0)
 
 
+def test_omega_opt_equals_interpolation_on_all_breakpoints(rng):
+    # omega_opt interpolates on the two breakpoints of alpha's segment; the
+    # value must be the one np.interp gives on the whole arrays
+    trajs = [build(random_instance(rng, d)) for d in (1, 2, 5, 17)]
+    trajs += [build(tie_instance(rng, d)) for d in (3, 9, 16)]
+    # a float-invisible step: both breakpoints share one alpha
+    trajs.append(build(make([0.5 + 5e-11, 0.5 - 5e-11], [0.3, 0.3 + 1e-11], [1.0, 0.0])))
+    for traj in trajs:
+        alphas, omegas = traj.alphas, traj.omegas
+        xs = np.concatenate([
+            alphas, np.nextafter(alphas, np.inf), np.nextafter(alphas, -np.inf),
+            rng.uniform(traj.alpha_min, traj.alpha_max, 50),
+        ])
+        for x in xs.tolist():
+            if not traj.alpha_min <= x <= traj.alpha_max:
+                continue
+            got, want = omega_opt(traj, x), float(np.interp(x, alphas, omegas))
+            assert (got, np.signbit(got)) == (want, np.signbit(want))
+        # within ALPHA_TOL outside the range, alpha is clamped to the ends
+        for x, end in ((traj.alpha_min - 5e-10, traj.alpha_min), (traj.alpha_max + 5e-10, traj.alpha_max)):
+            assert omega_opt(traj, x) == np.interp(end, alphas, omegas)
+    invisible = trajs[-1]
+    assert invisible.alphas[0] == invisible.alphas[1]
+    assert omega_opt(invisible, float(invisible.alphas[0])) == 0.49999999995
+
+
+def test_nan_alpha_is_out_of_range(rng):
+    from trajopt.lift import lift_point
+
+    traj = build(random_instance(rng, 4))
+    for query in (omega_opt, state_at, lift_point):
+        with pytest.raises(AlphaOutOfRange):
+            query(traj, float("nan"))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2, 3])
+def test_batched_dots_equal_per_vertex_dots(rng, monkeypatch, rows):
+    # alphas and omegas are dotted a buffer of vertices at a time; each must
+    # equal the dot of its own vertex bit for bit, also with buffers of 1-3
+    # rows that fill and flush mid-trajectory
+    for d in [*range(1, 41), 63, 64, 65, 127, 128, 129]:
+        if rows is not None:
+            monkeypatch.setattr(trajectory, "_DOT_BUFFER", rows * d)
+        trajs = [build(random_instance(rng, d))]
+        if d > 1:
+            c = rng.integers(0, 3, d).astype(float)
+            trajs += [
+                build(tie_instance(rng, d)),
+                build_generalized(from_populations(tie_instance(rng, d, conserved=c))),
+            ]
+        for traj in trajs:
+            vertices = replayed_vertices(traj)
+            for got, coeffs in ((traj.alphas, traj.target_pref), (traj.omegas, traj.cost_pref)):
+                want = [float(np.dot(coeffs, v)) for v in vertices]
+                assert got.tolist() == want
+                assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
 def test_monte_carlo_never_beats_omega(rng):
     from trajopt.oracle import monte_carlo_audit
 
@@ -313,7 +372,7 @@ def test_public_queries_follow_the_build(rng):
             assert (i_, j_) == traj.step_input_pair(step)
             assert (grad, np.signbit(grad)) == (step.gradient, np.signbit(step.gradient))
             if got is not None:
-                fields = ("k", "l", "delta_alpha", "alpha_start", "gradient")
+                fields = ("k", "l", "delta_alpha", "alpha_start", "alpha_end", "gradient")
                 assert [getattr(got, f) for f in fields] == [getattr(step, f) for f in fields]
                 assert np.signbit(got.gradient) == np.signbit(step.gradient)
 
