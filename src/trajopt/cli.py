@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 I/O error, 2 parse/validation error, 3 domain
 error (target value out of range), 4 verification failure.
+
+Each run is one process, so this module imports at top level only what
+every subcommand uses (`core`, `errors`, `fileio`); a subcommand imports
+the modules it runs (`trajectory` or `conserved`, `lift`, `cooling`, the
+oracles) where it runs them.
 """
 
 from __future__ import annotations
@@ -11,9 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import conserved, cooling, fileio, oracle, polytope, trajectory
+from . import fileio
 from .core import cost_value, validate
 from .errors import AlphaOutOfRange, DimensionTooLarge, ParseError, TrajoptError
 
@@ -29,7 +32,9 @@ ENUM_DIM_ENV = "TRAJOPT_MAX_ENUM_DIM"
 def _max_enum_dim() -> int:
     raw = os.environ.get(ENUM_DIM_ENV)
     if raw is None:
-        return polytope.DEFAULT_MAX_ENUM_DIM
+        from .polytope import DEFAULT_MAX_ENUM_DIM
+
+        return DEFAULT_MAX_ENUM_DIM
     try:
         return int(raw)
     except ValueError:
@@ -48,8 +53,12 @@ def _load(path: str, args):
 def _build_any(inst):
     """Trajectory of a flat or conserved instance, plus the generalized form."""
     if inst.conserved is not None:
+        from . import conserved
+
         ginst = conserved.from_populations(inst)
         return conserved.build_generalized(ginst), ginst
+    from . import trajectory
+
     return trajectory.build(inst), None
 
 
@@ -62,15 +71,21 @@ def cmd_build(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.grid is not None and args.grid < 0:
+        raise ParseError(f"--grid must be at least 0, got {args.grid}")
     inst = _load(args.instance, args)
     traj, _ = _build_any(inst)
     work_base = None
     if inst.initial_populations is not None:
         work_base = cost_value(inst.initial_populations, inst.cost)
     if args.alpha is not None:
+        from .trajectory import omega_opt
+
         alphas = [args.alpha]
-        omegas = [trajectory.omega_opt(traj, args.alpha)]
+        omegas = [omega_opt(traj, args.alpha)]
     else:
+        import numpy as np
+
         # the grid lies inside [alpha_min, alpha_max], so one interpolation
         # over it equals omega_opt at each point
         grid = np.linspace(traj.alpha_min, traj.alpha_max, args.grid)
@@ -100,6 +115,10 @@ def cmd_lift(args) -> int:
 
 def _verify_checks(inst, args):
     """Yield (name, passed, detail) tuples for every applicable check."""
+    import numpy as np
+
+    from . import conserved, oracle, polytope, trajectory
+
     traj, ginst = _build_any(inst)
     cap = _max_enum_dim()
     rng = np.random.default_rng(args.seed)
@@ -190,6 +209,8 @@ def _float_list(raw: str, field: str) -> list[float]:
 
 
 def cmd_cool(args) -> int:
+    from . import cooling
+
     if args.demo is not None:
         if args.demo == "working-example":
             cool = cooling.demo_coherent_erasure()

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import ProblemInstance, target_value, validate
-from .conserved import GeneralizedInstance, from_populations
 from .errors import AlphaOutOfRange, DimensionOverflow, WrongInstanceKind
+
+if TYPE_CHECKING:
+    from .conserved import GeneralizedInstance
 
 BUILD_DIM_CAP = 4096
 
@@ -139,6 +142,8 @@ def incoherent_instance(
     thermal at beta_machine. Cost is the bath energy; the conserved vector
     is the total energy, so swaps act inside degenerate energy shells.
     """
+    from .conserved import from_populations
+
     d = system.dim * machine.dim * bath.dim
     if d > max_dim:
         raise DimensionOverflow(f"joint dim {d} exceeds cap {max_dim}")

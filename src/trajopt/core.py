@@ -160,6 +160,19 @@ def cost_value(p, e) -> float:
     return float(np.dot(e, p))
 
 
+def majorizes(x, y, eps: float = 1e-12) -> bool:
+    """True iff x majorizes y: descending prefix sums of x dominate y's."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        return False
+    cx = np.cumsum(np.sort(x)[::-1])
+    cy = np.cumsum(np.sort(y)[::-1])
+    if abs(cx[-1] - cy[-1]) > eps:
+        return False
+    return bool(np.all(cx >= cy - eps))
+
+
 def validate(raw: ProblemInstance) -> ProblemInstance:
     """Check invariants and return a normalized, immutable instance.
 
@@ -198,9 +211,6 @@ def validate(raw: ProblemInstance) -> ProblemInstance:
         pops = _vector(raw.initial_populations, "initial_populations")
         if len(pops) != d:
             raise DimensionMismatch("initial_populations length must equal dim")
-        # Deferred import: polytope builds on this module.
-        from .polytope import majorizes
-
         if not majorizes(lam, pops, max(raw.eps_pop, 1e-9)):
             raise NotMajorized(
                 "initial_populations are not majorized by the eigenvalues"

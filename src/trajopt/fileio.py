@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import PreferredOrder, ProblemInstance
 from .errors import ParseError
-from .trajectory import OptimalTrajectory, _trajectory
+
+if TYPE_CHECKING:
+    from .trajectory import OptimalTrajectory
 
 TOOL_VERSION = "0.2.0"
 TIE_BREAK = "lexicographic-kl"
@@ -62,11 +66,19 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {dumps_canonical(v, indent + 2)}'
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
+        lines = []
+        for k, v in obj.items():
+            # a plain finite float or int is formatted here, as _dumps_scalar
+            # would; encode_basestring_ascii is what json.dumps(str) runs
+            t = type(v)
+            if t is float and math.isfinite(v):
+                text = "%.17g" % (v + 0.0)
+            elif t is int:
+                text = str(v)
+            else:
+                text = dumps_canonical(v, indent + 2)
+            lines.append(f"{pad}  {encode_basestring_ascii(str(k))}: {text}")
+        return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj)
         if set(map(type, items)) == {float} and all(map(math.isfinite, items)):
@@ -313,6 +325,8 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
     trajectory in every field. Files write zeros unsigned, so a -0.0 of
     the build reloads as 0.0.
     """
+    from .trajectory import _trajectory
+
     doc = trajectory_from_dict(doc)
     meta = doc["metadata"]
     perm = np.asarray(meta["order"], dtype=int)

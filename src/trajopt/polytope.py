@@ -1,10 +1,11 @@
 """Population-polytope primitives.
 
 The reachable populations of a state with spectrum λ form the convex hull
-of the permutations of λ. This module provides the majorization test, the
-vertex enumeration with degeneracy counting, adjacent-valued swap
-enumeration, and a brute-force edge oracle that is independent of the
-adjacent-swap characterization (it solves a small LP instead).
+of the permutations of λ. This module provides the majorization test (defined in `core`,
+whose `validate` runs it without loading this module), the vertex
+enumeration with degeneracy counting, adjacent-valued swap enumeration,
+and a brute-force edge oracle that is independent of the adjacent-swap
+characterization (it solves a small LP instead).
 
 Enumeration order is a contract: `enumerate_vertices` lists the distinct
 arrangements lexicographically in the positions of the distinct values,
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cluster_ranks
+from .core import cluster_ranks, majorizes
 from .errors import DimensionTooLarge, NotAVertex
 from .simplex import LPStatus, solve_lp
 
@@ -54,19 +55,6 @@ class AvSwap:
 
     k: int
     l: int
-
-
-def majorizes(x, y, eps: float = 1e-12) -> bool:
-    """True iff x majorizes y: descending prefix sums of x dominate y's."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        return False
-    cx = np.cumsum(np.sort(x)[::-1])
-    cy = np.cumsum(np.sort(y)[::-1])
-    if abs(cx[-1] - cy[-1]) > eps:
-        return False
-    return bool(np.all(cx >= cy - eps))
 
 
 def degeneracy_classes(values, eps: float):

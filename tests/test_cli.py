@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 
 import trajopt
 from trajopt import fileio
-from trajopt.cli import main
+from trajopt.cli import _build_any, main
+from trajopt.core import validate
 
 GENERIC = Path(__file__).resolve().parent / "golden" / "generic" / "instance.json"
 
@@ -18,6 +20,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _child(*argv, code=None):
+    """Run `python -m trajopt.cli *argv` in a fresh interpreter, or `python -c code *argv`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trajopt.__file__).resolve().parents[1]))
+    launch = ["-m", "trajopt.cli"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *launch, *map(str, argv)], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 @pytest.fixture
@@ -130,15 +141,38 @@ def test_eval_alpha_out_of_range(capsys, instance_file):
     assert out == ""
 
 
+def test_eval_grid_zero_prints_the_breakpoints_only(capsys, instance_file):
+    code, out, _ = run(capsys, "eval", instance_file, "--grid", "0")
+    assert code == 0
+    traj, _ = _build_any(validate(fileio.load_instance(instance_file)))
+    lines = out.strip().split("\n")
+    assert lines[0] == "alpha,omega,work"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [fileio.format_float(alpha), fileio.format_float(omega)] for alpha, omega in traj.breakpoints
+    ]
+
+
+@pytest.mark.parametrize("n", ["-1", "-200"])
+def test_negative_grid_is_a_parse_error(capsys, instance_file, n):
+    code, out, err = run(capsys, "eval", instance_file, "--grid", n)
+    assert code == 2 and out == ""
+    assert err == f"error: --grid must be at least 0, got {n}\n"
+
+
+def test_negative_grid_exits_without_traceback():
+    # np.linspace refused the count with a ValueError traceback and exit 1
+    proc = _child("eval", GENERIC, "--grid", "-1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: --grid must be at least 0, got -1\n"
+
+
 @pytest.mark.parametrize("sub", ["eval", "lift"])
 def test_nan_alpha_exits_out_of_range_without_traceback(tmp_path, sub):
     # NaN compares false with both ends of the range; it used to pass the
     # range check and end in a ValueError traceback
-    argv = [sub, str(GENERIC)] + ([str(tmp_path / "lift.json")] if sub == "lift" else []) + ["--alpha", "nan"]
-    env = dict(os.environ, PYTHONPATH=str(Path(trajopt.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "trajopt.cli", *argv], capture_output=True, text=True, env=env, timeout=60
-    )
+    argv = [sub, GENERIC] + ([tmp_path / "lift.json"] if sub == "lift" else []) + ["--alpha", "nan"]
+    proc = _child(*argv)
     assert proc.returncode == 3 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: alpha nan outside") and proc.stderr.count("\n") == 1
@@ -293,11 +327,7 @@ def test_non_finite_tolerance_flag_is_a_parse_error(tmp_path, capsys, flag):
 @pytest.mark.parametrize("field", ["target", "eps_grad"])
 def test_non_finite_instance_exits_without_traceback(tmp_path, field):
     path = _tampered_instance(tmp_path, field, float("nan"))
-    env = dict(os.environ, PYTHONPATH=str(Path(trajopt.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "trajopt.cli", "build", path, str(tmp_path / "traj.json")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _child("build", path, tmp_path / "traj.json")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and field in proc.stderr
 
@@ -348,3 +378,81 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
     code, out, err = run(capsys, "build", str(path), str(tmp_path / "traj.json"))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "nested too deeply" in err
+
+
+# The modules a child loads. `import trajopt.cli` loads only what every
+# subcommand uses; each subcommand adds the modules it runs.
+CLI_MODULES = {"trajopt", "trajopt.cli", "trajopt.core", "trajopt.errors", "trajopt.fileio"}
+_LIST_MODULES = 'print(*sorted(m for m in sys.modules if m.split(".")[0] == "trajopt"), file=sys.stderr)'
+# Runs the CLI as `python -m trajopt.cli` does, then lists the trajopt modules loaded.
+_RUN_AND_LIST = f"""
+import runpy, sys
+try:
+    runpy.run_module("trajopt.cli", run_name="__main__", alter_sys=True)
+finally:
+    {_LIST_MODULES}
+"""
+
+
+def _loaded(proc) -> set:
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_cli_import_loads_only_the_shared_modules():
+    proc = _child(code=f"import sys, trajopt.cli\n{_LIST_MODULES}")
+    assert proc.returncode == 0, proc.stderr
+    assert _loaded(proc) == CLI_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["build", str(GENERIC), "{tmp}/traj.json"], {"trajectory"}),
+        (["build", "{inst}", "{tmp}/traj.json"], {"trajectory"}),
+        (["eval", "{inst}", "--grid", "5"], {"trajectory"}),
+        (["lift", "{inst}", "{tmp}/lift.json", "--alpha", "0.5"], {"trajectory", "lift"}),
+        (["cool", "--demo", "working-example"], {"cooling"}),
+    ],
+    ids=["build-generic", "build-cooling", "eval", "lift", "cool"],
+)
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, instance_file, argv, extra):
+    # {inst} is a cooling instance: it has initial populations, so validate checks majorization
+    proc = _child(*(a.format(inst=instance_file, tmp=tmp_path) for a in argv), code=_RUN_AND_LIST)
+    assert proc.returncode == 0, proc.stderr
+    # runpy runs the cli module as __main__, not as trajopt.cli
+    assert _loaded(proc) == CLI_MODULES - {"trajopt.cli"} | {f"trajopt.{m}" for m in extra}
+
+
+def test_package_names_are_their_modules_attributes():
+    assert sorted(trajopt.__all__) == sorted(trajopt._MODULE_OF)
+    for name in trajopt.__all__:
+        module = importlib.import_module(f"trajopt.{trajopt._MODULE_OF[name]}")
+        assert getattr(trajopt, name) is getattr(module, name), name
+    assert set(dir(trajopt)) >= set(trajopt.__all__)
+
+
+def test_package_name_follows_a_patched_module(monkeypatch):
+    from trajopt import trajectory
+
+    patched = object()
+    monkeypatch.setattr(trajectory, "build", patched)
+    assert trajopt.build is patched
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        trajopt.no_such_name
+    assert not hasattr(trajopt, "no_such_name")
+
+
+def test_package_namespace_in_a_fresh_interpreter():
+    code = """
+import sys
+import trajopt
+assert "trajopt.cooling" not in sys.modules
+assert trajopt.cooling.thermal_populations([0.0, 1.0], 0.0).tolist() == [0.5, 0.5]
+from trajopt import *
+assert all(globals()[name] is getattr(trajopt, name) for name in trajopt.__all__)
+"""
+    proc = _child(code=code)
+    assert proc.returncode == 0, proc.stderr

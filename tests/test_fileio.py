@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import assert_single_step_rule, random_instance, replayed_vertices, tie_instance
 from trajopt import fileio
@@ -237,6 +239,63 @@ def test_dumps_canonical_scalar_lists():
     for bad in (float("nan"), [1.0, float("inf")], np.array([0.0, -np.inf])):
         with pytest.raises(ValueError, match="non-finite"):
             fileio.dumps_canonical(bad)
+
+
+def _recursive_dumps(obj, indent=0):
+    """Reference serializer: every value recurses to one scalar at a time
+    and every key goes through json.dumps."""
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(f"{pad}  {json.dumps(str(k))}: {_recursive_dumps(v, indent + 2)}" for k, v in obj.items())
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = list(obj)
+        if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
+            return "[" + ", ".join(map(fileio._dumps_scalar, items)) + "]"
+        inner = ",\n".join(f"{pad}  {_recursive_dumps(v, indent + 2)}" for v in items)
+        return "[\n" + inner + "\n" + pad + "]"
+    return fileio._dumps_scalar(obj)
+
+
+_SCALARS = [1.5, -0.0, 0.0, 3, -7, 0, 10**30, True, False, None, "x", 'q"\\\n\u00e9\U0001f600',
+            np.float64(0.1), np.float64(-0.0), np.int64(-4), np.int32(5), 1e-300, 5e-324, 1.7976931348623157e308]
+
+
+def test_dumps_canonical_dict_scalars_match_the_recursive_serializer():
+    doc = {f"k{i}": v for i, v in enumerate(_SCALARS)}
+    doc.update({"\u00e9\t\"key\"": 2.5, 7: 1, "list": _SCALARS, "empty": {}, "rows": [[0.5, -0.0], []],
+                "nested": {"step": {"k": 1, "l": 2, "gradient": -0.0, "alpha_start": 0.1}, "arr": np.array([1.0, 2.0])}})
+    assert fileio.dumps_canonical(doc) == _recursive_dumps(doc)
+    traj = fileio.trajectory_to_dict(_build_any(validate(ProblemInstance(
+        eigenvalues=[0.5, 0.3, 0.2], target=[1.0, 0.0, 0.0], cost=[0.0, -0.0, 1.0])))[0])
+    assert fileio.dumps_canonical(traj) == _recursive_dumps(traj)
+
+
+_JSON_SCALAR = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+)
+_JSON_DOC = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(st.text(max_size=4), _JSON_DOC, max_size=6))
+def test_dumps_canonical_equals_the_recursive_serializer(doc):
+    assert fileio.dumps_canonical(doc) == _recursive_dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float64("-inf")])
+def test_dumps_canonical_refuses_non_finite_dict_values(bad):
+    for doc in ({"a": 1.0, "b": bad}, {"a": {"b": [bad]}}, {"a": {"b": bad}}):
+        with pytest.raises(ValueError, match="non-finite"):
+            fileio.dumps_canonical(doc)
 
 
 @pytest.mark.parametrize(
