@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import fileio
-from .core import cost_value, validate
+from .core import DEFAULT_MAX_ENUM_DIM, cost_value, validate
 from .errors import AlphaOutOfRange, DimensionTooLarge, ParseError, TrajoptError
 
 EXIT_OK = 0
@@ -32,8 +32,6 @@ ENUM_DIM_ENV = "TRAJOPT_MAX_ENUM_DIM"
 def _max_enum_dim() -> int:
     raw = os.environ.get(ENUM_DIM_ENV)
     if raw is None:
-        from .polytope import DEFAULT_MAX_ENUM_DIM
-
         return DEFAULT_MAX_ENUM_DIM
     try:
         return int(raw)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance, cluster_ranks, validate
+from .core import DEFAULT_MAX_ENUM_DIM, ProblemInstance, cluster_ranks, validate
 from .errors import DimensionTooLarge, NotHermitian, NotUnitTrace
-from .polytope import DEFAULT_MAX_ENUM_DIM, enumerate_vertices, vertex_count
 from .trajectory import OptimalTrajectory, _build, _maximal_point, _prepare, _swap_candidates
 
 
@@ -173,6 +172,8 @@ def generalized_vertex_count(
     ginst: GeneralizedInstance, eps: float | None = None, max_block_dim: int = DEFAULT_MAX_ENUM_DIM
 ) -> int:
     """Product over blocks of the distinct-permutation counts."""
+    from .polytope import vertex_count
+
     eps = ginst.base.eps_pop if eps is None else eps
     total = 1
     for lam in ginst.block_lambdas:
@@ -191,6 +192,8 @@ def enumerate_generalized_vertices(
     max_count: int = 200_000,
 ) -> np.ndarray:
     """All vertices of the product polytope, input basis, one per row."""
+    from .polytope import enumerate_vertices
+
     eps = ginst.base.eps_pop if eps is None else eps
     count = generalized_vertex_count(ginst, eps, max_block_dim)
     if count > max_count:

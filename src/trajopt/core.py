@@ -30,6 +30,8 @@ from .errors import (
 COEFF_EPS = 1e-12
 # Absolute tolerance for range checks on the target value.
 ALPHA_TOL = 1e-9
+# Largest dimension (or conserved block) whose vertices are enumerated by default.
+DEFAULT_MAX_ENUM_DIM = 9
 
 
 def _vector(x, name: str) -> np.ndarray:

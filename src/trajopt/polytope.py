@@ -1,8 +1,9 @@
 """Population-polytope primitives.
 
 The reachable populations of a state with spectrum λ form the convex hull
-of the permutations of λ. This module provides the majorization test (defined in `core`,
-whose `validate` runs it without loading this module), the vertex
+of the permutations of λ. This module provides the majorization test and
+the default enumeration cap `DEFAULT_MAX_ENUM_DIM` (both defined in `core`,
+whose `validate` and `cli` use them without loading this module), the vertex
 enumeration with degeneracy counting, adjacent-valued swap enumeration,
 and a brute-force edge oracle that is independent of the adjacent-swap
 characterization (it solves a small LP instead).
@@ -24,11 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cluster_ranks, majorizes
+from .core import DEFAULT_MAX_ENUM_DIM, cluster_ranks, majorizes
 from .errors import DimensionTooLarge, NotAVertex
 from .simplex import LPStatus, solve_lp
-
-DEFAULT_MAX_ENUM_DIM = 9
 
 # Simplex tableau entries one stacked LP solve holds (2 MB of float64).
 LP_CHUNK = 1 << 18

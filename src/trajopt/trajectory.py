@@ -8,13 +8,21 @@ piecewise linear and convex in the target value.
 
 One candidate generator, `_SwapQueue`, answers every query. Built at any
 vertex it lists the candidate swaps (`swap_candidates`) and picks the
-optimal one (`next_step`); `build` keeps one queue for the whole
-trajectory. A swap of k and l replaces just the pairs touching k or l, so
-a step costs O(pairs touching k or l · log) instead of a pass over every
-pair. Ties within eps_grad go to the smallest (k, l). A build step makes
-no numpy call: the vertex's entries are swapped through a memoryview, and
-the target and cost values of the vertices are dotted a buffer of
-vertices at a time (`np.vecdot`), equal bit for bit to one `np.dot` each.
+optimal one (`next_step`). A swap of k and l replaces just the pairs
+touching k or l, so a step costs O(pairs touching k or l · log) instead of
+a pass over every pair. Ties within eps_grad go to the smallest (k, l).
+
+`build` needs no queue when the instance certifies its order: with
+distinct populations and targets in every block and pair gradients more
+than eps_grad apart, every pair of a block swaps once, in gradient order
+(kinetic sorting, Basch, Guibas and Hershberger 1999), so one sort of the
+pair gradients gives the steps in O(P log P), P the number of pairs
+(`_sorted_steps` lists the four checks and why they suffice). Any other
+instance keeps one queue for the whole trajectory. Both give the same
+steps bit for bit. A build step then makes no numpy call: the vertex's
+entries are swapped through a memoryview, and the target and cost values
+of the vertices are dotted a buffer of vertices at a time (`np.vecdot`),
+equal bit for bit to one `np.dot` each, O(steps · d) in all.
 
 Every construction runs on one prepared instance (`_prepare`): the
 preferred order, the coefficients and spectrum in that order, and the
@@ -506,11 +514,11 @@ class _SwapQueue:
 
 
 def _trajectory(order, a_p, e_p, p0, ks, ls, gradients, alphas, omegas, eps_pop, eps_grad, blocks):
-    """An OptimalTrajectory from its initial vertex and step lists.
+    """An OptimalTrajectory from its initial vertex and steps (lists or arrays).
 
     The build and the file reader both make trajectories here, so their
     arrays share dtypes and flags. Each step's delta_alpha is computed
-    from the lists alone, replaying the swaps on a list copy of p0:
+    from ks, ls and p0 alone, replaying the swaps on a list copy of p0:
     Python floats round exactly as numpy float64 scalars do.
     """
     a = a_p.tolist()
@@ -536,14 +544,113 @@ def _trajectory(order, a_p, e_p, p0, ks, ls, gradients, alphas, omegas, eps_pop,
     )
 
 
-def _build(prep: _Prepared) -> OptimalTrajectory:
-    """Greedy trajectory from the minimal point of prep, block by block.
+def _queue_steps(prep: _Prepared, p0: np.ndarray):
+    """The greedy's steps out of p0 by the swap queue: (ks, ls, gradients) lists.
 
     Each step takes the queue's best swap, the one `next_step` picks at the
     current vertex; the `_SwapQueue` is updated in O(pairs touching the
-    swapped positions · log) per step instead of being rebuilt. The loop
-    appends to flat lists, one entry per step, holds one vertex and swaps
-    its entries through a memoryview, with no numpy call per step.
+    swapped positions · log) per step instead of being rebuilt.
+    """
+    queue = _SwapQueue(p0, prep)
+    eps_grad = prep.inst.eps_grad
+    ks, ls, grads = [], [], []
+    while (chosen := queue.best(eps_grad)) is not None:
+        k, l, grad = chosen
+        queue.swap(k, l)
+        ks.append(k)
+        ls.append(l)
+        grads.append(grad)
+    return ks, ls, grads
+
+
+def _block_pairs(pos: np.ndarray):
+    """Every pair (K, L) of the positions pos with K after L, as two int32 arrays.
+
+    int32 halves the memory of the sort's index arrays; past 2**31 pairs
+    they are int64.
+    """
+    n = len(pos)
+    index = np.int32 if n * (n - 1) // 2 < 2**31 else np.int64
+    i = np.arange(n, dtype=index)
+    upper = np.repeat(i, i)  # i once for each j < i
+    lower = np.arange(len(upper), dtype=index) - np.repeat(i * (i - 1) // 2, i)
+    pos = pos.astype(index)
+    return pos[upper], pos[lower]
+
+
+def _sorted_steps(prep: _Prepared):
+    """The greedy's steps from one sort of the pair gradients, or None.
+
+    Along the greedy, every pair of levels K > L of a block swaps exactly
+    once, at gradient (e_p[K] - e_p[L]) / (a_p[K] - a_p[L]): the crossing of
+    two lines in the kinetic-sorting argument of Basch, Guibas and
+    Hershberger ("Data structures for mobile data", J. Algorithms 1999).
+    The steps are then all pairs sorted by gradient, provided that:
+
+    1. singleton runs: in every block the sorted populations are more than
+       eps_pop apart, so every value is its own run;
+    2. ascending target: along every block a_p rises by more than
+       COEFF_EPS from each position to the next, so every pair K > L
+       raises the target when K takes the larger value (near-equal targets
+       of other blocks can chain a block's a_p out of order);
+    3. gradients apart: each sorted gradient exceeds the one before it by
+       more than eps_grad, the tie test of `_SwapQueue.best` (this also
+       excludes equal gradients, triple crossings and a 0.0 / -0.0 pair);
+    4. replay: replayed on the value ranks of each block, every step
+       exchanges two adjacent values, K holding the smaller one.
+
+    Why they suffice: a swap of adjacent values changes the relative order
+    of that one pair only, so along the sorted sequence the queue's
+    candidates are exactly the adjacent pairs not yet swapped. The next
+    sorted pair is one of them (check 4); its gradient is the least of the
+    remaining ones, and no other lies within eps_grad of it (check 3), so
+    `best` returns that pair. Once every pair has swapped, each block's
+    values ascend with the target and no candidate is left, so the greedy
+    stops where the sorted sequence ends. When a check fails this returns
+    None and the build runs the queue; either way the outputs are equal
+    bit for bit. The cost is O(P log P) for P = sum over blocks of
+    n_b (n_b - 1) / 2.
+    """
+    a_p, e_p, lam_p = prep.a_p, prep.e_p, prep.lam_p
+    uppers, lowers = [], []
+    rank = [0] * len(lam_p)  # value rank in its block, 0 = largest
+    for pos in prep.groups:
+        if len(pos) < 2:
+            continue
+        singleton_runs = np.all(np.diff(np.sort(lam_p[pos])) > prep.inst.eps_pop)
+        if not (singleton_runs and np.all(np.diff(a_p[pos]) > COEFF_EPS)):
+            return None
+        upper, lower = _block_pairs(pos)
+        uppers.append(upper)
+        lowers.append(lower)
+        for j, k in enumerate(pos.tolist()):
+            rank[k] = j
+    if not uppers:
+        return [], [], []
+    upper, lower = np.concatenate(uppers), np.concatenate(lowers)
+    # the expression `_SwapQueue._push_from` evaluates, element by element
+    grads = (e_p[upper] - e_p[lower]) / (a_p[upper] - a_p[lower])
+    order = np.argsort(grads, kind="stable")
+    grads = grads[order]
+    if not np.all(grads[1:] > grads[:-1] + prep.inst.eps_grad):
+        return None
+    ks, ls = upper[order].tolist(), lower[order].tolist()
+    for k, l in zip(ks, ls):
+        r = rank[l]
+        if rank[k] != r + 1:
+            return None
+        rank[k], rank[l] = r, r + 1
+    return ks, ls, grads
+
+
+def _build(prep: _Prepared) -> OptimalTrajectory:
+    """Greedy trajectory from the minimal point of prep, block by block.
+
+    The steps come from one sort of the pair gradients when the instance
+    certifies that this is the greedy's order (`_sorted_steps`), and from
+    the swap queue otherwise (`_queue_steps`). One replay then holds one
+    vertex, swaps its entries through a memoryview with no numpy call per
+    step, and takes the target and cost value of every vertex.
 
     alpha and omega are the dot products of each vertex, not running sums,
     so they do not accumulate rounding. Vertices are copied into a buffer
@@ -552,45 +659,50 @@ def _build(prep: _Prepared) -> OptimalTrajectory:
     the routine `np.dot` uses, so every value equals float(np.dot(a_p, v))
     bit for bit, and memory stays O(steps + d).
     """
-    a_p, e_p, eps_grad = prep.a_p, prep.e_p, prep.inst.eps_grad
+    a_p, e_p = prep.a_p, prep.e_p
     p0 = _minimal_pref(prep)
+    steps = _sorted_steps(prep)
+    ks, ls, grads = _queue_steps(prep, p0) if steps is None else steps
+    alphas, omegas = np.empty(len(ks) + 1), np.empty(len(ks) + 1)
     p = p0.copy()
     pv = memoryview(p)
-    queue = _SwapQueue(p, prep)
-    ks, ls, grads, alphas, omegas = [], [], [], [], []
     d = len(p)
-    flat = np.empty(max(1, _DOT_BUFFER // d) * d)
-    buf, bv = flat.reshape(-1, d), memoryview(flat)
+    rows = max(1, _DOT_BUFFER // d)
+    flat = np.empty(rows * d)
+    buf, bv = flat.reshape(rows, d), memoryview(flat)
     bv[:d] = pv
     end = d  # flat[:end] holds the vertices not yet dotted
-    while (chosen := queue.best(eps_grad)) is not None:
-        k, l, grad = chosen
+    done = 0  # vertices dotted
+    for k, l in zip(ks, ls):
         pv[k], pv[l] = pv[l], pv[k]
-        queue.swap(k, l)
-        ks.append(k)
-        ls.append(l)
-        grads.append(grad)
         if end == len(flat):
-            alphas += np.vecdot(buf, a_p).tolist()
-            omegas += np.vecdot(buf, e_p).tolist()
+            np.vecdot(buf, a_p, out=alphas[done : done + rows])
+            np.vecdot(buf, e_p, out=omegas[done : done + rows])
+            done += rows
             end = 0
         bv[end : end + d] = pv
         end += d
-    alphas += np.vecdot(buf[: end // d], a_p).tolist()
-    omegas += np.vecdot(buf[: end // d], e_p).tolist()
-    return _trajectory(
-        prep.order, a_p, e_p, p0, ks, ls, grads, alphas, omegas, prep.inst.eps_pop, eps_grad, prep.blocks
-    )
+    np.vecdot(buf[: end // d], a_p, out=alphas[done:])
+    np.vecdot(buf[: end // d], e_p, out=omegas[done:])
+    eps_pop, eps_grad = prep.inst.eps_pop, prep.inst.eps_grad
+    return _trajectory(prep.order, a_p, e_p, p0, ks, ls, grads, alphas, omegas, eps_pop, eps_grad, prep.blocks)
 
 
 def build(inst: ProblemInstance) -> OptimalTrajectory:
     """Full optimal trajectory of a validated instance, minimal to maximal point.
 
-    Each step takes the next swap from a queue of the adjacent pairs, updated
-    only for the pairs touching the swapped positions (O(those pairs · log)
-    per step, with no numpy call); ties within eps_grad go to the smallest
-    (k, l), as in `next_step`. alphas and omegas are the exact dot products
-    of each vertex, taken in batches. The polytope is never enumerated.
+    Each step is the swap `next_step` takes at the current vertex: the
+    smallest gradient, ties within eps_grad to the smallest (k, l). When
+    the instance passes the four checks of `_sorted_steps` (populations
+    more than eps_pop apart and targets rising by more than COEFF_EPS in
+    every block, sorted pair gradients more than eps_grad apart, every
+    sorted swap between adjacent values), the steps are all pairs sorted by
+    gradient, O(P log P) for P = sum of n_b (n_b - 1) / 2 over the blocks.
+    Otherwise they come from a queue of the adjacent pairs, updated only
+    for the pairs touching the swapped positions (O(those pairs · log) per
+    step). The two give the same arrays bit for bit; the instance alone
+    decides. alphas and omegas are the exact dot products of each vertex,
+    taken in batches, O(steps · d). The polytope is never enumerated.
     """
     return _build(_prepare(inst))
 

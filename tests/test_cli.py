@@ -40,6 +40,15 @@ def instance_file(tmp_path, capsys):
     return str(path)
 
 
+@pytest.fixture
+def incoherent_file(tmp_path, capsys):
+    code, out, _ = run(capsys, "cool", "--demo", "incoherent")
+    assert code == 0
+    path = tmp_path / "incoherent.json"
+    path.write_text(out)
+    return str(path)
+
+
 def test_cool_demo_fields(instance_file):
     text = open(instance_file).read()
     doc = json.loads(text)
@@ -409,15 +418,19 @@ def test_cli_import_loads_only_the_shared_modules():
     [
         (["build", str(GENERIC), "{tmp}/traj.json"], {"trajectory"}),
         (["build", "{inst}", "{tmp}/traj.json"], {"trajectory"}),
+        (["build", "{incoherent}", "{tmp}/traj.json"], {"trajectory", "conserved"}),
         (["eval", "{inst}", "--grid", "5"], {"trajectory"}),
         (["lift", "{inst}", "{tmp}/lift.json", "--alpha", "0.5"], {"trajectory", "lift"}),
         (["cool", "--demo", "working-example"], {"cooling"}),
     ],
-    ids=["build-generic", "build-cooling", "eval", "lift", "cool"],
+    ids=["build-generic", "build-cooling", "build-conserved", "eval", "lift", "cool"],
 )
-def test_subcommand_loads_only_the_modules_it_runs(tmp_path, instance_file, argv, extra):
-    # {inst} is a cooling instance: it has initial populations, so validate checks majorization
-    proc = _child(*(a.format(inst=instance_file, tmp=tmp_path) for a in argv), code=_RUN_AND_LIST)
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, instance_file, incoherent_file, argv, extra):
+    # {inst} is a cooling instance: it has initial populations, so validate
+    # checks majorization; {incoherent} has a conserved vector, so its build
+    # runs `conserved` (which loads polytope only to enumerate vertices)
+    argv = [a.format(inst=instance_file, incoherent=incoherent_file, tmp=tmp_path) for a in argv]
+    proc = _child(*argv, code=_RUN_AND_LIST)
     assert proc.returncode == 0, proc.stderr
     # runpy runs the cli module as __main__, not as trajopt.cli
     assert _loaded(proc) == CLI_MODULES - {"trajopt.cli"} | {f"trajopt.{m}" for m in extra}
