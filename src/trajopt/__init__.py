@@ -42,7 +42,7 @@ _EXPORTS = {
     ),
     "oracle": (
         "AuditReport", "InducedPolygon", "envelope_min_cost", "induced_polygon",
-        "monte_carlo_audit", "sample_doubly_stochastic",
+        "monte_carlo_audit",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -118,7 +118,6 @@ __all__ = [
     "ProblemInstance",
     "qubit_gradient",
     "rotation_matrix",
-    "sample_doubly_stochastic",
     "state_at",
     "subspace_passive",
     "swap_candidates",

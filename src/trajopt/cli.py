@@ -3,10 +3,13 @@
 Exit codes: 0 success, 1 I/O error, 2 parse/validation error, 3 domain
 error (target value out of range), 4 verification failure.
 
+Every subcommand builds with `trajectory.build`, flat and conserved
+instances alike: the instance's conserved vector decides its blocks.
+
 Each run is one process, so this module imports at top level only what
 every subcommand uses (`core`, `errors`, `fileio`); a subcommand imports
-the modules it runs (`trajectory` or `conserved`, `lift`, `cooling`, the
-oracles) where it runs them.
+the modules it runs (`trajectory`, `lift`, `cooling`, the oracles) where
+it runs them.
 """
 
 from __future__ import annotations
@@ -48,21 +51,11 @@ def _load(path: str, args):
     return validate(inst)
 
 
-def _build_any(inst):
-    """Trajectory of a flat or conserved instance, plus the generalized form."""
-    if inst.conserved is not None:
-        from . import conserved
-
-        ginst = conserved.from_populations(inst)
-        return conserved.build_generalized(ginst), ginst
-    from . import trajectory
-
-    return trajectory.build(inst), None
-
-
 def cmd_build(args) -> int:
+    from .trajectory import build
+
     inst = _load(args.instance, args)
-    traj, _ = _build_any(inst)
+    traj = build(inst)
     doc = fileio.trajectory_to_dict(traj)
     fileio.write_text(args.output, fileio.dumps_canonical(doc) + "\n")
     return EXIT_OK
@@ -71,14 +64,14 @@ def cmd_build(args) -> int:
 def cmd_eval(args) -> int:
     if args.grid is not None and args.grid < 0:
         raise ParseError(f"--grid must be at least 0, got {args.grid}")
+    from .trajectory import build, omega_opt
+
     inst = _load(args.instance, args)
-    traj, _ = _build_any(inst)
+    traj = build(inst)
     work_base = None
     if inst.initial_populations is not None:
         work_base = cost_value(inst.initial_populations, inst.cost)
     if args.alpha is not None:
-        from .trajectory import omega_opt
-
         alphas = [args.alpha]
         omegas = [omega_opt(traj, args.alpha)]
     else:
@@ -102,9 +95,10 @@ def cmd_eval(args) -> int:
 
 def cmd_lift(args) -> int:
     from .lift import lift_point
+    from .trajectory import build
 
     inst = _load(args.instance, args)
-    traj, _ = _build_any(inst)
+    traj = build(inst)
     lifted = lift_point(traj, args.alpha)
     doc = fileio.lifted_to_dict(lifted, args.alpha)
     fileio.write_text(args.output, fileio.dumps_canonical(doc) + "\n")
@@ -117,7 +111,7 @@ def _verify_checks(inst, args):
 
     from . import conserved, oracle, polytope, trajectory
 
-    traj, ginst = _build_any(inst)
+    traj = trajectory.build(inst)
     cap = _max_enum_dim()
     rng = np.random.default_rng(args.seed)
 
@@ -128,13 +122,14 @@ def _verify_checks(inst, args):
     vertices = None
     proj = None
     skip_reason = f"skipped (dim {inst.dim} > cap {cap})"
-    if ginst is None and inst.dim <= cap:
+    if inst.conserved is None and inst.dim <= cap:
         vertices = polytope.enumerate_vertices(
             inst.eigenvalues, eps=inst.eps_pop, max_dim=cap
         )
         proj = oracle.induced_polygon(vertices, inst.target, inst.cost)
-    elif ginst is not None:
+    elif inst.conserved is not None:
         try:
+            ginst = conserved.from_populations(inst)
             gverts = conserved.enumerate_generalized_vertices(ginst, max_block_dim=cap)
             proj = oracle.induced_polygon(gverts, inst.target, inst.cost)
         except DimensionTooLarge as exc:
@@ -151,7 +146,7 @@ def _verify_checks(inst, args):
             worst = max(worst, diff)
         yield "envelope-equivalence", worst <= 1e-9, f"max |diff| = {worst:.3e}"
 
-    if ginst is None and inst.dim <= 5 and vertices is not None:
+    if vertices is not None and inst.dim <= 5:
         predicted = polytope.av_swap_pairs(vertices, eps=inst.eps_pop)
         brute = polytope.edge_pairs(vertices)
         yield "edge-structure", predicted == brute, (
@@ -160,9 +155,7 @@ def _verify_checks(inst, args):
     else:
         yield "edge-structure", None, "skipped (needs flat instance with dim <= 5)"
 
-    report = oracle.monte_carlo_audit(
-        ginst if ginst is not None else inst, traj, n_samples=args.samples, seed=args.seed
-    )
+    report = oracle.monte_carlo_audit(inst, traj, n_samples=args.samples, seed=args.seed)
     yield "monte-carlo-audit", report.passed, (
         f"{report.n_samples} samples, {report.violations} violations, "
         f"min slack {report.min_slack:.3e}"

@@ -3,18 +3,22 @@
 Allowed unitaries are block-diagonal in the conserved eigenbasis, so the
 reachable populations form a direct product of per-block population
 polytopes. The construction is the base problem's, applied block by block:
-`trajectory` prepares an instance together with its conserved blocks, and
-the build, the swap candidates and the maximal point run on that one
-prepared instance. A flat instance is the one-block case.
+`trajectory` reads the blocks from the instance's conserved vector, so
+`trajectory.build` on an instance with one gives the same trajectory as
+`build_generalized`. This module adds what needs the blocks as a
+structure: density matrices and dephasing, the product polytope's
+vertices, and the generalized names of the build, the swap candidates and
+the maximal point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_MAX_ENUM_DIM, ProblemInstance, cluster_ranks, validate
+from .core import CONSERVED_EPS, DEFAULT_MAX_ENUM_DIM, ProblemInstance, cluster_ranks, validate
 from .errors import DimensionTooLarge, NotHermitian, NotUnitTrace
 from .trajectory import OptimalTrajectory, _build, _maximal_point, _prepare, _swap_candidates
 
@@ -37,10 +41,13 @@ class BlockStructure:
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedInstance:
-    """Base instance plus its conserved block decomposition."""
+    """A validated instance with a conserved vector; its blocks derive from that vector."""
 
     base: ProblemInstance
-    structure: BlockStructure
+
+    @cached_property
+    def structure(self) -> BlockStructure:
+        return block_decompose(self.base.conserved)
 
     @property
     def block_lambdas(self) -> tuple[np.ndarray, ...]:
@@ -49,7 +56,7 @@ class GeneralizedInstance:
         return tuple(lam[np.asarray(b)] for b in self.structure.blocks)
 
 
-def block_decompose(c, eps: float = 1e-9) -> BlockStructure:
+def block_decompose(c, eps: float = CONSERVED_EPS) -> BlockStructure:
     """Group indices by conserved eigenvalue (clusters split at gaps > eps)."""
     c = np.asarray(c, dtype=float)
     ranks = cluster_ranks(c, eps)
@@ -105,8 +112,7 @@ def from_populations(inst: ProblemInstance) -> GeneralizedInstance:
     """
     if inst.conserved is None:
         raise ValueError("instance has no conserved vector")
-    inst = validate(inst)
-    return GeneralizedInstance(base=inst, structure=block_decompose(inst.conserved))
+    return GeneralizedInstance(base=validate(inst))
 
 
 def from_density_matrix(
@@ -134,19 +140,20 @@ def from_density_matrix(
             eps_grad=eps_grad,
         )
     )
-    return GeneralizedInstance(base=base, structure=structure)
+    return GeneralizedInstance(base=base)
 
 
 def build_generalized(ginst: GeneralizedInstance) -> OptimalTrajectory:
     """Optimal trajectory under the conserved constraint.
 
-    The flat build on the prepared instance with its conserved blocks: it
-    starts from the direct sum of per-block minimal vertices, and each step
-    takes the within-block adjacent swap with the globally smallest
-    gradient, ties broken as in the flat build. A constant conserved vector
-    (one block) reproduces the flat trajectory bit for bit.
+    The build of `trajectory.build` on ginst.base, whose conserved vector
+    gives the blocks: it starts from the direct sum of per-block minimal
+    vertices, and each step takes the within-block adjacent swap with the
+    globally smallest gradient, ties broken as in the flat build. A
+    constant conserved vector (one block) reproduces the flat trajectory
+    bit for bit.
     """
-    return _build(_prepare(ginst.base, ginst.structure))
+    return _build(_prepare(ginst.base))
 
 
 def swap_candidates_generalized(ginst: GeneralizedInstance, p):
@@ -160,12 +167,12 @@ def swap_candidates_generalized(ginst: GeneralizedInstance, p):
     shows up. Raises NotAVertex unless p permutes the eigenvalues inside
     each conserved block.
     """
-    return _swap_candidates(_prepare(ginst.base, ginst.structure), p)
+    return _swap_candidates(_prepare(ginst.base), p)
 
 
 def maximal_point_generalized(ginst: GeneralizedInstance) -> np.ndarray:
     """Input-basis populations of the generalized maximal point."""
-    return _maximal_point(_prepare(ginst.base, ginst.structure))
+    return _maximal_point(_prepare(ginst.base))
 
 
 def generalized_vertex_count(

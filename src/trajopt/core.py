@@ -32,6 +32,8 @@ COEFF_EPS = 1e-12
 ALPHA_TOL = 1e-9
 # Largest dimension (or conserved block) whose vertices are enumerated by default.
 DEFAULT_MAX_ENUM_DIM = 9
+# Conserved eigenvalues closer than this share a block.
+CONSERVED_EPS = 1e-9
 
 
 def _vector(x, name: str) -> np.ndarray:
@@ -120,6 +122,17 @@ def cluster_ranks(values: np.ndarray, eps: float) -> np.ndarray:
     ranks = np.empty(len(values), dtype=int)
     ranks[order] = jumps
     return ranks
+
+
+def block_of_input(inst: ProblemInstance) -> np.ndarray | None:
+    """The conserved block of each input index, or None for a flat instance.
+
+    Blocks are numbered by ascending conserved eigenvalue; values within
+    CONSERVED_EPS share a block (`cluster_ranks`).
+    """
+    if inst.conserved is None:
+        return None
+    return cluster_ranks(inst.conserved, CONSERVED_EPS)
 
 
 def check_alpha(alpha: float, lo: float, hi: float) -> float:

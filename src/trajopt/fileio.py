@@ -320,10 +320,12 @@ def trajectory_from_dict(doc: dict) -> dict:
 def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
     """Rebuild the runtime trajectory of a trajectory document.
 
-    The step arrays are made by the function the build uses, which also
-    recomputes each step's delta_alpha, so the result equals the built
-    trajectory in every field. Files write zeros unsigned, so a -0.0 of
-    the build reloads as 0.0.
+    The step arrays are made by the function the build uses, and
+    delta_alphas is replayed from the steps on first read, for a build and
+    a reload alike, so the result equals the built trajectory in every
+    field. `metadata.block_of_position`, written when the instance has a
+    conserved vector, reloads as the built array. Files write zeros
+    unsigned, so a -0.0 of the build reloads as 0.0.
     """
     from .trajectory import _trajectory
 

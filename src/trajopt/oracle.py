@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_alpha
-from .errors import DimensionTooLarge
+from .core import block_of_input, check_alpha
 
 # Permutation entries the audit draws at once (2 MB of int64 indices).
 AUDIT_CHUNK = 1 << 18
@@ -113,22 +112,6 @@ def envelope_min_cost(poly: InducedPolygon, alpha: float) -> float:
     return float(np.interp(alpha, env[:, 0], env[:, 1]))
 
 
-def sample_doubly_stochastic(d: int, n_perms: int, seed) -> np.ndarray:
-    """Convex mix of n_perms uniform permutations with Dirichlet(1) weights.
-
-    Not uniform on the doubly-stochastic polytope; adequate for
-    falsification sampling. Deterministic per seed.
-    """
-    if d > 10:
-        raise DimensionTooLarge(f"dim {d} exceeds sampling cap 10")
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(n_perms))
-    out = np.zeros((d, d))
-    for w in weights:
-        out[np.arange(d), rng.permutation(d)] += w
-    return out
-
-
 def _mixtures(lam: np.ndarray, n: int, rng) -> np.ndarray:
     """n images sum_j w_j lam[pi_j] of lam, one per row.
 
@@ -156,15 +139,17 @@ def _audit_images(inst, n_samples: int, seed):
 
     A chunk holds AUDIT_CHUNK // (2 m^2) samples (at least one), m the
     largest block, so its permutations fit in one draw of `_mixtures`
-    whenever 2 m^2 <= AUDIT_CHUNK. Each conserved block is mixed on its
-    own (a flat instance is one block); a singleton block keeps its
-    eigenvalue.
+    whenever 2 m^2 <= AUDIT_CHUNK. Each block of the conserved vector is
+    mixed on its own, in ascending conserved value (an instance without
+    one is one block); a singleton block keeps its eigenvalue.
     """
     base = getattr(inst, "base", inst)
-    structure = getattr(inst, "structure", None)
     lam = np.asarray(base.eigenvalues, dtype=float)
     d = len(lam)
-    blocks = [np.arange(d)] if structure is None else list(map(np.asarray, structure.blocks))
+    block_of = block_of_input(base)
+    if block_of is None:
+        block_of = np.zeros(d, dtype=int)
+    blocks = [np.flatnonzero(block_of == b) for b in range(block_of.max() + 1)]
     m = max(len(idx) for idx in blocks)
     per_chunk = max(1, AUDIT_CHUNK // (2 * m * m))
     rng = np.random.default_rng(seed)
@@ -181,10 +166,10 @@ def monte_carlo_audit(
 ) -> AuditReport:
     """Random doubly-stochastic images must stay on or above the trajectory cost.
 
-    Accepts a ProblemInstance or a GeneralizedInstance (sampling is then
-    per conserved block). By Birkhoff's theorem a doubly-stochastic image
-    of the spectrum is a mixture sum_j w_j lam[pi_j], so no matrix is
-    built. Per block of size m, each sample mixes n_perms ~ U{1..2m}
+    Accepts a ProblemInstance or a GeneralizedInstance; with a conserved
+    vector, sampling is per conserved block. By Birkhoff's theorem a
+    doubly-stochastic image of the spectrum is a mixture
+    sum_j w_j lam[pi_j], so no matrix is built. Per block of size m, each sample mixes n_perms ~ U{1..2m}
     uniform permutations of the block's eigenvalues with Dirichlet(1)
     weights. Samples come in chunks that draw at most AUDIT_CHUNK
     permutation entries at once (`_audit_images`), so memory stays a few

@@ -26,16 +26,19 @@ equal bit for bit to one `np.dot` each, O(steps · d) in all.
 
 Every construction runs on one prepared instance (`_prepare`): the
 preferred order, the coefficients and spectrum in that order, and the
-conserved block of each position. A flat instance is the one-block case,
-so `conserved` calls the same functions with its blocks.
+conserved block of each position, read from the instance's conserved
+vector (`core.block_of_input`). A flat instance is the one-block case, so
+`build`, `next_step`, `swap_candidates` and the extreme vertices honour a
+conserved vector, and `conserved` runs the same functions.
 
 A trajectory is stored as its steps: the minimal-point vertex
 (`initial_vertex`) and one entry per step in flat arrays (`ks`, `ls`,
-`gradients`, `delta_alphas`) plus the target and cost value of every vertex
-(`alphas`, `omegas`), O(steps + d) in all. Each vertex is the one before it
-with two entries exchanged, so `vertex(i)` replays the first i swaps from
-`initial_vertex`; `steps` is a read-only sequence that makes a `SwapStep`
-when one is read, and `breakpoints` stacks `alphas` and `omegas`.
+`gradients`) plus the target and cost value of every vertex (`alphas`,
+`omegas`), O(steps + d) in all. Each vertex is the one before it with two
+entries exchanged, so `vertex(i)` replays the first i swaps from
+`initial_vertex`, and `delta_alphas` is replayed the same way on its first
+read; `steps` is a read-only sequence that makes a `SwapStep` when one is
+read, and `breakpoints` stacks `alphas` and `omegas`.
 `omega_opt` interpolates on the two breakpoints around alpha, found by
 binary search, so it costs O(log steps) per call.
 
@@ -59,6 +62,7 @@ from .core import (
     PreferredOrder,
     ProblemInstance,
     _frozen,
+    block_of_input,
     check_alpha,
     cluster_ranks,
     preferred_order,
@@ -165,8 +169,8 @@ class OptimalTrajectory:
     gives vertex i + 1; it raises the target by delta_alphas[i] at cost
     slope gradients[i]. alphas and omegas hold the target and cost value
     of each of the steps + 1 vertices, so memory is O(steps + d). Vertices
-    are replayed from initial_vertex on request (`vertex`), and `steps`
-    reads the arrays as SwapStep objects.
+    are replayed from initial_vertex on request (`vertex`), delta_alphas on
+    its first read, and `steps` reads the arrays as SwapStep objects.
     """
 
     order: PreferredOrder
@@ -176,7 +180,6 @@ class OptimalTrajectory:
     ks: np.ndarray  # (steps,) int32
     ls: np.ndarray  # (steps,) int32
     gradients: np.ndarray  # (steps,)
-    delta_alphas: np.ndarray  # (steps,)
     alphas: np.ndarray  # (steps + 1,)
     omegas: np.ndarray  # (steps + 1,)
     eps_pop: float
@@ -209,6 +212,22 @@ class OptimalTrajectory:
     @cached_property
     def cost_function(self) -> MinimalCostFunction:
         return MinimalCostFunction(alphas=self.alphas, omegas=self.omegas)
+
+    @cached_property
+    def delta_alphas(self) -> np.ndarray:
+        """(steps,) target raised by each step, replayed from initial_vertex.
+
+        The swaps run on list copies: Python floats round exactly as numpy
+        float64 scalars do, so the array depends on ks, ls, target_pref and
+        initial_vertex alone, for a build and a reloaded file alike.
+        """
+        a = self.target_pref.tolist()
+        p = self.initial_vertex.tolist()
+        deltas = []
+        for k, l in zip(self.ks.tolist(), self.ls.tolist()):
+            deltas.append((a[k] - a[l]) * (p[l] - p[k]))
+            p[k], p[l] = p[l], p[k]
+        return _frozen(deltas)
 
     def vertex(self, i: int) -> np.ndarray:
         """Vertex i in preferred coordinates: initial_vertex after the first i steps.
@@ -245,9 +264,10 @@ class _Prepared:
     """An instance in preferred coordinates, split into its conserved blocks.
 
     lam_p holds the eigenvalues in preferred order; blocks[i] is the block of
-    preferred position i, and blocks=None is a single block (a flat
-    instance). Every block is treated alike, so a flat instance is the
-    one-block case of a conserved one.
+    preferred position i, taken from inst.conserved, and blocks=None is a
+    single block (an instance without a conserved vector). Every block is
+    treated alike, so a flat instance is the one-block case of a conserved
+    one.
     """
 
     inst: ProblemInstance
@@ -265,22 +285,17 @@ class _Prepared:
         return [np.nonzero(self.blocks == b)[0] for b in range(int(self.blocks.max()) + 1)]
 
 
-def _prepare(inst: ProblemInstance, structure=None) -> _Prepared:
-    """Preferred order, coefficients and spectrum of inst; structure is a BlockStructure."""
+def _prepare(inst: ProblemInstance) -> _Prepared:
+    """Preferred order, coefficients, spectrum and conserved blocks of inst."""
     order = preferred_order(inst.target, inst.cost)
-    blocks = None
-    if structure is not None:
-        block_of_input = np.empty(inst.dim, dtype=int)
-        for b, block in enumerate(structure.blocks):
-            block_of_input[np.asarray(block)] = b
-        blocks = block_of_input[order.perm]
+    blocks = block_of_input(inst)
     return _Prepared(
         inst=inst,
         order=order,
         a_p=order.to_preferred(inst.target),
         e_p=order.to_preferred(inst.cost),
         lam_p=order.to_preferred(inst.eigenvalues),
-        blocks=blocks,
+        blocks=None if blocks is None else blocks[order.perm],
     )
 
 
@@ -347,11 +362,11 @@ def _swap_candidates(prep: _Prepared, p):
 def swap_candidates(p, inst: ProblemInstance):
     """Target-increasing adjacent-valued swaps at p, as (i, j, gradient).
 
-    Indices are input-basis; i carries the larger target coefficient. The
-    list is sorted by the preferred-order positions (k, l) of (i, j), and
-    `next_step` takes its first entry whose gradient lies within eps_grad
-    of the smallest. Raises NotAVertex unless p is a permutation of the
-    eigenvalues.
+    Indices are input-basis; i carries the larger target coefficient, and
+    with a conserved vector both lie in one block. The list is sorted by
+    the preferred-order positions (k, l) of (i, j), and `next_step` takes
+    its first entry whose gradient lies within eps_grad of the smallest.
+    Raises NotAVertex unless p permutes the eigenvalues inside each block.
     """
     return _swap_candidates(_prepare(inst), p)
 
@@ -517,16 +532,8 @@ def _trajectory(order, a_p, e_p, p0, ks, ls, gradients, alphas, omegas, eps_pop,
     """An OptimalTrajectory from its initial vertex and steps (lists or arrays).
 
     The build and the file reader both make trajectories here, so their
-    arrays share dtypes and flags. Each step's delta_alpha is computed
-    from ks, ls and p0 alone, replaying the swaps on a list copy of p0:
-    Python floats round exactly as numpy float64 scalars do.
+    arrays share dtypes and flags.
     """
-    a = a_p.tolist()
-    p = p0.tolist()
-    deltas = []
-    for k, l in zip(ks, ls):
-        deltas.append((a[k] - a[l]) * (p[l] - p[k]))
-        p[k], p[l] = p[l], p[k]
     return OptimalTrajectory(
         order=order,
         target_pref=_frozen(a_p),
@@ -535,7 +542,6 @@ def _trajectory(order, a_p, e_p, p0, ks, ls, gradients, alphas, omegas, eps_pop,
         ks=_frozen(ks, np.int32),
         ls=_frozen(ls, np.int32),
         gradients=_frozen(gradients),
-        delta_alphas=_frozen(deltas),
         alphas=_frozen(alphas),
         omegas=_frozen(omegas),
         eps_pop=eps_pop,
@@ -691,6 +697,7 @@ def _build(prep: _Prepared) -> OptimalTrajectory:
 def build(inst: ProblemInstance) -> OptimalTrajectory:
     """Full optimal trajectory of a validated instance, minimal to maximal point.
 
+    With a conserved vector every swap stays inside one of its blocks.
     Each step is the swap `next_step` takes at the current vertex: the
     smallest gradient, ties within eps_grad to the smallest (k, l). When
     the instance passes the four checks of `_sorted_steps` (populations
@@ -741,13 +748,22 @@ def uniqueness_at_minimum(inst: ProblemInstance) -> MinimumUniqueness:
 
     Condition 1: all target coefficients distinct. Condition 2: cost breaks
     every target degeneracy. Condition 3: the minimal arrangement assigns
-    equal populations wherever target and cost are both degenerate.
+    equal populations wherever target and cost are both degenerate. With a
+    conserved vector, degeneracies count inside each block only: no allowed
+    unitary mixes two blocks.
     """
     prep = _prepare(inst)
     a_p, e_p = prep.a_p, prep.e_p
     p_min = _minimal_pref(prep)
-    ra = cluster_ranks(a_p, COEFF_EPS)
-    if len(np.unique(ra)) == len(a_p):
+    # target classes are ranked per block and numbered apart across blocks,
+    # as `_maximal_point` ranks them
+    ra = np.empty(len(a_p), dtype=int)
+    first = 0
+    for pos in prep.groups:
+        ranks = cluster_ranks(a_p[pos], COEFF_EPS)
+        ra[pos] = ranks + first
+        first += int(ranks.max()) + 1
+    if first == len(a_p):
         return MinimumUniqueness(unique=True, condition=1)
     # cost classes are formed inside each target class, as cluster_ranks on
     # its members would: near-equal costs of other target classes must not
@@ -775,13 +791,18 @@ def entry_point(traj: OptimalTrajectory, alpha_in: float):
     then the completed trajectory swaps, then one partial mix on the active
     segment. Majorization guarantees such a chain exists; this one simply
     replays the trajectory.
+
+    The minimal point is descending inside each conserved block, not
+    across blocks, so the permutation sends the j-th largest eigenvalue to
+    the input index of the j-th largest entry of initial_vertex (a stable
+    sort; for a flat trajectory that is the preferred order itself).
     """
     from .lift import TTransform
 
     p, seg, t = state_at(traj, alpha_in)
     d = traj.dim
     chain = []
-    perm = traj.order.perm
+    perm = traj.order.perm[np.argsort(-traj.initial_vertex, kind="stable")]
     seen = np.zeros(d, dtype=bool)
     for start in range(d):
         if seen[start] or perm[start] == start:
@@ -798,7 +819,7 @@ def entry_point(traj: OptimalTrajectory, alpha_in: float):
         for c in cycle[1:]:
             chain.append(TTransform(i=cycle[0], j=c, t=0.0, dim=d))
     n_full = seg if t < 1.0 else seg + 1
-    input_of = perm.tolist()
+    input_of = traj.order.perm.tolist()
     for k, l in zip(traj.ks[:n_full].tolist(), traj.ls[:n_full].tolist()):
         chain.append(TTransform(i=input_of[k], j=input_of[l], t=0.0, dim=d))
     if 0.0 < t < 1.0:

@@ -10,8 +10,9 @@ import pytest
 
 import trajopt
 from trajopt import fileio
-from trajopt.cli import _build_any, main
+from trajopt.cli import main
 from trajopt.core import validate
+from trajopt.trajectory import build
 
 GENERIC = Path(__file__).resolve().parent / "golden" / "generic" / "instance.json"
 
@@ -153,7 +154,7 @@ def test_eval_alpha_out_of_range(capsys, instance_file):
 def test_eval_grid_zero_prints_the_breakpoints_only(capsys, instance_file):
     code, out, _ = run(capsys, "eval", instance_file, "--grid", "0")
     assert code == 0
-    traj, _ = _build_any(validate(fileio.load_instance(instance_file)))
+    traj = build(validate(fileio.load_instance(instance_file)))
     lines = out.strip().split("\n")
     assert lines[0] == "alpha,omega,work"
     assert [line.split(",")[:2] for line in lines[1:]] == [
@@ -418,7 +419,7 @@ def test_cli_import_loads_only_the_shared_modules():
     [
         (["build", str(GENERIC), "{tmp}/traj.json"], {"trajectory"}),
         (["build", "{inst}", "{tmp}/traj.json"], {"trajectory"}),
-        (["build", "{incoherent}", "{tmp}/traj.json"], {"trajectory", "conserved"}),
+        (["build", "{incoherent}", "{tmp}/traj.json"], {"trajectory"}),
         (["eval", "{inst}", "--grid", "5"], {"trajectory"}),
         (["lift", "{inst}", "{tmp}/lift.json", "--alpha", "0.5"], {"trajectory", "lift"}),
         (["cool", "--demo", "working-example"], {"cooling"}),
@@ -427,8 +428,8 @@ def test_cli_import_loads_only_the_shared_modules():
 )
 def test_subcommand_loads_only_the_modules_it_runs(tmp_path, instance_file, incoherent_file, argv, extra):
     # {inst} is a cooling instance: it has initial populations, so validate
-    # checks majorization; {incoherent} has a conserved vector, so its build
-    # runs `conserved` (which loads polytope only to enumerate vertices)
+    # checks majorization; {incoherent} has a conserved vector, which
+    # `trajectory.build` reads itself, so its build loads no `conserved`
     argv = [a.format(inst=instance_file, incoherent=incoherent_file, tmp=tmp_path) for a in argv]
     proc = _child(*argv, code=_RUN_AND_LIST)
     assert proc.returncode == 0, proc.stderr

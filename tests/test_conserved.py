@@ -81,23 +81,51 @@ def test_two_block_merge_is_sorted_union(rng):
         assert all(b - a >= -1e-12 for a, b in zip(grads[:-1], grads[1:]))
 
 
+TRAJECTORY_ARRAYS = ("initial_vertex", "ks", "ls", "gradients", "delta_alphas", "alphas", "omegas", "block_of_position")
+
+
+def _with_conserved(inst, conserved):
+    return validate(ProblemInstance(eigenvalues=inst.eigenvalues, target=inst.target, cost=inst.cost,
+                                    conserved=np.asarray(conserved, dtype=float)))
+
+
 def test_generalized_steps_stay_in_blocks(rng):
-    inst = random_instance(rng, 6)
-    inst = validate(
-        ProblemInstance(
-            eigenvalues=inst.eigenvalues,
-            target=inst.target,
-            cost=inst.cost,
-            conserved=np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0]),
-        )
-    )
-    ginst = from_populations(inst)
-    traj = build_generalized(ginst)
-    blocks = traj.block_of_position
-    for s in traj.steps:
-        assert blocks[s.k] == blocks[s.l]
-    # endpoint is the per-block maximal point
-    assert np.allclose(traj.vertex_input(len(traj.steps)), maximal_point_generalized(ginst))
+    # the flat API reads the blocks from the conserved vector: it builds,
+    # lists candidates and places the extreme points as the generalized one
+    two_blocks = random_instance(rng, 8)
+    instances = [
+        _with_conserved(random_instance(rng, 6), [0.0, 0.0, 1.0, 1.0, 1.0, 2.0]),
+        # one swap, (1, 0), would raise the target, but it crosses the blocks
+        validate(ProblemInstance(np.array([0.5, 0.3, 0.2]), np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 3.0]),
+                                 conserved=np.array([0.0, 1.0, 1.0]))),
+        _with_conserved(two_blocks, rng.permutation(np.arange(8) % 2)),
+    ]
+    for inst in instances:
+        ginst = from_populations(inst)
+        traj = build_generalized(ginst)
+        blocks = traj.block_of_position
+        for s in traj.steps:
+            assert blocks[s.k] == blocks[s.l]
+        # endpoint is the per-block maximal point
+        assert np.allclose(traj.vertex_input(len(traj.steps)), maximal_point_generalized(ginst))
+
+        flat = build(inst)
+        for name in TRAJECTORY_ARRAYS:
+            x, y = getattr(flat, name), getattr(traj, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        assert maximal_vertex(inst).tobytes() == maximal_point_generalized(ginst).tobytes()
+        assert minimal_vertex(inst).tobytes() == traj.vertex_input(0).tobytes()
+        block_of = ginst.structure.blocks
+        same_block = {(i, j) for b in block_of for i in b for j in b}
+        for v in range(len(traj.steps) + 1):
+            p = traj.vertex_input(v)
+            cands = swap_candidates(p, inst)
+            assert cands == swap_candidates_generalized(ginst, p)
+            assert [np.signbit(g) for *_, g in cands] == [
+                np.signbit(g) for *_, g in swap_candidates_generalized(ginst, p)
+            ]
+            assert all((i, j) in same_block for i, j, _ in cands)
+    assert swap_candidates(instances[1].eigenvalues, instances[1]) == [(2, 1, 2.5)]
 
 
 def test_maximal_point_ranks_targets_per_block():

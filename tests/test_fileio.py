@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from conftest import assert_single_step_rule, random_instance, replayed_vertices, tie_instance
 from trajopt import fileio
-from trajopt.cli import _build_any, main
+from trajopt.cli import main
 from trajopt.core import ProblemInstance, validate
 from trajopt.errors import ParseError
-from trajopt.trajectory import OptimalTrajectory
+from trajopt.trajectory import OptimalTrajectory, build
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = sorted(json.loads((GOLDEN / "cases.json").read_text()))
@@ -59,7 +59,7 @@ def reload(traj):
 @pytest.mark.parametrize("name", CASES)
 def test_golden_build_file_reloads_as_built(name):
     inst = validate(fileio.load_instance(str(GOLDEN / name / "instance.json")))
-    built, _ = _build_any(inst)
+    built = build(inst)
     loaded = fileio.trajectory_to_runtime(fileio.load_json(str(GOLDEN / name / "build.json")))
     assert_same_trajectory(loaded, built)
     assert_single_step_rule(loaded)
@@ -84,7 +84,7 @@ def test_random_trajectories_reload_as_built(rng):
             inst = random_instance(rng, d, degenerate=True)
         else:
             inst = tie_instance(rng, d, conserved=conserved)
-        built, _ = _build_any(inst)
+        built = build(inst)
         loaded = reload(built)
         assert_same_trajectory(loaded, built)
         assert_single_step_rule(loaded)
@@ -102,7 +102,7 @@ def test_float_invisible_step_reloads():
         target=np.array([0.3, 0.3 + 1e-11]),
         cost=np.array([1.0, 0.0]),
     ))
-    traj, _ = _build_any(inst)
+    traj = build(inst)
     assert len(traj.steps) == 1
     assert_same_trajectory(reload(traj), traj)
 
@@ -268,8 +268,8 @@ def test_dumps_canonical_dict_scalars_match_the_recursive_serializer():
     doc.update({"\u00e9\t\"key\"": 2.5, 7: 1, "list": _SCALARS, "empty": {}, "rows": [[0.5, -0.0], []],
                 "nested": {"step": {"k": 1, "l": 2, "gradient": -0.0, "alpha_start": 0.1}, "arr": np.array([1.0, 2.0])}})
     assert fileio.dumps_canonical(doc) == _recursive_dumps(doc)
-    traj = fileio.trajectory_to_dict(_build_any(validate(ProblemInstance(
-        eigenvalues=[0.5, 0.3, 0.2], target=[1.0, 0.0, 0.0], cost=[0.0, -0.0, 1.0])))[0])
+    traj = fileio.trajectory_to_dict(build(validate(ProblemInstance(
+        eigenvalues=[0.5, 0.3, 0.2], target=[1.0, 0.0, 0.0], cost=[0.0, -0.0, 1.0]))))
     assert fileio.dumps_canonical(traj) == _recursive_dumps(traj)
 
 

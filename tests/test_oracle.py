@@ -13,7 +13,6 @@ from trajopt.oracle import (
     envelope_min_cost,
     induced_polygon,
     monte_carlo_audit,
-    sample_doubly_stochastic,
 )
 from trajopt.polytope import enumerate_vertices, majorizes
 from trajopt.simplex import LPStatus, solve_lp
@@ -164,18 +163,6 @@ def test_envelope_against_lp_oracle(rng):
         status, _, value = solve_lp(ep, a_eq, b_eq)
         assert status == LPStatus.OPTIMAL
         assert value == pytest.approx(envelope_min_cost(poly, float(alpha)), abs=1e-9)
-
-
-def test_sample_doubly_stochastic_properties():
-    d1 = sample_doubly_stochastic(4, 1, 5)
-    assert np.isin(d1, [0.0, 1.0]).all() and d1.sum() == 4  # single permutation
-    d = sample_doubly_stochastic(6, 9, 123)
-    assert np.max(np.abs(d.sum(0) - 1)) < 1e-12
-    assert np.max(np.abs(d.sum(1) - 1)) < 1e-12
-    assert np.all(d >= 0)
-    assert np.array_equal(d, sample_doubly_stochastic(6, 9, 123))
-    lam = np.array([0.4, 0.3, 0.15, 0.1, 0.03, 0.02])
-    assert majorizes(lam, d @ lam, 1e-12)
 
 
 def test_monte_carlo_audit_clean_and_identity(rng):

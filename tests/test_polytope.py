@@ -6,7 +6,6 @@ import pytest
 
 from trajopt import polytope
 from trajopt.errors import DimensionTooLarge, NotAVertex
-from trajopt.oracle import sample_doubly_stochastic
 from trajopt.polytope import (
     av_swap_pairs,
     av_swaps,
@@ -28,7 +27,9 @@ def test_majorizes_under_doubly_stochastic(rng):
     for i in range(100):
         d = int(rng.integers(2, 7))
         lam = rng.dirichlet(np.ones(d))
-        dmat = sample_doubly_stochastic(d, int(rng.integers(1, 2 * d)), int(rng.integers(2**32)))
+        # a Birkhoff mixture: Dirichlet(1) weights on uniform permutation matrices
+        weights = rng.dirichlet(np.ones(int(rng.integers(1, 2 * d))))
+        dmat = sum(w * np.eye(d)[rng.permutation(d)] for w in weights)
         assert majorizes(lam, dmat @ lam, 1e-9)
 
 

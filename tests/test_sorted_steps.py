@@ -29,21 +29,10 @@ def make(lam, a, e, **kw):
     return validate(ProblemInstance(np.asarray(lam, float), np.asarray(a, float), np.asarray(e, float), **kw))
 
 
-def _prepared(inst):
-    if inst.conserved is None:
-        return trajectory._prepare(inst)
-    ginst = from_populations(inst)
-    return trajectory._prepare(ginst.base, ginst.structure)
-
-
-def _build_any(inst):
-    return build(inst) if inst.conserved is None else build_generalized(from_populations(inst))
-
-
 def _queue_build(inst):
     """The trajectory with every step taken from the swap queue."""
     with mock.patch.object(trajectory, "_sorted_steps", lambda prep: None):
-        return _build_any(inst)
+        return build(inst)
 
 
 def assert_same_bytes(got, want):
@@ -80,7 +69,7 @@ def _drawn_instance(seed, d, blocks, grid):
 )
 def test_build_equals_the_queue_build(seed, d, blocks, grid):
     inst = _drawn_instance(seed, d, blocks, grid)
-    assert_same_bytes(_build_any(inst), _queue_build(inst))
+    assert_same_bytes(build(inst), _queue_build(inst))
 
 
 def test_most_generic_instances_are_sorted(rng):
@@ -89,7 +78,7 @@ def test_most_generic_instances_are_sorted(rng):
     sorted_ = 0
     for i in range(40):
         inst = _drawn_instance(int(rng.integers(2**32)), int(rng.integers(2, 41)), i % 5, 0)
-        sorted_ += trajectory._sorted_steps(_prepared(inst)) is not None
+        sorted_ += trajectory._sorted_steps(trajectory._prepare(inst)) is not None
     assert sorted_ >= 38
 
 
@@ -165,19 +154,19 @@ def _rounded_crossings():
 def test_fallback_cases_take_the_queue(case):
     # each case is one check away from an instance the sort certifies
     certified, fallback = case()
-    assert trajectory._sorted_steps(_prepared(certified)) is not None
-    assert trajectory._sorted_steps(_prepared(fallback)) is None
+    assert trajectory._sorted_steps(trajectory._prepare(certified)) is not None
+    assert trajectory._sorted_steps(trajectory._prepare(fallback)) is None
     for inst in (certified, fallback):
-        assert_same_bytes(_build_any(inst), _queue_build(inst))
+        assert_same_bytes(build(inst), _queue_build(inst))
 
 
 def test_cross_block_chain_keeps_the_block_order():
     # the queue takes no step: the only pair of block {0, 1} would lower the target
     _, inst = _cross_block_chain()
-    prep = _prepared(inst)
+    prep = trajectory._prepare(inst)
     block = prep.groups[int(prep.blocks[prep.order.inverse[0]])]
     assert np.diff(prep.a_p[block]).tolist() == [-1.6e-12]
-    assert len(_build_any(inst).ks) == 0
+    assert len(build(inst).ks) == 0
 
 
 class QueueUsed(Exception):

@@ -270,18 +270,23 @@ def test_uniqueness_conditions():
 
 
 def _uniqueness_by_loops(inst):
-    """uniqueness_at_minimum as nested per-class loops, cost classes per target class."""
+    """uniqueness_at_minimum as nested per-class loops: target classes per
+    conserved block, cost classes per target class."""
     from trajopt.core import COEFF_EPS, cluster_ranks
     from trajopt.trajectory import MinimumUniqueness, _minimal_pref, _prepare
 
     prep = _prepare(inst)
     p_min = _minimal_pref(prep)
-    ra = cluster_ranks(prep.a_p, COEFF_EPS)
-    if len(np.unique(ra)) == len(ra):
+    blocks = np.zeros(len(p_min), dtype=int) if prep.blocks is None else prep.blocks
+    target_classes = []
+    for b in np.unique(blocks):
+        in_block = np.nonzero(blocks == b)[0]
+        ra = cluster_ranks(prep.a_p[in_block], COEFF_EPS)
+        target_classes += [in_block[ra == r] for r in np.unique(ra)]
+    if all(len(members) == 1 for members in target_classes):
         return MinimumUniqueness(unique=True, condition=1)
     cond2 = cond3 = True
-    for r in np.unique(ra):
-        members = np.nonzero(ra == r)[0]
+    for members in target_classes:
         re = cluster_ranks(prep.e_p[members], COEFF_EPS)
         for rr in np.unique(re):
             sub = members[re == rr]
@@ -333,8 +338,8 @@ def test_build_matches_single_step_rule(rng):
 def test_public_queries_follow_the_build(rng):
     # at every vertex of a build, swap_candidates lists the reference
     # candidates in preferred (k, l) order, its first entry within eps_grad
-    # of the least gradient is the built step, and so is next_step (flat
-    # instances; next_step has no conserved form)
+    # of the least gradient is the built step, and so is next_step; with a
+    # conserved vector the flat queries equal the generalized ones
     for i in range(32):
         d = int(rng.integers(2, 13))
         if i % 4 == 0:
@@ -347,22 +352,19 @@ def test_public_queries_follow_the_build(rng):
             # targets 0.6e-12 apart: some pairs differ by no more than COEFF_EPS
             near = np.asarray(inst.target) + rng.integers(0, 3, d) * 0.6e-12
             inst = validate(dataclasses.replace(inst, target=near))
-        if inst.conserved is None:
-            traj = build(inst)
-            candidates = lambda p: swap_candidates(p, inst)  # noqa: E731
-        else:
-            ginst = from_populations(inst)
-            traj = build_generalized(ginst)
-            candidates = lambda p: swap_candidates_generalized(ginst, p)  # noqa: E731
+        traj = build(inst)
+        ginst = None if inst.conserved is None else from_populations(inst)
         perm, inverse = traj.order.perm, traj.order.inverse
         for v in range(len(traj.steps) + 1):
-            cands = candidates(traj.vertex_input(v))
+            cands = swap_candidates(traj.vertex_input(v), inst)
+            if ginst is not None:
+                assert cands == swap_candidates_generalized(ginst, traj.vertex_input(v))
             keys = [(int(inverse[i]), int(inverse[j])) for i, j, _ in cands]
             assert keys == sorted(keys)
             ref = single_step_candidates(traj, traj.vertex(v))
             want = sorted((int(perm[k]), int(perm[l]), g, np.signbit(g)) for k, l, g in ref)
             assert sorted((i, j, g, np.signbit(g)) for i, j, g in cands) == want
-            got = next_step(traj.vertex_input(v), inst) if inst.conserved is None else None
+            got = next_step(traj.vertex_input(v), inst)
             if v == len(traj.steps):
                 assert cands == [] and got is None
                 continue
@@ -371,10 +373,9 @@ def test_public_queries_follow_the_build(rng):
             i_, j_, grad = next(c for c in cands if c[2] <= least + traj.eps_grad)
             assert (i_, j_) == traj.step_input_pair(step)
             assert (grad, np.signbit(grad)) == (step.gradient, np.signbit(step.gradient))
-            if got is not None:
-                fields = ("k", "l", "delta_alpha", "alpha_start", "alpha_end", "gradient")
-                assert [getattr(got, f) for f in fields] == [getattr(step, f) for f in fields]
-                assert np.signbit(got.gradient) == np.signbit(step.gradient)
+            fields = ("k", "l", "delta_alpha", "alpha_start", "alpha_end", "gradient")
+            assert [getattr(got, f) for f in fields] == [getattr(step, f) for f in fields]
+            assert np.signbit(got.gradient) == np.signbit(step.gradient)
 
 
 def test_build_scales_to_hundreds(rng):
@@ -391,25 +392,28 @@ def test_build_scales_to_hundreds(rng):
 
 
 def test_entry_point_chains(rng):
-    inst = random_instance(rng, 6)
-    traj = build(inst)
-    lam_desc = np.sort(inst.eigenvalues)[::-1]
+    flat = random_instance(rng, 6)
+    # the minimal point of a conserved instance descends per block, not globally
+    conserved = make(flat.eigenvalues, flat.target, flat.cost, conserved=[0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+    for inst in (flat, conserved):
+        traj = build(inst)
+        lam_desc = np.sort(inst.eigenvalues)[::-1]
 
-    p0, chain0 = entry_point(traj, traj.alpha_min)
-    assert all(tt.t == 0.0 for tt in chain0)  # permutation only
-    assert np.max(np.abs(apply_chain(chain0, lam_desc) - p0)) < 1e-12
-    assert np.allclose(p0, minimal_vertex(inst))
+        p0, chain0 = entry_point(traj, traj.alpha_min)
+        assert all(tt.t == 0.0 for tt in chain0)  # permutation only
+        assert np.max(np.abs(apply_chain(chain0, lam_desc) - p0)) < 1e-12
+        assert np.allclose(p0, minimal_vertex(inst))
 
-    if traj.steps:
-        av = traj.breakpoints[1, 0]  # interior vertex
-        p1, chain1 = entry_point(traj, float(av))
-        assert all(tt.t == 0.0 for tt in chain1)
-        assert np.max(np.abs(apply_chain(chain1, lam_desc) - p1)) < 1e-12
+        if traj.steps:
+            av = traj.breakpoints[1, 0]  # interior vertex
+            p1, chain1 = entry_point(traj, float(av))
+            assert all(tt.t == 0.0 for tt in chain1)
+            assert np.max(np.abs(apply_chain(chain1, lam_desc) - p1)) < 1e-12
 
-        mid = 0.5 * (traj.breakpoints[0, 0] + traj.breakpoints[1, 0])
-        p2, chain2 = entry_point(traj, float(mid))
-        assert 0.0 < chain2[-1].t < 1.0  # ends with one partial mix
-        assert np.max(np.abs(apply_chain(chain2, lam_desc) - p2)) < 1e-12
+            mid = 0.5 * (traj.breakpoints[0, 0] + traj.breakpoints[1, 0])
+            p2, chain2 = entry_point(traj, float(mid))
+            assert 0.0 < chain2[-1].t < 1.0  # ends with one partial mix
+            assert np.max(np.abs(apply_chain(chain2, lam_desc) - p2)) < 1e-12
 
 
 def _built_mix(rng, n):
