@@ -81,9 +81,18 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj)
-        if set(map(type, items)) == {float} and all(map(math.isfinite, items)):
+        types = set(map(type, items))
+        if types == {float} and all(map(math.isfinite, items)):
             # one pass for a float row; v + 0.0 turns -0.0 into 0.0, as format_float does
             return "[" + ", ".join(["%.17g" % (v + 0.0) for v in items]) + "]"
+        if types == {int}:
+            return "[" + ", ".join(map(str, items)) + "]"
+        if types == {list}:
+            cells = [v for row in items for v in row]
+            if set(map(type, cells)) == {float} and all(map(math.isfinite, cells)):
+                # rows of plain finite floats, each written as the float-row branch writes it
+                rows = [pad + "  [" + ", ".join(["%.17g" % (v + 0.0) for v in row]) + "]" for row in items]
+                return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
         if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
             return "[" + ", ".join(map(_dumps_scalar, items)) + "]"
         inner = ",\n".join(f"{pad}  {dumps_canonical(v, indent + 2)}" for v in items)
@@ -202,10 +211,10 @@ def trajectory_to_dict(traj: OptimalTrajectory) -> dict:
         "eps_pop": float(traj.eps_pop),
         "eps_grad": float(traj.eps_grad),
         "basis": "preferred",
-        "order": [int(i) for i in traj.order.perm],
+        "order": traj.order.perm.tolist(),
     }
     if traj.block_of_position is not None:
-        meta["block_of_position"] = [int(b) for b in traj.block_of_position]
+        meta["block_of_position"] = traj.block_of_position.tolist()
     alphas = traj.alphas.tolist()
     return {
         "alpha_range": [alphas[0], alphas[-1]],

@@ -8,9 +8,12 @@ piecewise linear and convex in the target value.
 
 One candidate generator, `_SwapQueue`, answers every query. Built at any
 vertex it lists the candidate swaps (`swap_candidates`) and picks the
-optimal one (`next_step`). A swap of k and l replaces just the pairs
+optimal one (`next_step`). A swap of k and l pushes just the pairs
 touching k or l, so a step costs O(pairs touching k or l · log) instead of
 a pass over every pair. Ties within eps_grad go to the smallest (k, l).
+A candidate is held as the int k * d + l in a heap per exact gradient and
+is live while l's value run follows k's, so a build step is one loop over
+ints and lists (`_SwapQueue.steps`).
 
 `build` needs no queue when the instance certifies its order: with
 distinct populations and targets in every block and pair gradients more
@@ -40,7 +43,9 @@ entries exchanged, so `vertex(i)` replays the first i swaps from
 read; `steps` is a read-only sequence that makes a `SwapStep` when one is
 read, and `breakpoints` stacks `alphas` and `omegas`.
 `omega_opt` interpolates on the two breakpoints around alpha, found by
-binary search, so it costs O(log steps) per call.
+binary search on a memoryview, in Python floats as `np.interp` would, so
+it costs O(log steps) per call and makes no numpy call; `state_at` shares
+its segment lookup.
 
 Vertices and step indices are stored in preferred-basis coordinates;
 population vectors returned to callers are in the input basis.
@@ -52,7 +57,7 @@ import heapq
 import operator
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -94,27 +99,48 @@ class SwapStep:
 class MinimalCostFunction:
     """Piecewise-linear convex minimal cost on [alpha_min, alpha_max].
 
-    A call finds alpha's segment by binary search and gives `np.interp`
-    only its two breakpoints, so it costs O(log steps): np.interp copies
-    the read-only arrays it is given. The value is the one `np.interp`
-    gives on the whole arrays, bit for bit.
+    A call finds alpha's segment by binary search on a read-only memoryview
+    of alphas and interpolates between its two breakpoints in Python floats,
+    so it costs O(log steps), makes no numpy call and copies nothing. The
+    branches are the ones `np.interp` takes for two breakpoints, so the
+    value is the one `np.interp` gives on the whole arrays, bit for bit.
     """
 
     alphas: np.ndarray
     omegas: np.ndarray
+    alpha_min: float = field(init=False, repr=False)
+    alpha_max: float = field(init=False, repr=False)
 
-    @property
-    def alpha_min(self) -> float:
-        return float(self.alphas[0])
+    def __post_init__(self):
+        setattr_ = object.__setattr__
+        setattr_(self, "alpha_min", float(self.alphas[0]))
+        setattr_(self, "alpha_max", float(self.alphas[-1]))
+        # an item of a memoryview is a Python float, not a numpy scalar
+        setattr_(self, "_xp", memoryview(self.alphas).toreadonly())
+        setattr_(self, "_fp", memoryview(self.omegas).toreadonly())
 
-    @property
-    def alpha_max(self) -> float:
-        return float(self.alphas[-1])
+    def segment(self, alpha: float) -> tuple[float, int]:
+        """alpha clamped to the range, and j with alphas[j] <= alpha < alphas[j + 1].
+
+        j is the last vertex at alpha_max.
+        """
+        x = float(check_alpha(alpha, self.alpha_min, self.alpha_max))
+        return x, bisect_right(self._xp, x) - 1
 
     def __call__(self, alpha: float) -> float:
-        alpha = check_alpha(alpha, self.alpha_min, self.alpha_max)
-        j = int(self.alphas.searchsorted(alpha, "right")) - 1
-        return float(np.interp(alpha, self.alphas[j : j + 2], self.omegas[j : j + 2]))
+        x, j = self.segment(alpha)
+        xp, fp = self._xp, self._fp
+        if j == len(xp) - 1 or xp[j] == x:
+            return fp[j]
+        x0, x1, y0, y1 = xp[j], xp[j + 1], fp[j], fp[j + 1]
+        slope = (y1 - y0) / (x1 - x0)
+        y = slope * (x - x0) + y0
+        if y != y:
+            # NaN: np.interp tries from the other end, then a flat segment's value
+            y = slope * (x - x1) + y1
+            if y != y and y0 == y1:
+                y = y0
+        return y
 
 
 class StepSequence(Sequence):
@@ -393,27 +419,34 @@ class _SwapQueue:
 
     A swap permutes the populations, so the value runs (sorted populations
     split at gaps > eps_pop, per block) never change; a position changes run
-    only when it is swapped. After swapping k and l the new candidates are
-    exactly the pairs touching k or l, so only those are pushed. An entry
-    carries the swap counts of its two positions when pushed and is stale
-    once either has been swapped again; stale entries are dropped when they
-    reach the top of their heap.
+    only when it is swapped. The candidates are the pairs (k, l) with l in
+    the run after k's and a[k] - a[l] > COEFF_EPS; after swapping k and l
+    the new ones are exactly the pairs touching k or l, so only those are
+    pushed.
 
-    Entries are bucketed by exact gradient, each bucket a heap ordered by
-    (k, l), so the eps_grad tie rule (smallest (k, l) among the gradients
-    within eps_grad of the least) needs only the top of each tied bucket.
-    Each entry keeps its own gradient, so a -0.0 survives a shared bucket.
+    An entry is the int k * d + l, which orders as (k, l) does since l < d.
+    It is live while l's run is the one after k's; dead entries are dropped
+    when they reach the top of their heap. A pair that becomes adjacent
+    again is pushed again with the same gradient, so a live pair may be held
+    twice: both copies give the same (k, l), and `entries` lists it once.
+
+    Entries are bucketed by exact gradient, each bucket a heap of keys, so
+    the eps_grad tie rule (smallest (k, l) among the gradients within
+    eps_grad of the least) needs only the top of each tied bucket. A key
+    carries no gradient: the chosen pair's is recomputed by the expression
+    that bucketed it, so a -0.0 survives a bucket it shares with 0.0.
 
     Each run is a list, and a position's slot in its run is kept, so a swap
     exchanges k and l in their runs' lists in O(1).
     """
 
     def __init__(self, p, prep: _Prepared):
+        d = len(p)
+        self._d = d
         self._a = prep.a_p.tolist()
         self._e = prep.e_p.tolist()
-        self._version = [0] * len(p)
-        self._run_of = [0] * len(p)
-        self._slot = [0] * len(p)  # index of each position in its run's list
+        self._run_of = [0] * d
+        self._slot = [0] * d  # index of each position in its run's list
         self._runs = [[]]  # empty sentinels before, between and after blocks
         for pos in prep.groups:
             members = pos[np.argsort(p[pos], kind="stable")]
@@ -426,50 +459,41 @@ class _SwapQueue:
                 self._runs.append(run)
             self._runs.append([])
         self._grads = []  # heap of the bucket keys
-        self._buckets = {}  # gradient -> heap of (k, l, version k, version l, gradient)
+        self._buckets = {}  # gradient -> heap of k * d + l
         for lows, highs in zip(self._runs, self._runs[1:]):
             for k in lows:
-                self._push_from(k, highs, None)
+                self._push_from(k, highs)
 
-    def _push_from(self, k, highs, skip):
-        """Push (k, m) for every m in highs but skip, where a[k] - a[m] > COEFF_EPS."""
-        a, e, version, buckets = self._a, self._e, self._version, self._buckets
-        ak, ek, vk = a[k], e[k], version[k]
+    def _push_from(self, k, highs):
+        """Push (k, m) for every m in highs where a[k] - a[m] > COEFF_EPS."""
+        a, e, buckets, kd = self._a, self._e, self._buckets, k * self._d
+        ak, ek = a[k], e[k]
         for m in highs:
             gap = ak - a[m]
-            if gap > COEFF_EPS and m != skip:
+            if gap > COEFF_EPS:
                 grad = (ek - e[m]) / gap
                 bucket = buckets.get(grad)
                 if bucket is None:
-                    bucket = buckets[grad] = []
+                    buckets[grad] = [kd + m]
                     heapq.heappush(self._grads, grad)
-                heapq.heappush(bucket, (k, m, vk, version[m], grad))
-
-    def _push_to(self, lows, l, skip):
-        """Push (m, l) for every m in lows but skip, where a[m] - a[l] > COEFF_EPS."""
-        a, e, version, buckets = self._a, self._e, self._version, self._buckets
-        al, el, vl = a[l], e[l], version[l]
-        for m in lows:
-            gap = a[m] - al
-            if gap > COEFF_EPS and m != skip:
-                grad = (e[m] - el) / gap
-                bucket = buckets.get(grad)
-                if bucket is None:
-                    bucket = buckets[grad] = []
-                    heapq.heappush(self._grads, grad)
-                heapq.heappush(bucket, (m, l, version[m], vl, grad))
+                else:
+                    heapq.heappush(bucket, kd + m)
 
     def _top(self, grad):
-        """Smallest live entry of a bucket; drops the bucket when none is left."""
-        bucket = self._buckets[grad]
-        version = self._version
+        """Smallest live key of a bucket; drops the bucket when none is left."""
+        bucket, run_of, d = self._buckets[grad], self._run_of, self._d
         while bucket:
-            top = bucket[0]
-            if version[top[0]] == top[2] and version[top[1]] == top[3]:
-                return top
+            k, l = divmod(bucket[0], d)
+            if run_of[l] == run_of[k] + 1:
+                return bucket[0]
             heapq.heappop(bucket)
         del self._buckets[grad]
         return None
+
+    def _pair(self, key):
+        """(k, l, gradient) of a key, the gradient as `_push_from` computes it."""
+        k, l = divmod(key, self._d)
+        return k, l, (self._e[k] - self._e[l]) / (self._a[k] - self._a[l])
 
     def best(self, eps_grad):
         """The smallest (k, l, gradient) within eps_grad of the least gradient, or None."""
@@ -485,7 +509,7 @@ class _SwapQueue:
         n = len(grads)
         # every other key is at least the least of the root's children
         if (n < 2 or grads[1] > limit) and (n < 3 or grads[2] > limit):
-            return top[0], top[1], top[4]
+            return self._pair(top)
         best = top
         kept = [heapq.heappop(grads)]
         while grads and grads[0] <= limit:
@@ -496,36 +520,80 @@ class _SwapQueue:
                 best = min(best, top)
         for grad in kept:
             heapq.heappush(grads, grad)
-        return best[0], best[1], best[4]
+        return self._pair(best)
 
     def entries(self):
-        """The live (k, l, gradient) entries, sorted by (k, l)."""
-        version = self._version
-        return sorted(
-            (k, l, grad)
-            for bucket in self._buckets.values()
-            for k, l, vk, vl, grad in bucket
-            if version[k] == vk and version[l] == vl
-        )
+        """The live (k, l, gradient) entries, each pair once, sorted by (k, l)."""
+        run_of, d = self._run_of, self._d
+        buckets = self._buckets.values()
+        live = {key for bucket in buckets for key in bucket if run_of[key % d] == run_of[key // d] + 1}
+        return [self._pair(key) for key in sorted(live)]
 
-    def swap(self, k, l):
-        """Record the swap of k (run r) with l (run r + 1) and push the new pairs.
+    def steps(self, eps_grad, count=None):
+        """Take the best swap count times, or until none is left: (ks, ls, gradients) lists.
 
-        The swapped pair itself is not pushed back: (l, k) lowers the target.
+        Each step is the pair `best` returns. The common case, a least
+        bucket with no other gradient within eps_grad, and the swap itself
+        run in this loop with the state in locals.
         """
-        runs, run_of, slot, version = self._runs, self._run_of, self._slot, self._version
-        r = run_of[k]
-        sk, sl = slot[k], slot[l]
-        runs[r][sk] = l
-        runs[r + 1][sl] = k
-        slot[k], slot[l] = sl, sk
-        run_of[k], run_of[l] = r + 1, r
-        version[k] += 1
-        version[l] += 1
-        self._push_from(k, runs[r + 2], None)
-        self._push_to(runs[r], k, l)
-        self._push_from(l, runs[r + 1], k)
-        self._push_to(runs[r - 1], l, None)
+        a, e, d = self._a, self._e, self._d
+        runs, run_of, slot = self._runs, self._run_of, self._slot
+        grads, buckets = self._grads, self._buckets
+        heappush, heappop = heapq.heappush, heapq.heappop
+        ks, ls, out = [], [], []
+        while grads and len(ks) != count:
+            grad = grads[0]
+            bucket = buckets[grad]
+            while bucket:
+                k, l = divmod(bucket[0], d)
+                if run_of[l] == run_of[k] + 1:
+                    break
+                heappop(bucket)
+            else:
+                del buckets[grad]
+                heappop(grads)
+                continue
+            limit = grad + eps_grad
+            n = len(grads)
+            if (n > 1 and grads[1] <= limit) or (n > 2 and grads[2] <= limit):
+                k, l, _ = self.best(eps_grad)
+            ks.append(k)
+            ls.append(l)
+            out.append((e[k] - e[l]) / (a[k] - a[l]))
+            # k moves up to run r + 1 and l down to run r
+            r = run_of[k]
+            sk, sl = slot[k], slot[l]
+            runs[r][sk] = l
+            runs[r + 1][sl] = k
+            slot[k], slot[l] = sl, sk
+            run_of[k], run_of[l] = r + 1, r
+            # the pairs touching k or l, pushed as `_push_from` would push
+            # them; (l, k) lowers the target, so its gap fails the test
+            for x, xd, highs in ((k, k * d, runs[r + 2]), (l, l * d, runs[r + 1])):
+                ax, ex = a[x], e[x]
+                for m in highs:
+                    gap = ax - a[m]
+                    if gap > COEFF_EPS:
+                        g = (ex - e[m]) / gap
+                        b = buckets.get(g)
+                        if b is None:
+                            buckets[g] = [xd + m]
+                            heappush(grads, g)
+                        else:
+                            heappush(b, xd + m)
+            for x, lows in ((k, runs[r]), (l, runs[r - 1])):
+                ax, ex = a[x], e[x]
+                for m in lows:
+                    gap = a[m] - ax
+                    if gap > COEFF_EPS:
+                        g = (e[m] - ex) / gap
+                        b = buckets.get(g)
+                        if b is None:
+                            buckets[g] = [m * d + x]
+                            heappush(grads, g)
+                        else:
+                            heappush(b, m * d + x)
+        return ks, ls, out
 
 
 def _trajectory(order, a_p, e_p, p0, ks, ls, gradients, alphas, omegas, eps_pop, eps_grad, blocks):
@@ -555,18 +623,10 @@ def _queue_steps(prep: _Prepared, p0: np.ndarray):
 
     Each step takes the queue's best swap, the one `next_step` picks at the
     current vertex; the `_SwapQueue` is updated in O(pairs touching the
-    swapped positions · log) per step instead of being rebuilt.
+    swapped positions · log) per step instead of being rebuilt, in one loop
+    (`_SwapQueue.steps`).
     """
-    queue = _SwapQueue(p0, prep)
-    eps_grad = prep.inst.eps_grad
-    ks, ls, grads = [], [], []
-    while (chosen := queue.best(eps_grad)) is not None:
-        k, l, grad = chosen
-        queue.swap(k, l)
-        ks.append(k)
-        ls.append(l)
-        grads.append(grad)
-    return ks, ls, grads
+    return _SwapQueue(p0, prep).steps(prep.inst.eps_grad)
 
 
 def _block_pairs(pos: np.ndarray):
@@ -725,14 +785,13 @@ def state_at(traj: OptimalTrajectory, alpha: float):
     Returns (population, segment_index, t) where t in [0, 1] is the position
     along the active segment (0 at its start vertex).
     """
-    alpha = check_alpha(alpha, traj.alpha_min, traj.alpha_max)
-    alphas = traj.alphas
+    f = traj.cost_function
+    alpha, seg = f.segment(alpha)
     n = len(traj.ks)
     if n == 0:
         return traj.vertex_input(0), 0, 0.0
-    seg = min(bisect_right(alphas, alpha) - 1, n - 1)
-    seg = max(seg, 0)
-    lo, hi = alphas[seg], alphas[seg + 1]
+    seg = min(seg, n - 1)
+    lo, hi = f._xp[seg], f._xp[seg + 1]
     t = 0.0 if hi == lo else (alpha - lo) / (hi - lo)
     t = min(max(t, 0.0), 1.0)
     start = traj.vertex(seg)

@@ -1,11 +1,15 @@
-"""The sorted build against the swap queue.
+"""The sorted build against the swap queue, and the queue against its first form.
 
 `trajectory._build` takes a generic instance's steps from one sort of the
 pair gradients (`_sorted_steps`) and any other instance's from the swap
 queue. Both must give the same trajectory, byte for byte; the instance
-alone decides which one runs.
+alone decides which one runs. The queue in turn must take the steps, and
+list the candidates, of a test-local copy of its first form
+(`_VersionQueue`), gradient bits included.
 """
 
+import heapq
+import struct
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import random_instance, tie_instance
 from trajopt import trajectory
 from trajopt.conserved import build_generalized, from_populations
 from trajopt.core import COEFF_EPS, ProblemInstance, validate
@@ -191,3 +195,250 @@ def test_tied_golden_instance_runs_the_queue(monkeypatch):
     monkeypatch.setattr(trajectory, "_SwapQueue", _no_queue)
     with pytest.raises(QueueUsed):
         build(inst)
+
+
+class _VersionQueue:
+    """The swap queue as it was first written: the reference for `_SwapQueue`.
+
+    An entry is the tuple (k, l, version k, version l, gradient), stale once
+    either position has been swapped again, so a pair is never held twice
+    and each entry keeps the gradient it was pushed with.
+    """
+
+    def __init__(self, p, prep):
+        self._a = prep.a_p.tolist()
+        self._e = prep.e_p.tolist()
+        self._version = [0] * len(p)
+        self._run_of = [0] * len(p)
+        self._slot = [0] * len(p)
+        self._runs = [[]]
+        for pos in prep.groups:
+            members = pos[np.argsort(p[pos], kind="stable")]
+            splits = np.nonzero(np.diff(p[members]) > prep.inst.eps_pop)[0] + 1
+            for run in np.split(members, splits):
+                run = run.tolist()
+                for i, k in enumerate(run):
+                    self._run_of[k] = len(self._runs)
+                    self._slot[k] = i
+                self._runs.append(run)
+            self._runs.append([])
+        self._grads = []
+        self._buckets = {}
+        for lows, highs in zip(self._runs, self._runs[1:]):
+            for k in lows:
+                self._push_from(k, highs, None)
+
+    def _push(self, k, m, grad):
+        bucket = self._buckets.get(grad)
+        if bucket is None:
+            bucket = self._buckets[grad] = []
+            heapq.heappush(self._grads, grad)
+        heapq.heappush(bucket, (k, m, self._version[k], self._version[m], grad))
+
+    def _push_from(self, k, highs, skip):
+        for m in highs:
+            gap = self._a[k] - self._a[m]
+            if gap > COEFF_EPS and m != skip:
+                self._push(k, m, (self._e[k] - self._e[m]) / gap)
+
+    def _push_to(self, lows, l, skip):
+        for m in lows:
+            gap = self._a[m] - self._a[l]
+            if gap > COEFF_EPS and m != skip:
+                self._push(m, l, (self._e[m] - self._e[l]) / gap)
+
+    def _top(self, grad):
+        bucket = self._buckets[grad]
+        while bucket:
+            top = bucket[0]
+            if self._version[top[0]] == top[2] and self._version[top[1]] == top[3]:
+                return top
+            heapq.heappop(bucket)
+        del self._buckets[grad]
+        return None
+
+    def best(self, eps_grad):
+        grads = self._grads
+        while grads:
+            top = self._top(grads[0])
+            if top is not None:
+                break
+            heapq.heappop(grads)
+        else:
+            return None
+        limit = grads[0] + eps_grad
+        best = top
+        kept = [heapq.heappop(grads)]
+        while grads and grads[0] <= limit:
+            grad = heapq.heappop(grads)
+            top = self._top(grad)
+            if top is not None:
+                kept.append(grad)
+                best = min(best, top)
+        for grad in kept:
+            heapq.heappush(grads, grad)
+        return best[0], best[1], best[4]
+
+    def entries(self):
+        v = self._version
+        return sorted((k, l, g) for b in self._buckets.values() for k, l, vk, vl, g in b if v[k] == vk and v[l] == vl)
+
+    def swap(self, k, l):
+        runs, run_of, slot, version = self._runs, self._run_of, self._slot, self._version
+        r = run_of[k]
+        sk, sl = slot[k], slot[l]
+        runs[r][sk] = l
+        runs[r + 1][sl] = k
+        slot[k], slot[l] = sl, sk
+        run_of[k], run_of[l] = r + 1, r
+        version[k] += 1
+        version[l] += 1
+        self._push_from(k, runs[r + 2], None)
+        self._push_to(runs[r], k, l)
+        self._push_from(l, runs[r + 1], k)
+        self._push_to(runs[r - 1], l, None)
+
+
+def _version_steps(prep, p0):
+    queue = _VersionQueue(p0, prep)
+    ks, ls, grads = [], [], []
+    while (chosen := queue.best(prep.inst.eps_grad)) is not None:
+        queue.swap(*chosen[:2])
+        for out, x in zip((ks, ls, grads), chosen):
+            out.append(x)
+    return ks, ls, grads
+
+
+def _bits(triples):
+    """(k, l, gradient) triples with each gradient as its IEEE bits, so -0.0 != 0.0."""
+    return [(k, l, struct.pack("<d", g)) for k, l, g in triples]
+
+
+# Cost levels of flat's degenerate instance.
+_COST_LEVELS = np.array([0.0, 0.25, 1.0, 0.5, 0.75, 1.5])
+
+
+def _flat_degenerate(seed, d=256, n_values=32):
+    """n_values populations in equal shares, targets {0, 1, 2}, six cost levels."""
+    layout, rng = np.random.default_rng(d), np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(0.1, 1.0, n_values))[::-1][layout.permutation(np.arange(d) % n_values)]
+    a = layout.permutation(np.arange(d) % 3).astype(float)
+    e = _COST_LEVELS[layout.permutation(np.arange(d) % len(_COST_LEVELS))]
+    return make(lam / lam.sum(), a, e)
+
+
+def _cooling(seed, levels, system=(0.5, 0.5)):
+    """A qubit in `system` populations next to a Gibbs machine of `levels` levels.
+
+    The target projects on the qubit's ground state, so it takes two
+    values, and equal qubit populations repeat every machine population.
+    """
+    machine = np.r_[0.0, np.sort(np.random.default_rng(seed).uniform(0.0, 2.0, levels - 1))]
+    gibbs = np.exp(-machine) / np.exp(-machine).sum()
+    cost = (np.array([0.0, 0.3])[:, None] + machine[None, :]).ravel()
+    return make(np.kron(system, gibbs), np.kron([1.0, 0.0], np.ones(levels)), cost)
+
+
+def _eps_grad_chain(seed, d=24):
+    """Gradients in chains spaced at and near eps_grad around 0.75.
+
+    Costs are 0.75 * a plus multiples of eps_grad, so a pair's gradient is
+    0.75 + (n_k - n_l) eps_grad / (a_k - a_l): neighbours in a chain lie
+    within eps_grad, the chain's ends do not.
+    """
+    rng, eps = np.random.default_rng(seed), 2.0**-20
+    lam = np.round(rng.dirichlet(np.ones(d)) * 4 * d) + 1.0
+    a = rng.integers(0, 4, d).astype(float)
+    e = 0.75 * a + rng.integers(-3, 4, d) * eps
+    return make(lam / lam.sum(), a, e, eps_grad=eps)
+
+
+def _signed_zeros(seed, d=20):
+    """Tied costs of 0.0 and -0.0, so some pair gradients are -0.0."""
+    rng = np.random.default_rng(seed)
+    lam = rng.integers(1, 5, d).astype(float)
+    a = rng.integers(0, 3, d).astype(float)
+    e = rng.choice([0.0, -0.0, 0.5], d)
+    return make(lam / lam.sum(), a, e)
+
+
+def _coarse(seed, d, grid, blocks=0):
+    """Targets and costs on a 1/grid lattice and populations of five values."""
+    inst = _drawn_instance(seed, d, blocks, grid)
+    lam = np.random.default_rng(seed).integers(1, 6, d).astype(float)
+    return make(lam / lam.sum(), inst.target, inst.cost, conserved=inst.conserved)
+
+
+_FAMILIES = {
+    "flat-degenerate": [_flat_degenerate(s) for s in (1, 2)] + [_flat_degenerate(3, 64, 8)],
+    "cooling": [_cooling(s, n) for s, n in ((1, 8), (2, 32), (3, 64))] + [_cooling(4, 32, (0.7, 0.3))],
+    "coarse-grid": [_coarse(s, d, g) for s, d, g in ((1, 30, 2), (2, 40, 8), (3, 25, 8))],
+    "eps-grad-chain": [_eps_grad_chain(s) for s in (1, 2, 3)],
+    "signed-zero": [_signed_zeros(s) for s in (1, 2, 3)],
+    "conserved": [_coarse(s, d, g, b) for s, d, b, g in ((1, 30, 2, 2), (2, 40, 3, 8), (3, 24, 4, 2))],
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_queue_equals_the_version_queue(family):
+    for inst in _FAMILIES[family]:
+        prep = trajectory._prepare(inst)
+        p0 = trajectory._minimal_pref(prep)
+        ks, ls, grads = _version_steps(prep, p0)
+        assert ks, "the instance takes no step"
+        assert _bits(zip(*trajectory._queue_steps(prep, p0))) == _bits(zip(ks, ls, grads))
+        # every array of the build, with its steps from the reference queue
+        with mock.patch.object(trajectory, "_queue_steps", _version_steps):
+            want = _queue_build(inst)
+        assert_same_bytes(_queue_build(inst), want)
+
+
+def test_the_families_plant_what_they_name():
+    # the differential is only as strong as its instances: signed zeros must
+    # give -0.0 gradients, and the chains must tie within eps_grad
+    def steps(inst):
+        prep = trajectory._prepare(inst)
+        return _version_steps(prep, trajectory._minimal_pref(prep))
+
+    assert all(any(g == 0.0 and np.signbit(g) for g in steps(inst)[2]) for inst in _FAMILIES["signed-zero"])
+    for inst in _FAMILIES["eps-grad-chain"]:
+        exact = make(inst.eigenvalues, inst.target, inst.cost, eps_grad=1e-300)
+        assert steps(inst)[:2] != steps(exact)[:2]
+    for family in ("flat-degenerate", "cooling", "coarse-grid", "conserved"):
+        assert all(trajectory._sorted_steps(trajectory._prepare(inst)) is None for inst in _FAMILIES[family])
+
+
+def _live_keys(queue):
+    d, run_of = queue._d, queue._run_of
+    return [key for b in queue._buckets.values() for key in b if run_of[key % d] == run_of[key // d] + 1]
+
+
+def test_candidates_equal_the_version_queue_at_every_vertex(rng):
+    # next_step and swap_candidates build a queue at the vertex; a queue
+    # stepped along the trajectory holds a pair twice once it is adjacent
+    # again, and its entries must still list it once
+    insts = [tie_instance(rng, 16), tie_instance(rng, 20), _flat_degenerate(5, 48, 12), _cooling(6, 12)]
+    insts += [_eps_grad_chain(4, 16), _signed_zeros(4, 16), _coarse(9, 24, 2, 3)]
+    held_twice = 0
+    for inst in insts:
+        prep = trajectory._prepare(inst)
+        p0 = trajectory._minimal_pref(prep)
+        traj = _queue_build(inst)
+        stepped, reference = trajectory._SwapQueue(p0, prep), _VersionQueue(p0, prep)
+        perm = prep.order.perm
+        for i in range(len(traj.ks) + 1):
+            p = traj.vertex_input(i)
+            at = _VersionQueue(prep.order.to_preferred(p), prep)
+            want = [(int(perm[k]), int(perm[l]), g) for k, l, g in at.entries()]
+            assert _bits(trajectory.swap_candidates(p, inst)) == _bits(want)
+            assert _bits(stepped.entries()) == _bits(reference.entries()) == _bits(at.entries())
+            live = _live_keys(stepped)
+            held_twice += len(live) > len(set(live))
+            step, chosen = trajectory.next_step(p, inst), at.best(inst.eps_grad)
+            if chosen is None:
+                assert step is None and i == len(traj.ks)
+                continue
+            assert _bits([(step.k, step.l, step.gradient)]) == _bits([chosen])
+            assert stepped.steps(inst.eps_grad, 1) == ([chosen[0]], [chosen[1]], [chosen[2]])
+            reference.swap(*chosen[:2])
+    assert held_twice > 0

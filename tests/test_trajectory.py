@@ -17,6 +17,7 @@ from trajopt.errors import AlphaOutOfRange, NotAVertex
 from trajopt.lift import apply_chain
 from trajopt.polytope import enumerate_vertices, is_edge, majorizes
 from trajopt.trajectory import (
+    MinimalCostFunction,
     OptimalTrajectory,
     SwapStep,
     build,
@@ -192,27 +193,41 @@ def test_omega_opt_breakpoints_exact(rng):
         omega_opt(traj, traj.alpha_max + 1.0)
 
 
+def _signed(x):
+    return x, bool(np.signbit(x))
+
+
 def test_omega_opt_equals_interpolation_on_all_breakpoints(rng):
-    # omega_opt interpolates on the two breakpoints of alpha's segment; the
-    # value must be the one np.interp gives on the whole arrays
+    # omega_opt interpolates on the two breakpoints of alpha's segment, in
+    # Python floats; the value and its sign must be the ones np.interp gives
+    # on the whole arrays
     trajs = [build(random_instance(rng, d)) for d in (1, 2, 5, 17)]
     trajs += [build(tie_instance(rng, d)) for d in (3, 9, 16)]
+    trajs.append(build(random_instance(rng, 256, degenerate=True)))
     # a float-invisible step: both breakpoints share one alpha
     trajs.append(build(make([0.5 + 5e-11, 0.5 - 5e-11], [0.3, 0.3 + 1e-11], [1.0, 0.0])))
-    for traj in trajs:
-        alphas, omegas = traj.alphas, traj.omegas
+    funcs = [traj.cost_function for traj in trajs]
+    # -0.0 omegas, which a build never makes but the function must still carry
+    funcs.append(MinimalCostFunction(alphas=np.array([0.0, 1.0, 2.0, 3.0]), omegas=np.array([-0.0, -0.0, 1.0, -0.0])))
+    for f in funcs:
+        alphas, omegas = f.alphas, f.omegas
         xs = np.concatenate([
             alphas, np.nextafter(alphas, np.inf), np.nextafter(alphas, -np.inf),
-            rng.uniform(traj.alpha_min, traj.alpha_max, 50),
+            rng.uniform(f.alpha_min, f.alpha_max, 50),
         ])
         for x in xs.tolist():
-            if not traj.alpha_min <= x <= traj.alpha_max:
+            if not f.alpha_min <= x <= f.alpha_max:
                 continue
-            got, want = omega_opt(traj, x), float(np.interp(x, alphas, omegas))
-            assert (got, np.signbit(got)) == (want, np.signbit(want))
+            assert _signed(f(x)) == _signed(float(np.interp(x, alphas, omegas)))
+        # exactly at each segment's ends alphas[j] and alphas[j + 1], and at alpha_max
+        for j in range(len(alphas) - 1):
+            for x in (alphas[j], alphas[j + 1]):
+                assert _signed(f(float(x))) == _signed(float(np.interp(x, alphas, omegas)))
+        assert _signed(f(f.alpha_max)) == _signed(float(omegas[-1]))
         # within ALPHA_TOL outside the range, alpha is clamped to the ends
-        for x, end in ((traj.alpha_min - 5e-10, traj.alpha_min), (traj.alpha_max + 5e-10, traj.alpha_max)):
-            assert omega_opt(traj, x) == np.interp(end, alphas, omegas)
+        for x, end in ((f.alpha_min - 5e-10, f.alpha_min), (f.alpha_max + 5e-10, f.alpha_max)):
+            assert _signed(f(x)) == _signed(float(np.interp(end, alphas, omegas)))
+    assert [_signed(funcs[-1](x)) for x in (0.0, 1.0, 3.0)] == [(-0.0, True)] * 3
     invisible = trajs[-1]
     assert invisible.alphas[0] == invisible.alphas[1]
     assert omega_opt(invisible, float(invisible.alphas[0])) == 0.49999999995
