@@ -270,7 +270,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the brute-force oracle checks")
     p.add_argument("instance")
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=int, default=10_000, metavar="N",
+                   help="random polytope vertices the Monte-Carlo audit checks (cost O(N*d); at least 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trajectory", default=None, help="trajectory file to cross-check")
     p.add_argument("--json", action="store_true", help="machine-readable report")

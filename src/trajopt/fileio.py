@@ -93,11 +93,51 @@ def dumps_canonical(obj, indent: int = 0) -> str:
                 # rows of plain finite floats, each written as the float-row branch writes it
                 rows = [pad + "  [" + ", ".join(["%.17g" % (v + 0.0) for v in row]) + "]" for row in items]
                 return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        if types == {dict}:
+            inner = _flat_dict_rows(items, pad + "  ")
+            if inner is not None:
+                return "[\n" + inner + "\n" + pad + "]"
         if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
             return "[" + ", ".join(map(_dumps_scalar, items)) + "]"
         inner = ",\n".join(f"{pad}  {dumps_canonical(v, indent + 2)}" for v in items)
         return "[\n" + inner + "\n" + pad + "]"
     return _dumps_scalar(obj)
+
+
+def _flat_dict_rows(items, pad: str):
+    """Dicts of plain finite floats and ints under str keys, each as the dict
+    branch writes it at `pad`, joined by ",\\n"; None if a dict is empty or
+    holds any other key or value.
+
+    Each key sequence's fixed text is split once around its values, so a row
+    is one join of that text with the row's formatted values. A join
+    allocates the row's exact size; a %-format over a template can leave
+    each row in a larger block, which raised the peak RSS of a build.
+    """
+    frames = {}
+    rows = []
+    for row in items:
+        keys = tuple(row)
+        parts = frames.get(keys)
+        if parts is None:
+            if set(map(type, keys)) != {str}:
+                return None
+            heads = [f",\n{pad}  {encode_basestring_ascii(k)}: " for k in keys]
+            heads[0] = pad + "{" + heads[0][1:]
+            parts = frames[keys] = [None] * (2 * len(keys) + 1)
+            parts[0::2] = heads + ["\n" + pad + "}"]
+        texts = []
+        for v in row.values():
+            t = type(v)
+            if t is float and math.isfinite(v):
+                texts.append("%.17g" % (v + 0.0))
+            elif t is int:
+                texts.append(str(v))
+            else:
+                return None
+        parts[1::2] = texts
+        rows.append("".join(parts))
+    return ",\n".join(rows)
 
 
 def _dumps_scalar(obj) -> str:

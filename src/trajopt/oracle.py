@@ -2,9 +2,8 @@
 
 Projecting every polytope vertex to (target, cost) gives a polygon whose
 lower boundary is the minimal cost function; comparing that envelope with
-the constructed trajectory, and sampling random doubly-stochastic images
-of the spectrum, falsifies the construction without sharing any code path
-with it.
+the constructed trajectory, and sampling random vertices of the polytope,
+falsifies the construction without sharing any code path with it.
 """
 
 from __future__ import annotations
@@ -15,7 +14,8 @@ import numpy as np
 
 from .core import block_of_input, check_alpha
 
-# Permutation entries the audit draws at once (2 MB of int64 indices).
+# Image entries the audit draws at once: n samples of dimension d per
+# chunk with n*d <= AUDIT_CHUNK (2 MB of float64).
 AUDIT_CHUNK = 1 << 18
 
 
@@ -62,16 +62,20 @@ def _half_hull(pts: np.ndarray) -> np.ndarray:
     monotone chain's test; passes repeat until one drops nothing. A
     dropped point is not a strict turn between two points of the set, so
     it is no vertex of the hull, and in exact arithmetic the passes end
-    at the monotone chain's output.
+    at the monotone chain's output. One keep mask serves every pass: its
+    prefix of the chain's length, both ends kept.
     """
     chain = pts
-    while len(chain) > 2:
+    keep = np.ones(len(pts), dtype=bool)
+    while (n := len(chain)) > 2:
         o, a, b = chain[:-2], chain[1:-1], chain[2:]
         cross = (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
         drop = cross <= 0.0
         if not drop.any():
             break
-        chain = chain[~np.r_[False, drop, False]]
+        np.logical_not(drop, out=keep[1 : n - 1])
+        keep[n - 1] = True
+        chain = chain[keep[:n]]
     return chain
 
 
@@ -112,36 +116,15 @@ def envelope_min_cost(poly: InducedPolygon, alpha: float) -> float:
     return float(np.interp(alpha, env[:, 0], env[:, 1]))
 
 
-def _mixtures(lam: np.ndarray, n: int, rng) -> np.ndarray:
-    """n images sum_j w_j lam[pi_j] of lam, one per row.
-
-    Per image: n_perms ~ U{1..2d}, Dirichlet(1) weights (exponentials
-    normalised per image) and uniform permutations pi_j, drawn at most
-    AUDIT_CHUNK // d permutations at a time.
-    """
-    d = len(lam)
-    counts = rng.integers(1, 2 * d + 1, size=n)
-    owner = np.repeat(np.arange(n), counts)
-    w = rng.standard_exponential(len(owner))
-    w /= np.add.reduceat(w, np.cumsum(counts) - counts)[owner]
-    out = np.zeros((n, d))
-    rows = max(1, AUDIT_CHUNK // d)
-    for r0 in range(0, len(owner), rows):
-        own = owner[r0 : r0 + rows]
-        perms = rng.permuted(np.broadcast_to(np.arange(d), (len(own), d)), axis=1)
-        starts = np.flatnonzero(np.diff(own, prepend=-1))
-        out[own[starts]] += np.add.reduceat(w[r0 : r0 + rows, None] * lam[perms], starts)
-    return out
-
-
 def _audit_images(inst, n_samples: int, seed):
-    """The audit's doubly-stochastic images of the spectrum, one per row, in chunks.
+    """The audit's vertex images of the spectrum, one per row, in chunks.
 
-    A chunk holds AUDIT_CHUNK // (2 m^2) samples (at least one), m the
-    largest block, so its permutations fit in one draw of `_mixtures`
-    whenever 2 m^2 <= AUDIT_CHUNK. Each block of the conserved vector is
-    mixed on its own, in ascending conserved value (an instance without
-    one is one block); a singleton block keeps its eigenvalue.
+    Each sample is one vertex of the population polytope: per block of the
+    conserved vector (an instance without one is one block), the block's
+    eigenvalues under one uniform permutation, one row of `rng.permuted`;
+    a singleton block keeps its eigenvalue. A chunk holds AUDIT_CHUNK // d
+    samples (at least one), so a sample costs O(d) and memory stays about
+    2 MB at any d and block layout.
     """
     base = getattr(inst, "base", inst)
     lam = np.asarray(base.eigenvalues, dtype=float)
@@ -150,32 +133,46 @@ def _audit_images(inst, n_samples: int, seed):
     if block_of is None:
         block_of = np.zeros(d, dtype=int)
     blocks = [np.flatnonzero(block_of == b) for b in range(block_of.max() + 1)]
-    m = max(len(idx) for idx in blocks)
-    per_chunk = max(1, AUDIT_CHUNK // (2 * m * m))
+    per_chunk = max(1, AUDIT_CHUNK // d)
     rng = np.random.default_rng(seed)
     for first in range(0, n_samples, per_chunk):
         n = min(per_chunk, n_samples - first)
         images = np.empty((n, d))
         for idx in blocks:
-            images[:, idx] = lam[idx] if len(idx) == 1 else _mixtures(lam[idx], n, rng)
+            block = lam[idx]
+            if len(idx) > 1:
+                block = rng.permuted(np.broadcast_to(block, (n, len(idx))), axis=1)
+            images[:, idx] = block
         yield images
 
 
 def monte_carlo_audit(
     inst, traj, n_samples: int = 10_000, seed=0, tolerance: float = 1e-9
 ) -> AuditReport:
-    """Random doubly-stochastic images must stay on or above the trajectory cost.
+    """Random vertices of the population polytope must stay on or above the trajectory cost.
 
     Accepts a ProblemInstance or a GeneralizedInstance; with a conserved
-    vector, sampling is per conserved block. By Birkhoff's theorem a
-    doubly-stochastic image of the spectrum is a mixture
-    sum_j w_j lam[pi_j], so no matrix is built. Per block of size m, each sample mixes n_perms ~ U{1..2m}
-    uniform permutations of the block's eigenvalues with Dirichlet(1)
-    weights. Samples come in chunks that draw at most AUDIT_CHUNK
-    permutation entries at once (`_audit_images`), so memory stays a few
-    MB at any d. Deterministic per seed. Violations are reported, not
-    raised.
+    vector, sampling is per conserved block. Each sample is one vertex:
+    per block, a uniform permutation of the block's eigenvalues
+    (`_audit_images`), so a sample costs O(sum of block sizes) and the
+    audit O(n_samples * d); memory stays about 2 MB at any d.
+
+    Vertices suffice. By Birkhoff's theorem every doubly-stochastic image
+    of the spectrum is a mixture sum_j w_j v_j of vertices v_j; its target
+    and cost are the same mixture of theirs. For a convex omega, which
+    `verify`'s gradient-monotone check establishes, Jensen's inequality
+    gives sum_j w_j omega(alpha_j) >= omega(sum_j w_j alpha_j). So if the
+    mixture's cost falls below omega at its target, some vertex's cost
+    falls below omega at its own target: the mixture's violation implies
+    a violation at one of its vertices, and the vertices lie nearer the
+    boundary being tested (Marshall, Olkin and Arnold, Inequalities:
+    Theory of Majorization, 2011).
+
+    Deterministic per seed. Violations are reported, not raised; an
+    n_samples below 1 raises ValueError.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     base = getattr(inst, "base", inst)
     ae = np.column_stack([base.target, base.cost])
     alphas, costs = np.concatenate([p @ ae for p in _audit_images(inst, n_samples, seed)]).T

@@ -291,9 +291,31 @@ def test_dumps_canonical_equals_the_recursive_serializer(doc):
     assert fileio.dumps_canonical(doc) == _recursive_dumps(doc)
 
 
+def test_dumps_canonical_lists_of_flat_dicts_match_the_recursive_serializer():
+    step = {"k": 1, "l": 2, "gradient": -0.0, "alpha_start": 0.1, "alpha_end": 5e-324}
+    lists = [
+        [step, dict(step, k=0, gradient=-1.5), {"alpha_end": 2.0, "k": 3}],
+        [{"a%s": -0.0, "%d\u00e9": 10**30, "\"q\"": -7}, {"b": 0}],
+        [{"a": 1.0}, {"a": [1.0, -0.0]}],  # a nested value
+        [{"a": 1.0}, {"b": {"c": -0.0}}],
+        [{"a": 1.0}, {}],
+        [{1: 1.0}, {1.0: 2.0}, {True: 3}],  # keys that hash alike but print apart
+        [{"a": True}, {"a": None}, {"a": "x"}, {"a": np.float64(-0.0)}, {"a": np.int64(4)}],
+    ]
+    for items in lists:
+        for doc in (items, {"outer": {"steps": items}}):
+            assert fileio.dumps_canonical(doc) == _recursive_dumps(doc)
+
+
+@given(st.lists(st.dictionaries(st.text(max_size=3), st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+                                max_size=4), max_size=5))
+def test_dumps_canonical_equals_the_recursive_serializer_on_flat_dict_lists(items):
+    assert fileio.dumps_canonical({"rows": items}) == _recursive_dumps({"rows": items})
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float64("-inf")])
 def test_dumps_canonical_refuses_non_finite_dict_values(bad):
-    for doc in ({"a": 1.0, "b": bad}, {"a": {"b": [bad]}}, {"a": {"b": bad}}):
+    for doc in ({"a": 1.0, "b": bad}, {"a": {"b": [bad]}}, {"a": {"b": bad}}, {"a": [{"b": 1}, {"b": bad}]}):
         with pytest.raises(ValueError, match="non-finite"):
             fileio.dumps_canonical(doc)
 

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import types
 
 import numpy as np
 import pytest
@@ -202,11 +204,13 @@ def _conserved_instance(rng):
 
 
 def _assert_majorized_images(images, lam, blocks):
+    """Each image is a vertex: per block, a permutation of the block's eigenvalues."""
     for idx in map(np.asarray, blocks):
         part = images[:, idx]
         assert np.max(np.abs(part.sum(axis=1) - lam[idx].sum())) < 1e-12
         for row in part:
             assert majorizes(lam[idx], row, 1e-12)
+        assert np.array_equal(np.sort(part, axis=1), np.broadcast_to(np.sort(lam[idx]), part.shape))
 
 
 def test_audit_images_are_majorized_per_block(rng):
@@ -233,20 +237,92 @@ def test_audit_images_deterministic_per_seed(rng):
 
 
 def test_audit_images_span_chunks(rng, monkeypatch):
+    """ceil(n / (AUDIT_CHUNK // d)) chunks of whole samples, at least one sample each."""
     inst = random_instance(rng, 64)
     lam = np.asarray(inst.eigenvalues)
-    chunks = list(_audit_images(inst, 100, seed=1))
-    assert len(chunks) > 1
-    images = np.vstack(chunks)
-    assert images.shape == (100, 64)
-    _assert_majorized_images(images, lam, [range(64)])
-    # a chunk budget below one sample splits each sample's permutations
-    # over several draws
-    monkeypatch.setattr(oracle, "AUDIT_CHUNK", 24)
-    small = random_instance(rng, 6)
-    chunks = list(_audit_images(small, 40, seed=1))
-    assert len(chunks) == 40
-    _assert_majorized_images(np.vstack(chunks), np.asarray(small.eigenvalues), [range(6)])
+    for budget, n in ((oracle.AUDIT_CHUNK, 5000), (64 * 7, 100), (24, 40)):
+        monkeypatch.setattr(oracle, "AUDIT_CHUNK", budget)
+        per_chunk = max(1, budget // 64)
+        chunks = list(_audit_images(inst, n, seed=1))
+        assert len(chunks) == math.ceil(n / per_chunk)
+        assert [len(c) for c in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
+        images = np.vstack(chunks)
+        assert images.shape == (n, 64)
+        _assert_majorized_images(images, lam, [range(64)])
+    # a budget below one sample still draws whole samples, one per chunk
+    monkeypatch.setattr(oracle, "AUDIT_CHUNK", 5)
+    ginst = _conserved_instance(rng)
+    chunks = list(_audit_images(ginst, 40, seed=1))
+    assert len(chunks) == 40 and all(c.shape == (1, 8) for c in chunks)
+    _assert_majorized_images(np.vstack(chunks), np.asarray(ginst.base.eigenvalues), ginst.structure.blocks)
+
+
+def test_audit_refuses_zero_samples(rng):
+    inst = random_instance(rng, 4)
+    traj = build(inst)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n_samples"):
+            monte_carlo_audit(inst, traj, n_samples=n)
+
+
+def _mixtures(lam, n, rng):
+    """The audit's former law, kept as the power test's reference: per image,
+    n_perms ~ U{1..2d} uniform permutations of lam with Dirichlet(1) weights."""
+    d = len(lam)
+    counts = rng.integers(1, 2 * d + 1, size=n)
+    owner = np.repeat(np.arange(n), counts)
+    w = rng.standard_exponential(len(owner))
+    w /= np.add.reduceat(w, np.cumsum(counts) - counts)[owner]
+    perms = rng.permuted(np.broadcast_to(np.arange(d), (len(owner), d)), axis=1)
+    out = np.zeros((n, d))
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    out[owner[starts]] += np.add.reduceat(w[:, None] * lam[perms], starts)
+    return out
+
+
+def _mixture_images(inst, n_samples, seed):
+    yield _mixtures(np.asarray(inst.eigenvalues, dtype=float), n_samples, np.random.default_rng(seed))
+
+
+def _tampered(traj, kind, rng):
+    """The trajectory's (alpha, omega) breakpoints with one planted error: omega
+    shifted up by 2 % of its range, one interior breakpoint raised by as much,
+    or one interior breakpoint dropped (its chord lies above the convex omega)."""
+    alphas, omegas = np.array(traj.alphas), np.array(traj.omegas)
+    rise = 0.02 * (omegas.max() - omegas.min())
+    if kind == "shift":
+        omegas += rise
+    else:
+        i = int(rng.integers(1, len(alphas) - 1))
+        if kind == "raise":
+            omegas[i] += rise
+        else:
+            alphas, omegas = np.delete(alphas, i), np.delete(omegas, i)
+    return types.SimpleNamespace(
+        alphas=alphas, omegas=omegas, alpha_min=float(alphas[0]), alpha_max=float(alphas[-1])
+    )
+
+
+def test_vertex_audit_detects_more_tampering_than_mixtures(monkeypatch):
+    """Vertices are the strongest samples: a mixture falls below a convex omega
+    only if one of its vertices does. Over 40 seeded trials per dimension, the
+    audit detects each tamper kind at least as often as the former mixture law,
+    with equal n_samples, and strictly more often in total."""
+    kinds = ("shift", "raise", "drop")
+    vertex, mixture = dict.fromkeys(kinds, 0), dict.fromkeys(kinds, 0)
+    for d in (6, 8):
+        rng = np.random.default_rng(d)
+        for trial in range(40):
+            inst = random_instance(rng, d)
+            traj = build(inst)
+            for kind in kinds:
+                bad = _tampered(traj, kind, rng)
+                vertex[kind] += monte_carlo_audit(inst, bad, n_samples=500, seed=trial).violations > 0
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, "_audit_images", _mixture_images)
+                    mixture[kind] += monte_carlo_audit(inst, bad, n_samples=500, seed=trial).violations > 0
+    assert all(vertex[k] >= mixture[k] for k in kinds), (vertex, mixture)
+    assert sum(vertex.values()) > sum(mixture.values()), (vertex, mixture)
 
 
 def test_audit_detects_tampered_conserved_trajectory(rng):
