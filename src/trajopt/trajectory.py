@@ -8,9 +8,15 @@ piecewise linear and convex in the target value.
 
 One candidate generator, `_SwapQueue`, answers every query. Built at any
 vertex it lists the candidate swaps (`swap_candidates`) and picks the
-optimal one (`next_step`). A swap of k and l pushes just the pairs
-touching k or l, so a step costs O(pairs touching k or l · log) instead of
-a pass over every pair. Ties within eps_grad go to the smallest (k, l).
+optimal one (`next_step`). Ties within eps_grad go to the smallest (k, l).
+The queue splits each value run into cells, the run's positions of equal
+(target, cost). Every member of a cell pairs with a given partner at one
+gradient, so the tie rule always takes the least member of a cell, and
+the queue holds one pair per pair of cells in adjacent runs: their least
+members. A swap pushes the pairs of the cells whose least member changed,
+so a step costs O(cells next to them · log) instead of a pass over every
+pair; when all (target, cost) pairs are distinct every cell is one
+position, and these are the pairs touching the two swapped positions.
 A candidate is held as the int k * d + l in a heap per exact gradient and
 is live while l's value run follows k's, so a build step is one loop over
 ints and lists (`_SwapQueue.steps`).
@@ -420,15 +426,25 @@ class _SwapQueue:
     A swap permutes the populations, so the value runs (sorted populations
     split at gaps > eps_pop, per block) never change; a position changes run
     only when it is swapped. The candidates are the pairs (k, l) with l in
-    the run after k's and a[k] - a[l] > COEFF_EPS; after swapping k and l
-    the new ones are exactly the pairs touching k or l, so only those are
-    pushed.
+    the run after k's and a[k] - a[l] > COEFF_EPS.
+
+    Each run is split into cells: its positions whose (a, e) are equal as
+    floats, so 0.0 and -0.0 share a cell. Every member of a cell pairs with
+    a given partner at the same gradient, so all of them land in one bucket,
+    where the tie rule takes the least key: of the pairs between two cells,
+    only the pair of their least members (their heads) can ever be taken.
+    The queue therefore holds just the head pairs of adjacent cells, and
+    pushes a head's pairs when it becomes one: a swap takes the heads of two
+    cells, which then have new heads, and moves them into two cells whose
+    head they may become. When every cell is a singleton these are the
+    pairs touching the two swapped positions.
 
     An entry is the int k * d + l, which orders as (k, l) does since l < d.
     It is live while l's run is the one after k's; dead entries are dropped
-    when they reach the top of their heap. A pair that becomes adjacent
-    again is pushed again with the same gradient, so a live pair may be held
-    twice: both copies give the same (k, l), and `entries` lists it once.
+    when they reach the top of their heap. A live entry is a candidate
+    whether or not k and l are still heads, and its bucket also holds the
+    head pair, whose key is smaller. A pair that becomes adjacent again is
+    pushed again with the same gradient, so a live pair may be held twice.
 
     Entries are bucketed by exact gradient, each bucket a heap of keys, so
     the eps_grad tie rule (smallest (k, l) among the gradients within
@@ -436,31 +452,57 @@ class _SwapQueue:
     carries no gradient: the chosen pair's is recomputed by the expression
     that bucketed it, so a -0.0 survives a bucket it shares with 0.0.
 
-    Each run is a list, and a position's slot in its run is kept, so a swap
-    exchanges k and l in their runs' lists in O(1).
+    Each run keeps a list of its cells' heads, with each head's slot in it;
+    a cell with more than one member is a heap of positions. A position
+    whose (a, e) no other position of its block shares has class -1: its
+    cell is always itself, and a swap of two such positions exchanges them
+    in their runs' lists in O(1).
     """
 
     def __init__(self, p, prep: _Prepared):
         d = len(p)
         self._d = d
-        self._a = prep.a_p.tolist()
-        self._e = prep.e_p.tolist()
+        a, e = prep.a_p.tolist(), prep.e_p.tolist()
+        self._a, self._e = a, e
+        cls = [-1] * d  # the (a, e) class of a position shared inside its block, else -1
+        n = 0
+        for pos in prep.groups:
+            same = {}
+            for k in pos.tolist():
+                same.setdefault((a[k], e[k]), []).append(k)
+            for members in same.values():
+                if len(members) > 1:
+                    for k in members:
+                        cls[k] = n
+                    n += 1
+        self._cls, self._n = cls, n
         self._run_of = [0] * d
-        self._slot = [0] * d  # index of each position in its run's list
-        self._runs = [[]]  # empty sentinels before, between and after blocks
+        self._slot = [0] * d  # index of each head in its run's list
+        self._heads = [[]]  # the heads of each run's cells; empty sentinels before, between and after blocks
+        self._cells = {}  # run * n + class -> heap of the cell's members, for shared classes
         for pos in prep.groups:
             members = pos[np.argsort(p[pos], kind="stable")]
             splits = np.nonzero(np.diff(p[members]) > prep.inst.eps_pop)[0] + 1
             for run in np.split(members, splits):
-                run = run.tolist()
-                for i, k in enumerate(run):
-                    self._run_of[k] = len(self._runs)
+                r = len(self._heads)
+                heads, cells = [], {}
+                for k in run.tolist():
+                    self._run_of[k] = r
+                    if cls[k] < 0:
+                        heads.append(k)
+                    else:
+                        cells.setdefault(r * n + cls[k], []).append(k)
+                for cell in cells.values():
+                    heapq.heapify(cell)
+                    heads.append(cell[0])
+                for i, k in enumerate(heads):
                     self._slot[k] = i
-                self._runs.append(run)
-            self._runs.append([])
+                self._cells.update(cells)
+                self._heads.append(heads)
+            self._heads.append([])
         self._grads = []  # heap of the bucket keys
         self._buckets = {}  # gradient -> heap of k * d + l
-        for lows, highs in zip(self._runs, self._runs[1:]):
+        for lows, highs in zip(self._heads, self._heads[1:]):
             for k in lows:
                 self._push_from(k, highs)
 
@@ -523,21 +565,70 @@ class _SwapQueue:
         return self._pair(best)
 
     def entries(self):
-        """The live (k, l, gradient) entries, each pair once, sorted by (k, l)."""
-        run_of, d = self._run_of, self._d
-        buckets = self._buckets.values()
-        live = {key for bucket in buckets for key in bucket if run_of[key % d] == run_of[key // d] + 1}
-        return [self._pair(key) for key in sorted(live)]
+        """The live (k, l, gradient) candidates: every member pair of adjacent cells, sorted by (k, l)."""
+        a, d = self._a, self._d
+        members = [[] for _ in self._heads]
+        for k, r in enumerate(self._run_of):
+            members[r].append(k)
+        pairs = ((k, l) for lows, highs in zip(members, members[1:]) for k in lows for l in highs)
+        return [self._pair(k * d + l) for k, l in sorted(pairs) if a[k] - a[l] > COEFF_EPS]
+
+    def _move(self, k, l, r):
+        """Move k from run r to r + 1 and l from r + 1 to r; the positions that became heads.
+
+        k and l are heads, as every pair the tie rule takes is. Each leaves
+        its cell, whose next member becomes head; a cell left empty drops
+        out of its run's heads. Each then joins its cell of the other run,
+        as its head or behind it.
+        """
+        heads, cells, cls, slot, n = self._heads, self._cells, self._cls, self._slot, self._n
+        new = []
+        for x, s in ((k, r), (l, r + 1)):
+            run = heads[s]
+            i = slot[x]
+            if cls[x] >= 0:
+                key = s * n + cls[x]
+                cell = cells[key]
+                heapq.heappop(cell)
+                if cell:
+                    h = run[i] = cell[0]
+                    slot[h] = i
+                    new.append(h)
+                    continue
+                del cells[key]
+            last = run.pop()
+            if last != x:
+                run[i] = last
+                slot[last] = i
+        for x, s in ((k, r + 1), (l, r)):
+            run = heads[s]
+            if cls[x] >= 0:
+                key = s * n + cls[x]
+                cell = cells.get(key)
+                if cell is not None:
+                    h = cell[0]
+                    heapq.heappush(cell, x)
+                    if x > h:
+                        continue
+                    slot[x] = i = slot[h]
+                    run[i] = x
+                    new.append(x)
+                    continue
+                cells[key] = [x]
+            slot[x] = len(run)
+            run.append(x)
+            new.append(x)
+        return new
 
     def steps(self, eps_grad, count=None):
         """Take the best swap count times, or until none is left: (ks, ls, gradients) lists.
 
         Each step is the pair `best` returns. The common case, a least
-        bucket with no other gradient within eps_grad, and the swap itself
-        run in this loop with the state in locals.
+        bucket with no other gradient within eps_grad, and a swap of two
+        singleton cells run in this loop with the state in locals.
         """
         a, e, d = self._a, self._e, self._d
-        runs, run_of, slot = self._runs, self._run_of, self._slot
+        heads, run_of, slot, cls = self._heads, self._run_of, self._slot, self._cls
         grads, buckets = self._grads, self._buckets
         heappush, heappop = heapq.heappush, heapq.heappop
         ks, ls, out = [], [], []
@@ -562,16 +653,21 @@ class _SwapQueue:
             out.append((e[k] - e[l]) / (a[k] - a[l]))
             # k moves up to run r + 1 and l down to run r
             r = run_of[k]
-            sk, sl = slot[k], slot[l]
-            runs[r][sk] = l
-            runs[r + 1][sl] = k
-            slot[k], slot[l] = sl, sk
             run_of[k], run_of[l] = r + 1, r
-            # the pairs touching k or l, pushed as `_push_from` would push
+            if cls[k] < 0 and cls[l] < 0:
+                sk, sl = slot[k], slot[l]
+                heads[r][sk] = l
+                heads[r + 1][sl] = k
+                slot[k], slot[l] = sl, sk
+                new = (k, l)
+            else:
+                new = self._move(k, l, r)
+            # the pairs of each new head, pushed as `_push_from` would push
             # them; (l, k) lowers the target, so its gap fails the test
-            for x, xd, highs in ((k, k * d, runs[r + 2]), (l, l * d, runs[r + 1])):
-                ax, ex = a[x], e[x]
-                for m in highs:
+            for x in new:
+                s = run_of[x]
+                ax, ex, xd = a[x], e[x], x * d
+                for m in heads[s + 1]:
                     gap = ax - a[m]
                     if gap > COEFF_EPS:
                         g = (ex - e[m]) / gap
@@ -581,9 +677,7 @@ class _SwapQueue:
                             heappush(grads, g)
                         else:
                             heappush(b, xd + m)
-            for x, lows in ((k, runs[r]), (l, runs[r - 1])):
-                ax, ex = a[x], e[x]
-                for m in lows:
+                for m in heads[s - 1]:
                     gap = a[m] - ax
                     if gap > COEFF_EPS:
                         g = (e[m] - ex) / gap
@@ -622,9 +716,9 @@ def _queue_steps(prep: _Prepared, p0: np.ndarray):
     """The greedy's steps out of p0 by the swap queue: (ks, ls, gradients) lists.
 
     Each step takes the queue's best swap, the one `next_step` picks at the
-    current vertex; the `_SwapQueue` is updated in O(pairs touching the
-    swapped positions · log) per step instead of being rebuilt, in one loop
-    (`_SwapQueue.steps`).
+    current vertex; the `_SwapQueue` pushes only the pairs of the cells
+    whose least member changed, O(cells next to them · log) per step,
+    instead of being rebuilt, in one loop (`_SwapQueue.steps`).
     """
     return _SwapQueue(p0, prep).steps(prep.inst.eps_grad)
 
@@ -765,9 +859,10 @@ def build(inst: ProblemInstance) -> OptimalTrajectory:
     every block, sorted pair gradients more than eps_grad apart, every
     sorted swap between adjacent values), the steps are all pairs sorted by
     gradient, O(P log P) for P = sum of n_b (n_b - 1) / 2 over the blocks.
-    Otherwise they come from a queue of the adjacent pairs, updated only
-    for the pairs touching the swapped positions (O(those pairs · log) per
-    step). The two give the same arrays bit for bit; the instance alone
+    Otherwise they come from a queue of the adjacent pairs that holds one
+    pair per pair of equal-(target, cost) cells and is updated only where a
+    cell's least member changed (O(cells next to them · log) per step).
+    The two give the same arrays bit for bit; the instance alone
     decides. alphas and omegas are the exact dot products of each vertex,
     taken in batches, O(steps · d). The polytope is never enumerated.
     """

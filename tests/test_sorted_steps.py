@@ -10,6 +10,7 @@ list the candidates, of a test-local copy of its first form
 
 import heapq
 import struct
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -369,6 +370,43 @@ def _coarse(seed, d, grid, blocks=0):
     return make(lam / lam.sum(), inst.target, inst.cost, conserved=inst.conserved)
 
 
+def _class_over_blocks(seed, d=24):
+    """Six (target, cost) classes, each with members in both of two conserved blocks.
+
+    Populations take three values, so a class's members of one block share
+    runs: each block has cells of the class, and they must stay apart.
+    """
+    rng = np.random.default_rng(seed)
+    lam = rng.integers(1, 4, d).astype(float)
+    a = (np.arange(d) % 3).astype(float)
+    e = (np.arange(d) // 3 % 2) * 0.5
+    return make(lam / lam.sum(), a, e, conserved=rng.permutation(np.arange(d) % 2).astype(float))
+
+
+def _signed_zero_class(seed, d=20):
+    """Costs of 0.0 and -0.0 only: each target's one class mixes both signs.
+
+    Every gradient is 0.0 or -0.0, its sign set by the two members the
+    tie rule picks, so all candidates tie in one bucket.
+    """
+    rng = np.random.default_rng(seed)
+    lam = rng.integers(1, 4, d).astype(float)
+    a = rng.integers(0, 3, d).astype(float)
+    return make(lam / lam.sum(), a, rng.choice([0.0, -0.0], d))
+
+
+def _class_chain(seed, d=24):
+    """Two classes per target, costs 0.75 * a and 0.75 * a + eps_grad.
+
+    Pair gradients are 0.75 plus 0, +-eps_grad / 2 or +-eps_grad, so the
+    buckets of two classes' pairs chain within eps_grad.
+    """
+    rng, eps = np.random.default_rng(seed), 2.0**-20
+    lam = rng.integers(1, 5, d).astype(float)
+    a = rng.integers(0, 3, d).astype(float)
+    return make(lam / lam.sum(), a, 0.75 * a + rng.integers(0, 2, d) * eps, eps_grad=eps)
+
+
 _FAMILIES = {
     "flat-degenerate": [_flat_degenerate(s) for s in (1, 2)] + [_flat_degenerate(3, 64, 8)],
     "cooling": [_cooling(s, n) for s, n in ((1, 8), (2, 32), (3, 64))] + [_cooling(4, 32, (0.7, 0.3))],
@@ -376,6 +414,7 @@ _FAMILIES = {
     "eps-grad-chain": [_eps_grad_chain(s) for s in (1, 2, 3)],
     "signed-zero": [_signed_zeros(s) for s in (1, 2, 3)],
     "conserved": [_coarse(s, d, g, b) for s, d, b, g in ((1, 30, 2, 2), (2, 40, 3, 8), (3, 24, 4, 2))],
+    "cells": [_class_over_blocks(1), _signed_zero_class(2), _class_chain(3)],
 }
 
 
@@ -393,6 +432,23 @@ def test_queue_equals_the_version_queue(family):
         assert_same_bytes(_queue_build(inst), want)
 
 
+def _shared_cells(inst):
+    """The cells of the minimal point with more than one member: (prep, lists of positions).
+
+    A cell is the positions of one value run whose (target, cost) are equal
+    as floats; the runs are the reference queue's.
+    """
+    prep = trajectory._prepare(inst)
+    a, e = prep.a_p.tolist(), prep.e_p.tolist()
+    cells = []
+    for run in _VersionQueue(trajectory._minimal_pref(prep), prep)._runs:
+        same = {}
+        for k in run:
+            same.setdefault((a[k], e[k]), []).append(k)
+        cells += [members for members in same.values() if len(members) > 1]
+    return prep, cells
+
+
 def test_the_families_plant_what_they_name():
     # the differential is only as strong as its instances: signed zeros must
     # give -0.0 gradients, and the chains must tie within eps_grad
@@ -400,12 +456,62 @@ def test_the_families_plant_what_they_name():
         prep = trajectory._prepare(inst)
         return _version_steps(prep, trajectory._minimal_pref(prep))
 
+    def ties_within_eps_grad(inst):
+        exact = make(inst.eigenvalues, inst.target, inst.cost, conserved=inst.conserved, eps_grad=1e-300)
+        return steps(inst)[:2] != steps(exact)[:2]
+
     assert all(any(g == 0.0 and np.signbit(g) for g in steps(inst)[2]) for inst in _FAMILIES["signed-zero"])
-    for inst in _FAMILIES["eps-grad-chain"]:
-        exact = make(inst.eigenvalues, inst.target, inst.cost, eps_grad=1e-300)
-        assert steps(inst)[:2] != steps(exact)[:2]
-    for family in ("flat-degenerate", "cooling", "coarse-grid", "conserved"):
+    assert all(ties_within_eps_grad(inst) for inst in _FAMILIES["eps-grad-chain"])
+    for family in ("flat-degenerate", "cooling", "coarse-grid", "conserved", "cells"):
         assert all(trajectory._sorted_steps(trajectory._prepare(inst)) is None for inst in _FAMILIES[family])
+    over_blocks, signed_zero, chain = _FAMILIES["cells"]
+    # one (target, cost) class holds a shared cell in each of the two blocks
+    prep, cells = _shared_cells(over_blocks)
+    blocks_of = {}
+    for cell in cells:
+        blocks_of.setdefault((prep.a_p[cell[0]], prep.e_p[cell[0]]), set()).add(int(prep.blocks[cell[0]]))
+    assert any(len(blocks) == 2 for blocks in blocks_of.values())
+    # a cell holds both zeros, and the steps emit gradients of both signs
+    prep, cells = _shared_cells(signed_zero)
+    assert any(len({bool(np.signbit(prep.e_p[k])) for k in cell}) == 2 for cell in cells)
+    assert {bool(np.signbit(g)) for g in steps(signed_zero)[2] if g == 0.0} == {False, True}
+    # the chain ties buckets of shared cells
+    assert _shared_cells(chain)[1] and ties_within_eps_grad(chain)
+
+
+def _classes(seed, d, blocks, n_target, n_cost, n_pop, nudged):
+    """An instance of few (target, cost) classes: targets, costs and populations from few levels.
+
+    nudged moves half the costs by -2..2 multiples of eps_grad = 2**-20,
+    so near-equal gradients chain; then zero costs take a random sign.
+    """
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.1, 1.0, n_pop)[rng.integers(0, n_pop, d)]
+    a = rng.normal(size=n_target)[rng.integers(0, n_target, d)]
+    e = (rng.integers(-2, 3, n_cost) * 0.25)[rng.integers(0, n_cost, d)]
+    eps_grad = 1e-12
+    if nudged:
+        eps_grad = 2.0**-20
+        e = e + rng.integers(-2, 3, d) * (rng.random(d) < 0.5) * eps_grad
+    e = np.where(e == 0.0, rng.choice([0.0, -0.0], d), e)
+    conserved = rng.permutation(np.arange(d) % blocks).astype(float) if blocks else None
+    return make(lam / lam.sum(), a, e, conserved=conserved, eps_grad=eps_grad)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 40),
+    blocks=st.integers(0, 4),
+    n_target=st.integers(2, 4),
+    n_cost=st.integers(2, 4),
+    n_pop=st.integers(2, 6),
+    nudged=st.booleans(),
+)
+def test_queue_equals_the_version_queue_on_drawn_classes(seed, d, blocks, n_target, n_cost, n_pop, nudged):
+    inst = _classes(seed, d, blocks, n_target, n_cost, n_pop, nudged)
+    prep = trajectory._prepare(inst)
+    p0 = trajectory._minimal_pref(prep)
+    assert _bits(zip(*trajectory._queue_steps(prep, p0))) == _bits(zip(*_version_steps(prep, p0)))
 
 
 def _live_keys(queue):
@@ -442,3 +548,56 @@ def test_candidates_equal_the_version_queue_at_every_vertex(rng):
             assert stepped.steps(inst.eps_grad, 1) == ([chosen[0]], [chosen[1]], [chosen[2]])
             reference.swap(*chosen[:2])
     assert held_twice > 0
+
+
+def test_candidates_equal_the_version_queue_at_random_vertices(rng):
+    # a vertex off the trajectory: each block's eigenvalues in a uniform
+    # permutation, so cells form wherever equal populations meet
+    insts = [tie_instance(rng, d) for d in (12, 16, 20, 24)]
+    insts += [tie_instance(rng, d, conserved=rng.integers(0, b, d).astype(float)) for d, b in ((16, 2), (24, 3))]
+    insts += [_FAMILIES["cells"][0], _coarse(9, 24, 2, 3)]
+    for inst in insts:
+        prep = trajectory._prepare(inst)
+        perm = prep.order.perm
+        for _ in range(25):
+            pp = np.empty_like(prep.lam_p)
+            for pos in prep.groups:
+                pp[pos] = rng.permutation(prep.lam_p[pos])
+            p = prep.order.to_input(pp)
+            at = _VersionQueue(pp, prep)
+            want = [(int(perm[k]), int(perm[l]), g) for k, l, g in at.entries()]
+            assert _bits(trajectory.swap_candidates(p, inst)) == _bits(want)
+            step, chosen = trajectory.next_step(p, inst), at.best(inst.eps_grad)
+            if chosen is None:
+                assert step is None
+            else:
+                assert _bits([(step.k, step.l, step.gradient)]) == _bits([chosen])
+
+
+def _pushes_per_step(inst):
+    """Heap pushes of `_queue_steps`, its queue's construction included, per step taken."""
+    prep = trajectory._prepare(inst)
+    p0 = trajectory._minimal_pref(prep)
+    pushes = 0
+
+    def heappush(heap, item):
+        nonlocal pushes
+        pushes += 1
+        heapq.heappush(heap, item)
+
+    counting = types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify)
+    with mock.patch.object(trajectory, "heapq", counting):
+        ks, _, _ = trajectory._queue_steps(prep, p0)
+    return pushes / len(ks)
+
+
+@pytest.mark.parametrize(
+    "case, bound",
+    [(lambda: _flat_degenerate(1), 4.0), (lambda: _cooling(3, 64), 2.0)],
+    ids=["flat-degenerate", "cooling"],
+)
+def test_the_queue_pushes_one_pair_per_pair_of_cells(case, bound):
+    # a queue that pushed every member pair of two cells would push 9.0 per
+    # step on the degenerate instance; on the cooling one every cell is a
+    # singleton, and a step pushes the pairs touching the swapped positions
+    assert _pushes_per_step(case()) <= bound
