@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from . import fileio
 from .core import DEFAULT_MAX_ENUM_DIM, cost_value, validate
-from .errors import AlphaOutOfRange, DimensionTooLarge, ParseError, TrajoptError
+from .errors import AlphaOutOfRange, DimensionTooLarge, NonFiniteValue, ParseError, TrajoptError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -56,40 +56,43 @@ def cmd_build(args) -> int:
 
     inst = _load(args.instance, args)
     traj = build(inst)
-    doc = fileio.trajectory_to_dict(traj)
-    fileio.write_text(args.output, fileio.dumps_canonical(doc) + "\n")
+    fileio.write_canonical(args.output, fileio.trajectory_to_dict(traj))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     if args.grid is not None and args.grid < 0:
         raise ParseError(f"--grid must be at least 0, got {args.grid}")
+    import numpy as np
+
     from .trajectory import build, omega_opt
 
     inst = _load(args.instance, args)
     traj = build(inst)
-    work_base = None
-    if inst.initial_populations is not None:
-        work_base = cost_value(inst.initial_populations, inst.cost)
     if args.alpha is not None:
-        alphas = [args.alpha]
-        omegas = [omega_opt(traj, args.alpha)]
+        alphas = np.array([args.alpha])
+        omegas = np.array([omega_opt(traj, args.alpha)])
     else:
-        import numpy as np
-
         # the grid lies inside [alpha_min, alpha_max], so one interpolation
         # over it equals omega_opt at each point
         grid = np.linspace(traj.alpha_min, traj.alpha_max, args.grid)
         alphas = np.unique(np.concatenate([grid, traj.alphas]))
         omegas = np.interp(alphas, traj.alphas, traj.omegas)
-    rows = []
-    for alpha, omega in zip(alphas, omegas):
-        row = [fileio.format_float(alpha), fileio.format_float(omega)]
-        if work_base is not None:
-            row.append(fileio.format_float(omega - work_base))
-        rows.append(",".join(row))
-    header = "alpha,omega,work" if work_base is not None else "alpha,omega"
-    sys.stdout.write("\n".join([header] + rows) + "\n")
+    columns = [alphas, omegas]
+    header = "alpha,omega"
+    if inst.initial_populations is not None:
+        # the only column that can overflow, refused before any row is written
+        with np.errstate(over="ignore"):
+            work = omegas - cost_value(inst.initial_populations, inst.cost)
+        if not np.all(np.isfinite(work)):
+            raise NonFiniteValue("work (omega minus the initial cost) overflows float64; rescale the cost")
+        columns.append(work)
+        header += ",work"
+    out = sys.stdout
+    out.write(header + "\n")
+    # a memoryview's items are Python floats, made one row at a time
+    for row in zip(*map(memoryview, columns)):
+        out.write(",".join(map(fileio.format_float, row)) + "\n")
     return EXIT_OK
 
 
@@ -100,8 +103,7 @@ def cmd_lift(args) -> int:
     inst = _load(args.instance, args)
     traj = build(inst)
     lifted = lift_point(traj, args.alpha)
-    doc = fileio.lifted_to_dict(lifted, args.alpha)
-    fileio.write_text(args.output, fileio.dumps_canonical(doc) + "\n")
+    fileio.write_canonical(args.output, fileio.lifted_to_dict(lifted, args.alpha))
     return EXIT_OK
 
 
@@ -164,7 +166,7 @@ def _verify_checks(inst, args):
     if args.trajectory is not None:
         stored = fileio.trajectory_from_dict(fileio.load_json(args.trajectory))
         fresh = fileio.trajectory_to_dict(traj)
-        same = fileio.dumps_canonical(stored) == fileio.dumps_canonical(fresh)
+        same = fileio.same_canonical(stored, fresh)
         yield "trajectory-file-match", same, args.trajectory
 
 
@@ -183,7 +185,7 @@ def cmd_verify(args) -> int:
             ],
             "passed": not failed,
         }
-        sys.stdout.write(fileio.dumps_canonical(doc) + "\n")
+        fileio.write_canonical(sys.stdout, doc)
     else:
         for name, ok, detail in results:
             status = "SKIP" if ok is None else ("PASS" if ok else "FAIL")
@@ -236,8 +238,7 @@ def cmd_cool(args) -> int:
             )
         else:
             cool = cooling.coherent_instance(system, machine, args.beta)
-    doc = fileio.instance_to_dict(cool.problem)
-    sys.stdout.write(fileio.dumps_canonical(doc) + "\n")
+    fileio.write_canonical(sys.stdout, fileio.instance_to_dict(cool.problem))
     return EXIT_OK
 
 

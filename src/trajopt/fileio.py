@@ -3,6 +3,15 @@
 Floats are emitted with 17 significant digits so files reload bit-exactly,
 and field order is fixed so build -> load -> re-serialize is byte-identical.
 
+One generator (`_pieces`) makes the canonical text as pieces, none longer
+than one row: a dict entry, a line of scalars (a float row of a list or a
+2-D array, an int list), or one flat dict of a list. `dumps_canonical`
+joins them; `write_canonical` writes them to an open stream or to a path (through a
+new file renamed over the output where that keeps the output's links,
+owner and mode; in place otherwise), so writing a document holds about
+one row beyond the document itself; `same_canonical` compares two
+documents' texts a piece at a time.
+
 A trajectory file stores the minimal-point vertex and the steps, not every
 vertex, as the runtime trajectory does: the reader makes the step arrays
 with the function the builder uses, so a reloaded trajectory equals the
@@ -13,6 +22,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
@@ -60,84 +72,223 @@ def format_float(x) -> str:
 def dumps_canonical(obj, indent: int = 0) -> str:
     """Serialize dicts/lists/scalars to JSON with deterministic formatting.
 
-    Dict order is insertion order; scalar lists stay on one line.
+    Dict order is insertion order; scalar lists stay on one line. The text
+    is the join of `_pieces`, the pieces `write_canonical` writes.
     """
-    pad = " " * indent
+    return "".join(_pieces(obj, indent))
+
+
+def write_canonical(target, obj) -> None:
+    """Write the canonical text of obj and a final newline, a piece at a time.
+
+    target is an open text stream or a path. A new path, or a regular file
+    with one link that this process owns and may write, is written to a new
+    file in its directory, which takes the old file's mode and group and
+    replaces the output only once the whole document is written: a document that raises
+    part-way (a non-finite value) leaves the old output as it was and no new
+    file behind. Any other path is written in place, as open(path, "w")
+    writes it, errors included: a symlink (/dev/stdout, /dev/fd/N), a device,
+    a pipe, a file with other links or owners, a file this process may not
+    write, or an output whose directory takes no new file.
+    """
+    if hasattr(target, "write"):
+        target.writelines(_pieces(obj, 0))
+        target.write("\n")
+        return
+    path = os.fspath(target)
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    fd = None
+    if st is None or (
+        stat.S_ISREG(st.st_mode)
+        and st.st_nlink == 1
+        and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
+        and os.access(path, os.W_OK)
+    ):
+        head, name = os.path.split(path)
+        tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+        try:
+            # O_EXCL: a fresh file, never one a link points to; 0o666 less the umask, as open(path, "w") makes
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            pass
+    if fd is None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write_canonical(fh, obj)
+        return
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            if st is not None:  # the old file's group (a setgid directory may give another) and mode
+                os.fchown(fh.fileno(), -1, st.st_gid)
+                os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+            write_canonical(fh, obj)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def same_canonical(a, b) -> bool:
+    """Whether a and b have the same canonical text, compared a piece at a time.
+
+    Neither text is built whole; the comparison stops at the first piece
+    that differs. Pieces may split the two texts at different places.
+    """
+    left, right = _pieces(a, 0), _pieces(b, 0)
+    x = y = ""
+    while True:
+        if not x:
+            x = next(left, None)
+        if not y:
+            y = next(right, None)
+        if x is None or y is None:
+            return x is None and y is None
+        n = min(len(x), len(y))
+        if x[:n] != y[:n]:
+            return False
+        x, y = x[n:], y[n:]
+
+
+_SEQUENCES = (list, tuple, np.ndarray)
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def _pieces(obj, indent: int):
+    """The canonical text of obj as a sequence of strings, none longer than one row.
+
+    A piece is a dict entry, a line of scalars (a float row, an int list),
+    one flat dict of a list, or the brackets around them. A list of
+    scalars is one line; a list holding any dict, list, tuple or array
+    puts each item on its own line. Each row's fast path (plain finite
+    floats, flat dicts) writes the text the general path would, so a row
+    that fails it goes the general way and the text does not change.
+    """
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        lines = []
-        for k, v in obj.items():
-            # a plain finite float or int is formatted here, as _dumps_scalar
-            # would; encode_basestring_ascii is what json.dumps(str) runs
-            t = type(v)
-            if t is float and math.isfinite(v):
-                text = "%.17g" % (v + 0.0)
-            elif t is int:
-                text = str(v)
-            else:
-                text = dumps_canonical(v, indent + 2)
-            lines.append(f"{pad}  {encode_basestring_ascii(str(k))}: {text}")
-        return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        types = set(map(type, items))
-        if types == {float} and all(map(math.isfinite, items)):
-            # one pass for a float row; v + 0.0 turns -0.0 into 0.0, as format_float does
-            return "[" + ", ".join(["%.17g" % (v + 0.0) for v in items]) + "]"
-        if types == {int}:
-            return "[" + ", ".join(map(str, items)) + "]"
-        if types == {list}:
-            cells = [v for row in items for v in row]
-            if set(map(type, cells)) == {float} and all(map(math.isfinite, cells)):
-                # rows of plain finite floats, each written as the float-row branch writes it
-                rows = [pad + "  [" + ", ".join(["%.17g" % (v + 0.0) for v in row]) + "]" for row in items]
-                return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-        if types == {dict}:
-            inner = _flat_dict_rows(items, pad + "  ")
-            if inner is not None:
-                return "[\n" + inner + "\n" + pad + "]"
-        if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
-            return "[" + ", ".join(map(_dumps_scalar, items)) + "]"
-        inner = ",\n".join(f"{pad}  {dumps_canonical(v, indent + 2)}" for v in items)
-        return "[\n" + inner + "\n" + pad + "]"
-    return _dumps_scalar(obj)
+        yield from _dict_pieces(obj, indent)
+    elif isinstance(obj, _SEQUENCES):
+        items = _items(obj)
+        line = _line(items)
+        if line is None:
+            yield from _row_pieces(items, indent)
+        else:
+            yield line
+    else:
+        yield _dumps_scalar(obj)
 
 
-def _flat_dict_rows(items, pad: str):
-    """Dicts of plain finite floats and ints under str keys, each as the dict
-    branch writes it at `pad`, joined by ",\\n"; None if a dict is empty or
-    holds any other key or value.
+def _items(seq):
+    """The items of a list, tuple or array; a numeric 1-D array's as Python scalars.
 
-    Each key sequence's fixed text is split once around its values, so a row
-    is one join of that text with the row's formatted values. A join
-    allocates the row's exact size; a %-format over a template can leave
-    each row in a larger block, which raised the peak RSS of a build.
+    Lists, tuples and arrays of more dimensions are not copied: the items
+    of a 2-D array are its rows.
     """
+    if isinstance(seq, np.ndarray) and seq.ndim == 1 and seq.dtype.kind in "fiu":
+        return seq.tolist()
+    return seq
+
+
+def _line(items):
+    """The one-line text of a sequence of scalars; None if an item is a container."""
+    types = set(map(type, items))
+    if types == {float} and all(map(math.isfinite, items)):
+        # v + 0.0 turns -0.0 into 0.0, as format_float does
+        return "[" + ", ".join(["%.17g" % (v + 0.0) for v in items]) + "]"
+    if types == {int}:
+        return "[" + ", ".join(map(str, items)) + "]"
+    if any(issubclass(t, _CONTAINERS) for t in types):
+        return None
+    return "[" + ", ".join(map(_dumps_scalar, items)) + "]"
+
+
+def _dict_pieces(obj: dict, indent: int):
+    """A dict's entries, one piece each when the value fits on its line, and its braces."""
+    if not obj:
+        yield "{}"
+        return
+    pad = " " * indent
+    lead = "{\n"
     frames = {}
-    rows = []
-    for row in items:
-        keys = tuple(row)
-        parts = frames.get(keys)
-        if parts is None:
-            if set(map(type, keys)) != {str}:
-                return None
-            heads = [f",\n{pad}  {encode_basestring_ascii(k)}: " for k in keys]
-            heads[0] = pad + "{" + heads[0][1:]
-            parts = frames[keys] = [None] * (2 * len(keys) + 1)
-            parts[0::2] = heads + ["\n" + pad + "}"]
-        texts = []
-        for v in row.values():
-            t = type(v)
-            if t is float and math.isfinite(v):
-                texts.append("%.17g" % (v + 0.0))
-            elif t is int:
-                texts.append(str(v))
-            else:
-                return None
-        parts[1::2] = texts
-        rows.append("".join(parts))
-    return ",\n".join(rows)
+    for k, v in obj.items():
+        # encode_basestring_ascii is what json.dumps(str) runs
+        head = f"{lead}{pad}  {encode_basestring_ascii(str(k))}: "
+        text = _one_piece(v, pad + "  ", frames)
+        if text is None:
+            yield head
+            yield from _pieces(v, indent + 2)
+        else:
+            yield head + text
+        lead = ",\n"
+    yield "\n" + pad + "}"
+
+
+def _row_pieces(items, indent: int):
+    """A sequence with a container in it: one item per line, each one piece when it fits."""
+    pad = " " * indent
+    lead, sep = "[\n" + pad + "  ", ",\n" + pad + "  "
+    frames = {}
+    for v in items:
+        text = _one_piece(v, pad + "  ", frames)
+        if text is None:
+            yield lead
+            yield from _pieces(v, indent + 2)
+        else:
+            yield lead + text
+        lead = sep
+    yield "\n" + pad + "]"
+
+
+def _one_piece(v, pad: str, frames: dict):
+    """The text of v at `pad` when it is one piece (a scalar, a line of
+    scalars or a flat dict); None when v takes several lines."""
+    # a plain finite float or int is formatted here, as _dumps_scalar would
+    t = type(v)
+    if t is float and math.isfinite(v):
+        return "%.17g" % (v + 0.0)
+    if t is int:
+        return str(v)
+    if isinstance(v, dict):
+        return _flat_dict(v, frames, pad)
+    if isinstance(v, _SEQUENCES):
+        return _line(_items(v))
+    return _dumps_scalar(v)
+
+
+def _flat_dict(row: dict, frames: dict, pad: str):
+    """A dict of plain finite floats and ints under str keys, as `_dict_pieces`
+    writes it at `pad`; None for a dict that is empty or holds any other key
+    or value, which `_dict_pieces` writes in several pieces.
+
+    Each key sequence's fixed text is split once around its values and kept
+    in frames (False for a sequence that is not all str), so a row is one
+    join of that text with the row's formatted values. A join allocates the
+    row's exact size; a %-format over a template can leave each row in a
+    larger block, which raised the peak RSS of a build.
+    """
+    keys = tuple(row)
+    parts = frames.get(keys)
+    if parts is None:
+        if not keys or set(map(type, keys)) != {str}:
+            frames[keys] = False
+            return None
+        heads = [f",\n{pad}  {encode_basestring_ascii(k)}: " for k in keys]
+        heads[0] = "{" + heads[0][1:]
+        parts = frames[keys] = [None] * (2 * len(keys) + 1)
+        parts[0::2] = heads + ["\n" + pad + "}"]
+    elif parts is False:
+        return None
+    texts = []
+    for v in row.values():
+        t = type(v)
+        if t is float and math.isfinite(v):
+            texts.append("%.17g" % (v + 0.0))
+        elif t is int:
+            texts.append(str(v))
+        else:
+            return None
+    parts[1::2] = texts
+    return "".join(parts)
 
 
 def _dumps_scalar(obj) -> str:
@@ -239,11 +390,6 @@ def load_instance(path: str) -> ProblemInstance:
     return instance_from_dict(load_json(path))
 
 
-def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def trajectory_to_dict(traj: OptimalTrajectory) -> dict:
     meta = {
         "tool_version": TOOL_VERSION,
@@ -255,14 +401,16 @@ def trajectory_to_dict(traj: OptimalTrajectory) -> dict:
     }
     if traj.block_of_position is not None:
         meta["block_of_position"] = traj.block_of_position.tolist()
+    # one float per alpha, shared by its breakpoint and the steps it bounds;
+    # the other columns are read through memoryviews, with no list copy
     alphas = traj.alphas.tolist()
     return {
         "alpha_range": [alphas[0], alphas[-1]],
-        "breakpoints": traj.breakpoints.tolist(),
+        "breakpoints": [[alpha, omega] for alpha, omega in zip(alphas, memoryview(traj.omegas))],
         "steps": [
             {"k": k, "l": l, "gradient": grad, "alpha_start": start, "alpha_end": end}
             for k, l, grad, start, end in zip(
-                traj.ks.tolist(), traj.ls.tolist(), traj.gradients.tolist(), alphas, alphas[1:]
+                memoryview(traj.ks), memoryview(traj.ls), memoryview(traj.gradients), alphas, islice(alphas, 1, None)
             )
         ],
         "initial_vertex": traj.initial_vertex.tolist(),
@@ -404,9 +552,11 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
 
 
 def lifted_to_dict(lifted, alpha: float) -> dict:
+    """The lift document; the d x d matrices stay the float64 arrays of the
+    lift, which the serializer formats one row at a time."""
     return {
         "alpha": float(alpha),
-        "unitary": lifted.unitary.tolist(),
-        "doubly_stochastic": lifted.doubly_stochastic.tolist(),
+        "unitary": lifted.unitary,
+        "doubly_stochastic": lifted.doubly_stochastic,
         "density_diagonal": lifted.density_diagonal.tolist(),
     }

@@ -78,7 +78,7 @@ from .core import (
     cluster_ranks,
     preferred_order,
 )
-from .errors import NotAVertex
+from .errors import NonFiniteValue, NotAVertex
 
 # float64 entries of the vertex buffer whose rows `_build` dots in one call (64 KB)
 _DOT_BUFFER = 2**13
@@ -690,22 +690,31 @@ class _SwapQueue:
         return ks, ls, out
 
 
+def _readonly(v, dtype=float) -> np.ndarray:
+    """v as a read-only array of dtype; an array of that dtype is frozen, not copied."""
+    out = np.asarray(v, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 def _trajectory(order, a_p, e_p, p0, ks, ls, gradients, alphas, omegas, eps_pop, eps_grad, blocks):
     """An OptimalTrajectory from its initial vertex and steps (lists or arrays).
 
     The build and the file reader both make trajectories here, so their
-    arrays share dtypes and flags.
+    arrays share dtypes and flags. Arrays are taken as they are and made
+    read-only: each caller hands over arrays it has just made and keeps no
+    other reference to.
     """
     return OptimalTrajectory(
         order=order,
-        target_pref=_frozen(a_p),
-        cost_pref=_frozen(e_p),
-        initial_vertex=_frozen(p0),
-        ks=_frozen(ks, np.int32),
-        ls=_frozen(ls, np.int32),
-        gradients=_frozen(gradients),
-        alphas=_frozen(alphas),
-        omegas=_frozen(omegas),
+        target_pref=_readonly(a_p),
+        cost_pref=_readonly(e_p),
+        initial_vertex=_readonly(p0),
+        ks=_readonly(ks, np.int32),
+        ls=_readonly(ls, np.int32),
+        gradients=_readonly(gradients),
+        alphas=_readonly(alphas),
+        omegas=_readonly(omegas),
         eps_pop=eps_pop,
         eps_grad=eps_grad,
         block_of_position=blocks,
@@ -740,6 +749,9 @@ def _block_pairs(pos: np.ndarray):
 
 def _sorted_steps(prep: _Prepared):
     """The greedy's steps from one sort of the pair gradients, or None.
+
+    The steps are (ks, ls, gradients) arrays, ks and ls int32 below 2**31
+    pairs.
 
     Along the greedy, every pair of levels K > L of a block swaps exactly
     once, at gradient (e_p[K] - e_p[L]) / (a_p[K] - a_p[L]): the crossing of
@@ -794,8 +806,9 @@ def _sorted_steps(prep: _Prepared):
     grads = grads[order]
     if not np.all(grads[1:] > grads[:-1] + prep.inst.eps_grad):
         return None
-    ks, ls = upper[order].tolist(), lower[order].tolist()
-    for k, l in zip(ks, ls):
+    ks, ls = upper[order], lower[order]
+    # a memoryview's items are Python ints, made one at a time
+    for k, l in zip(memoryview(ks), memoryview(ls)):
         r = rank[l]
         if rank[k] != r + 1:
             return None
@@ -808,9 +821,14 @@ def _build(prep: _Prepared) -> OptimalTrajectory:
 
     The steps come from one sort of the pair gradients when the instance
     certifies that this is the greedy's order (`_sorted_steps`), and from
-    the swap queue otherwise (`_queue_steps`). One replay then holds one
-    vertex, swaps its entries through a memoryview with no numpy call per
-    step, and takes the target and cost value of every vertex.
+    the swap queue otherwise (`_queue_steps`). A step gradient that is not
+    finite (a cost difference, or its quotient by the target difference,
+    overflows) raises NonFiniteValue, one check for both paths, before the
+    replay. The steps are then int32 arrays: the queue's
+    lists are freed, and the sorted path's arrays are kept as they are.
+    One replay holds one vertex, swaps its entries through a memoryview
+    with no numpy call per step, and takes the target and cost value of
+    every vertex.
 
     alpha and omega are the dot products of each vertex, not running sums,
     so they do not accumulate rounding. Vertices are copied into a buffer
@@ -823,6 +841,15 @@ def _build(prep: _Prepared) -> OptimalTrajectory:
     p0 = _minimal_pref(prep)
     steps = _sorted_steps(prep)
     ks, ls, grads = _queue_steps(prep, p0) if steps is None else steps
+    grads = np.asarray(grads, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(grads))
+    if len(bad):
+        i = int(bad[0])
+        raise NonFiniteValue(
+            f"step {i} has gradient {float(grads[i])!r}: a cost difference or its quotient by the "
+            "target difference overflows float64; rescale the cost or the target"
+        )
+    ks, ls = np.asarray(ks, dtype=np.int32), np.asarray(ls, dtype=np.int32)
     alphas, omegas = np.empty(len(ks) + 1), np.empty(len(ks) + 1)
     p = p0.copy()
     pv = memoryview(p)
@@ -833,7 +860,7 @@ def _build(prep: _Prepared) -> OptimalTrajectory:
     bv[:d] = pv
     end = d  # flat[:end] holds the vertices not yet dotted
     done = 0  # vertices dotted
-    for k, l in zip(ks, ls):
+    for k, l in zip(memoryview(ks), memoryview(ls)):
         pv[k], pv[l] = pv[l], pv[k]
         if end == len(flat):
             np.vecdot(buf, a_p, out=alphas[done : done + rows])
@@ -865,8 +892,12 @@ def build(inst: ProblemInstance) -> OptimalTrajectory:
     The two give the same arrays bit for bit; the instance alone
     decides. alphas and omegas are the exact dot products of each vertex,
     taken in batches, O(steps · d). The polytope is never enumerated.
+    Raises NonFiniteValue when a step gradient overflows float64.
     """
-    return _build(_prepare(inst))
+    # coefficient differences that overflow split classes as inf gaps do, and
+    # an overflowing gradient is refused in _build: numpy need not warn of either
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _build(_prepare(inst))
 
 
 def omega_opt(traj: OptimalTrajectory, alpha: float) -> float:

@@ -203,6 +203,10 @@ def test_build_parse_errors(tmp_path, capsys):
     code, _, _ = run(capsys, "build", str(tmp_path / "nope.json"), str(tmp_path / "out.json"))
     assert code == 1
 
+    out = tmp_path / "no-such-dir" / "out.json"
+    code, _, err = run(capsys, "build", str(GENERIC), str(out))
+    assert code == 1 and err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
 
 def test_lift_output(tmp_path, capsys, instance_file):
     out_path = str(tmp_path / "lift.json")
@@ -470,3 +474,63 @@ assert all(globals()[name] is getattr(trajopt, name) for name in trajopt.__all__
 """
     proc = _child(code=code)
     assert proc.returncode == 0, proc.stderr
+
+
+# A cost difference whose quotient by the target difference overflows, and a
+# cost difference that overflows itself: each step gradient is -inf.
+_OVERFLOWS = {
+    "quotient": {"eigenvalues": [0.6, 0.4], "target": [0.0, 1e-11], "cost": [1e300, 0.0]},
+    "difference": {"eigenvalues": [0.6, 0.4], "target": [0.0, 1.0], "cost": [1e308, -1e308]},
+}
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning would be a second stderr line
+@pytest.mark.parametrize("name", list(_OVERFLOWS))
+@pytest.mark.parametrize("sub", ["build", "eval", "lift", "verify"])
+def test_non_finite_gradient_exits_before_any_output(tmp_path, capsys, name, sub):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_OVERFLOWS[name]))
+    out_file = tmp_path / "out.json"
+    argv = {
+        "build": ["build", path, out_file],
+        "eval": ["eval", path, "--grid", "3"],
+        "lift": ["lift", path, out_file, "--alpha", "0.5"],
+        "verify": ["verify", path, "--samples", "10"],
+    }[sub]
+    code, out, err = run(capsys, *map(str, argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: step 0 has gradient -inf") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["instance.json"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_work_overflow_exits_before_any_row(tmp_path, capsys):
+    # finite gradients, but omega - e.p0 spans 2e308 at the last vertex
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"eigenvalues": [1.0, 0.0, 0.0], "target": [0.0, 0.0, 1.0],
+                                "cost": [1e308, -1e308, 0.0], "initial_populations": [1.0, 0.0, 0.0]}))
+    code, out, err = run(capsys, "eval", str(path), "--grid", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: work") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not (os.path.islink("/dev/stdout") and os.path.isdir("/proc/self/fd")),
+                    reason="needs /dev/stdout and /proc/self/fd links")
+def test_build_writes_through_a_stdout_link_to_a_file(tmp_path, capsys):
+    # `trajopt build INSTANCE /dev/stdout > FILE`: the link resolves to FILE,
+    # which gets the document; the link itself stays as it was. A link made
+    # here goes first, so a build that replaced links fails on it before it
+    # could replace /dev/stdout
+    own = tmp_path / "stdout-link"
+    own.symlink_to("/proc/self/fd/1")
+    reference = tmp_path / "reference.json"
+    assert run(capsys, "build", str(GENERIC), str(reference))[0] == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(trajopt.__file__).resolve().parents[1]))
+    for out in (own, "/dev/fd/1", "/dev/stdout"):
+        links = {link: os.readlink(link) for link in (own, "/dev/fd", "/dev/stdout")}
+        with open(tmp_path / "stdout.json", "w") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "trajopt.cli", "build", str(GENERIC), str(out)],
+                                  stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert {link: os.readlink(link) for link in links} == links, out
+        assert (tmp_path / "stdout.json").read_bytes() == reference.read_bytes(), out

@@ -2,8 +2,12 @@
 
 import copy
 import dataclasses
+import io
 import json
+import os
 import re
+import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -288,7 +292,13 @@ _JSON_DOC = st.recursive(
 
 @given(st.dictionaries(st.text(max_size=4), _JSON_DOC, max_size=6))
 def test_dumps_canonical_equals_the_recursive_serializer(doc):
-    assert fileio.dumps_canonical(doc) == _recursive_dumps(doc)
+    text = fileio.dumps_canonical(doc)
+    assert text == _recursive_dumps(doc)
+    assert _streamed(doc) == text + "\n"
+    assert fileio.same_canonical(doc, doc)
+    # a reloaded document has ints where the original had integral floats, and no numpy scalars
+    assert fileio.same_canonical(doc, json.loads(text))
+    assert not fileio.same_canonical(doc, dict(doc, extra=None))  # drawn keys have at most 4 characters
 
 
 def test_dumps_canonical_lists_of_flat_dicts_match_the_recursive_serializer():
@@ -305,12 +315,14 @@ def test_dumps_canonical_lists_of_flat_dicts_match_the_recursive_serializer():
     for items in lists:
         for doc in (items, {"outer": {"steps": items}}):
             assert fileio.dumps_canonical(doc) == _recursive_dumps(doc)
+            assert _streamed(doc) == _recursive_dumps(doc) + "\n"
 
 
 @given(st.lists(st.dictionaries(st.text(max_size=3), st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
                                 max_size=4), max_size=5))
 def test_dumps_canonical_equals_the_recursive_serializer_on_flat_dict_lists(items):
     assert fileio.dumps_canonical({"rows": items}) == _recursive_dumps({"rows": items})
+    assert _streamed({"rows": items}) == _recursive_dumps({"rows": items}) + "\n"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float64("-inf")])
@@ -341,3 +353,133 @@ def test_instance_huge_integer_rejected(path):
     _set(inst, path, 10**300)  # a large integer that fits a float is still a number
     parsed = getattr(fileio.instance_from_dict(inst), path[0])
     assert (parsed if len(path) == 1 else parsed[path[1]]) == 1e300
+
+
+def _streamed(doc) -> str:
+    out = io.StringIO()
+    fileio.write_canonical(out, doc)
+    return out.getvalue()
+
+
+def test_float64_arrays_write_as_their_lists():
+    rng = np.random.default_rng(4)
+    for m in (rng.normal(size=(4, 3)), np.array([[-0.0, 1e-300], [5e-324, 2.5]]), np.zeros((0, 3)), np.zeros((2, 0)),
+              rng.normal(size=(3, 3)).astype(np.float32)):
+        want = fileio.dumps_canonical({"m": m.tolist(), "v": m[0].tolist() if len(m) else []})
+        doc = {"m": m, "v": m[0] if len(m) else m.reshape(-1)}
+        assert fileio.dumps_canonical(doc) == want
+        assert _streamed(doc) == want + "\n"
+    with pytest.raises(ValueError, match="non-finite"):
+        fileio.dumps_canonical({"m": np.array([[1.0, 2.0], [np.nan, 0.0]])})
+
+
+def test_same_canonical_compares_across_piece_boundaries():
+    # a numpy int is not a flat-dict value, so that row streams in pieces
+    plain, numpy_row = {"r": [{"k": 1, "g": 0.5}]}, {"r": [{"k": np.int64(1), "g": 0.5}]}
+    assert list(fileio._pieces(plain, 0)) != list(fileio._pieces(numpy_row, 0))
+    assert fileio.same_canonical(plain, numpy_row)
+    assert not fileio.same_canonical(plain, {"r": [{"k": np.int64(1), "g": 0.25}]})
+    assert not fileio.same_canonical({"a": [1, 2]}, {"a": [1, 2, 3]})
+
+
+def test_write_canonical_to_a_file_holds_about_a_row(tmp_path):
+    rng = np.random.default_rng(2)
+    d = 200
+    traj = build(validate(ProblemInstance(
+        eigenvalues=rng.dirichlet(np.ones(d)), target=rng.normal(size=d), cost=rng.normal(size=d))))
+    doc = fileio.trajectory_to_dict(traj)
+    path = tmp_path / "trajectory.json"
+    tracemalloc.start()
+    try:
+        fileio.write_canonical(path, doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert path.read_text() == fileio.dumps_canonical(doc) + "\n"
+    assert peak < size / 10, f"{peak} B held to write {size} B"
+
+
+def test_write_canonical_leaves_the_old_file_when_a_value_is_not_finite(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old contents\n")
+    rows = [{"k": i, "gradient": 0.5 * i} for i in range(20_000)]  # well past one write buffer
+    rows[-1]["gradient"] = float("nan")
+    with pytest.raises(ValueError, match="non-finite"):
+        fileio.write_canonical(path, {"steps": rows})
+    assert path.read_bytes() == b"old contents\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.json"]
+    rows[-1]["gradient"] = 1.0
+    fileio.write_canonical(path, {"steps": rows})
+    assert path.read_text() == fileio.dumps_canonical({"steps": rows}) + "\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.json"]
+
+
+def test_write_canonical_makes_files_as_open_does(tmp_path):
+    fileio.write_canonical(tmp_path / "new.json", {"a": 1})
+    with open(tmp_path / "reference.json", "w"):
+        pass
+    assert (tmp_path / "new.json").stat().st_mode == (tmp_path / "reference.json").stat().st_mode
+
+
+def test_write_canonical_writes_a_pipe_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a reader, so opening to write does not block
+    try:
+        fileio.write_canonical(fifo, {"a": [1.5, 2.0]})
+        assert os.read(reader, 1 << 16).decode() == fileio.dumps_canonical({"a": [1.5, 2.0]}) + "\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_write_canonical_keeps_the_mode_of_the_file_it_replaces(tmp_path):
+    doc = {"a": [1.5, 2.0]}
+    private = tmp_path / "private.json"
+    private.write_text("old\n")
+    private.chmod(0o600)
+    fileio.write_canonical(private, doc)
+    assert private.read_text() == fileio.dumps_canonical(doc) + "\n"
+    assert stat.S_IMODE(private.stat().st_mode) == 0o600
+    # a read-only file is refused, or (by a superuser) written, as open(path, "w") does
+    read_only = tmp_path / "read-only.json"
+    read_only.write_text("old\n")
+    read_only.chmod(0o444)
+    if os.access(read_only, os.W_OK):
+        fileio.write_canonical(read_only, doc)
+        assert read_only.read_text() == fileio.dumps_canonical(doc) + "\n"
+    else:
+        with pytest.raises(PermissionError, match=re.escape(repr(str(read_only)))):
+            fileio.write_canonical(read_only, doc)
+        assert read_only.read_text() == "old\n"
+    assert stat.S_IMODE(read_only.stat().st_mode) == 0o444
+    assert sorted(os.listdir(tmp_path)) == ["private.json", "read-only.json"]
+
+
+def test_write_canonical_writes_links_in_place(tmp_path):
+    doc = {"a": [1.5, 2.0]}
+    want = fileio.dumps_canonical(doc) + "\n"
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    (tmp_path / "symlink.json").symlink_to(target)
+    fileio.write_canonical(tmp_path / "symlink.json", doc)
+    assert (tmp_path / "symlink.json").is_symlink() and target.read_text() == want
+    os.link(target, tmp_path / "hardlink.json")
+    fileio.write_canonical(tmp_path / "hardlink.json", {"b": 1})
+    assert target.read_text() == fileio.dumps_canonical({"b": 1}) + "\n"
+    assert os.path.samefile(target, tmp_path / "hardlink.json")
+
+
+def test_write_canonical_writes_in_place_where_no_new_file_can_be_made(tmp_path, monkeypatch):
+    # as in a read-only directory: the output, writable itself, is written in place
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(fileio.os, "open", refuse)
+    fileio.write_canonical(path, {"a": 1})
+    assert path.read_text() == fileio.dumps_canonical({"a": 1}) + "\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.json"]

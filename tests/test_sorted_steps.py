@@ -23,6 +23,7 @@ from conftest import random_instance, tie_instance
 from trajopt import trajectory
 from trajopt.conserved import build_generalized, from_populations
 from trajopt.core import COEFF_EPS, ProblemInstance, validate
+from trajopt.errors import NonFiniteValue
 from trajopt.fileio import load_instance
 from trajopt.trajectory import build
 
@@ -601,3 +602,14 @@ def test_the_queue_pushes_one_pair_per_pair_of_cells(case, bound):
     # step on the degenerate instance; on the cooling one every cell is a
     # singleton, and a step pushes the pairs touching the swapped positions
     assert _pushes_per_step(case()) <= bound
+
+
+@pytest.mark.parametrize("cost", [[1e300, 0.0, 0.5], [1e308, -1e308, 0.5]], ids=["quotient", "difference"])
+def test_a_non_finite_gradient_is_refused_on_both_paths(cost):
+    # targets 0, 1e-11, 1: the first pair's gradient overflows to -inf
+    inst = make([0.5, 0.3, 0.2], [0.0, 1e-11, 1.0], cost)
+    with np.errstate(over="ignore"):
+        assert trajectory._sorted_steps(trajectory._prepare(inst)) is not None
+    for built in (build, _queue_build):
+        with pytest.raises(NonFiniteValue, match="gradient -inf"):
+            built(inst)
