@@ -75,8 +75,10 @@ def cmd_eval(args) -> int:
     else:
         # the grid lies inside [alpha_min, alpha_max], so one interpolation
         # over it equals omega_opt at each point
-        grid = np.linspace(traj.alpha_min, traj.alpha_max, args.grid)
-        alphas = np.unique(np.concatenate([grid, traj.alphas]))
+        alphas = np.concatenate([np.linspace(traj.alpha_min, traj.alpha_max, args.grid), traj.alphas])
+        # np.unique's sort and mask, without its import of numpy.ma
+        alphas.sort()
+        alphas = alphas[np.concatenate(([True], alphas[1:] != alphas[:-1]))]
         omegas = np.interp(alphas, traj.alphas, traj.omegas)
     columns = [alphas, omegas]
     header = "alpha,omega"

@@ -18,8 +18,9 @@ so a step costs O(cells next to them · log) instead of a pass over every
 pair; when all (target, cost) pairs are distinct every cell is one
 position, and these are the pairs touching the two swapped positions.
 A candidate is held as the int k * d + l in a heap per exact gradient and
-is live while l's value run follows k's, so a build step is one loop over
-ints and lists (`_SwapQueue.steps`).
+is live while l's value run follows k's, so a build step, its moves between
+cells included, is one pass of one loop over ints and lists that makes no
+method call (`_SwapQueue.steps`); only a tie within eps_grad calls `best`.
 
 `build` needs no queue when the instance certifies its order: with
 distinct populations and targets in every block and pair gradients more
@@ -30,8 +31,9 @@ pair gradients gives the steps in O(P log P), P the number of pairs
 instance keeps one queue for the whole trajectory. Both give the same
 steps bit for bit. A build step then makes no numpy call: the vertex's
 entries are swapped through a memoryview, and the target and cost values
-of the vertices are dotted a buffer of vertices at a time (`np.vecdot`),
-equal bit for bit to one `np.dot` each, O(steps · d) in all.
+of the vertices are dotted a buffer of 2**15 floats (256 KB) of vertices at
+a time (`np.vecdot`), equal bit for bit to one `np.dot` each whatever the
+buffer's size, O(steps · d) in all.
 
 Every construction runs on one prepared instance (`_prepare`): the
 preferred order, the coefficients and spectrum in that order, and the
@@ -50,8 +52,9 @@ read; `steps` is a read-only sequence that makes a `SwapStep` when one is
 read, and `breakpoints` stacks `alphas` and `omegas`.
 `omega_opt` interpolates on the two breakpoints around alpha, found by
 binary search on a memoryview, in Python floats as `np.interp` would, so
-it costs O(log steps) per call and makes no numpy call; `state_at` shares
-its segment lookup.
+it costs O(log steps) per call and makes no numpy call; the range test,
+clamp, search and interpolation run in one frame. `state_at` uses the same
+segment lookup (`MinimalCostFunction.segment`).
 
 Vertices and step indices are stored in preferred-basis coordinates;
 population vectors returned to callers are in the input basis.
@@ -69,6 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    ALPHA_TOL,
     COEFF_EPS,
     PreferredOrder,
     ProblemInstance,
@@ -80,8 +84,8 @@ from .core import (
 )
 from .errors import NonFiniteValue, NotAVertex
 
-# float64 entries of the vertex buffer whose rows `_build` dots in one call (64 KB)
-_DOT_BUFFER = 2**13
+# float64 entries of the vertex buffer whose rows `_build` dots in one call (256 KB)
+_DOT_BUFFER = 2**15
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,8 @@ class MinimalCostFunction:
 
     A call finds alpha's segment by binary search on a read-only memoryview
     of alphas and interpolates between its two breakpoints in Python floats,
-    so it costs O(log steps), makes no numpy call and copies nothing. The
+    so it costs O(log steps), makes no numpy call and copies nothing; it
+    calls no method and calls `check_alpha` only to raise. The
     branches are the ones `np.interp` takes for two breakpoints, so the
     value is the one `np.interp` gives on the whole arrays, bit for bit.
     """
@@ -119,8 +124,11 @@ class MinimalCostFunction:
 
     def __post_init__(self):
         setattr_ = object.__setattr__
-        setattr_(self, "alpha_min", float(self.alphas[0]))
-        setattr_(self, "alpha_max", float(self.alphas[-1]))
+        lo, hi = float(self.alphas[0]), float(self.alphas[-1])
+        setattr_(self, "alpha_min", lo)
+        setattr_(self, "alpha_max", hi)
+        # the range check_alpha accepts, the one it clamps to and the last vertex
+        setattr_(self, "_bounds", (lo - ALPHA_TOL, lo, hi, hi + ALPHA_TOL, len(self.alphas) - 1))
         # an item of a memoryview is a Python float, not a numpy scalar
         setattr_(self, "_xp", memoryview(self.alphas).toreadonly())
         setattr_(self, "_fp", memoryview(self.omegas).toreadonly())
@@ -134,9 +142,14 @@ class MinimalCostFunction:
         return x, bisect_right(self._xp, x) - 1
 
     def __call__(self, alpha: float) -> float:
-        x, j = self.segment(alpha)
+        # `segment` in this frame: check_alpha's test and clamp, then the search
+        low, lo, hi, high, last = self._bounds
+        if not low <= alpha <= high:
+            check_alpha(alpha, lo, hi)  # raises
+        x = float(lo if alpha < lo else hi if alpha > hi else alpha)
         xp, fp = self._xp, self._fp
-        if j == len(xp) - 1 or xp[j] == x:
+        j = bisect_right(xp, x) - 1
+        if j == last or xp[j] == x:
             return fp[j]
         x0, x1, y0, y1 = xp[j], xp[j + 1], fp[j], fp[j + 1]
         slope = (y1 - y0) / (x1 - x0)
@@ -573,62 +586,17 @@ class _SwapQueue:
         pairs = ((k, l) for lows, highs in zip(members, members[1:]) for k in lows for l in highs)
         return [self._pair(k * d + l) for k, l in sorted(pairs) if a[k] - a[l] > COEFF_EPS]
 
-    def _move(self, k, l, r):
-        """Move k from run r to r + 1 and l from r + 1 to r; the positions that became heads.
-
-        k and l are heads, as every pair the tie rule takes is. Each leaves
-        its cell, whose next member becomes head; a cell left empty drops
-        out of its run's heads. Each then joins its cell of the other run,
-        as its head or behind it.
-        """
-        heads, cells, cls, slot, n = self._heads, self._cells, self._cls, self._slot, self._n
-        new = []
-        for x, s in ((k, r), (l, r + 1)):
-            run = heads[s]
-            i = slot[x]
-            if cls[x] >= 0:
-                key = s * n + cls[x]
-                cell = cells[key]
-                heapq.heappop(cell)
-                if cell:
-                    h = run[i] = cell[0]
-                    slot[h] = i
-                    new.append(h)
-                    continue
-                del cells[key]
-            last = run.pop()
-            if last != x:
-                run[i] = last
-                slot[last] = i
-        for x, s in ((k, r + 1), (l, r)):
-            run = heads[s]
-            if cls[x] >= 0:
-                key = s * n + cls[x]
-                cell = cells.get(key)
-                if cell is not None:
-                    h = cell[0]
-                    heapq.heappush(cell, x)
-                    if x > h:
-                        continue
-                    slot[x] = i = slot[h]
-                    run[i] = x
-                    new.append(x)
-                    continue
-                cells[key] = [x]
-            slot[x] = len(run)
-            run.append(x)
-            new.append(x)
-        return new
-
     def steps(self, eps_grad, count=None):
         """Take the best swap count times, or until none is left: (ks, ls, gradients) lists.
 
         Each step is the pair `best` returns. The common case, a least
-        bucket with no other gradient within eps_grad, and a swap of two
-        singleton cells run in this loop with the state in locals.
+        bucket with no other gradient within eps_grad, runs in this loop
+        with the state in locals, and so does every swap's move between
+        cells: a swap of two singleton cells in O(1), any other as below.
         """
         a, e, d = self._a, self._e, self._d
         heads, run_of, slot, cls = self._heads, self._run_of, self._slot, self._cls
+        cells, nc = self._cells, self._n
         grads, buckets = self._grads, self._buckets
         heappush, heappop = heapq.heappush, heapq.heappop
         ks, ls, out = [], [], []
@@ -661,7 +629,45 @@ class _SwapQueue:
                 slot[k], slot[l] = sl, sk
                 new = (k, l)
             else:
-                new = self._move(k, l, r)
+                # k and l are heads, as every pair the tie rule takes is. Each
+                # leaves its cell, whose next member becomes head (a cell left
+                # empty drops out of its run's heads), then joins its cell of
+                # the other run, as its head or behind it
+                new = []
+                for x, s in ((k, r), (l, r + 1)):
+                    run, i = heads[s], slot[x]
+                    if cls[x] >= 0:
+                        key = s * nc + cls[x]
+                        cell = cells[key]
+                        heappop(cell)
+                        if cell:
+                            h = run[i] = cell[0]
+                            slot[h] = i
+                            new.append(h)
+                            continue
+                        del cells[key]
+                    last = run.pop()
+                    if last != x:
+                        run[i] = last
+                        slot[last] = i
+                for x, s in ((k, r + 1), (l, r)):
+                    run = heads[s]
+                    if cls[x] >= 0:
+                        key = s * nc + cls[x]
+                        cell = cells.get(key)
+                        if cell is not None:
+                            h = cell[0]
+                            heappush(cell, x)
+                            if x > h:
+                                continue
+                            slot[x] = i = slot[h]
+                            run[i] = x
+                            new.append(x)
+                            continue
+                        cells[key] = [x]
+                    slot[x] = len(run)
+                    run.append(x)
+                    new.append(x)
             # the pairs of each new head, pushed as `_push_from` would push
             # them; (l, k) lowers the target, so its gap fails the test
             for x in new:
@@ -855,14 +861,15 @@ def _build(prep: _Prepared) -> OptimalTrajectory:
     pv = memoryview(p)
     d = len(p)
     rows = max(1, _DOT_BUFFER // d)
-    flat = np.empty(rows * d)
+    cap = rows * d
+    flat = np.empty(cap)
     buf, bv = flat.reshape(rows, d), memoryview(flat)
     bv[:d] = pv
     end = d  # flat[:end] holds the vertices not yet dotted
     done = 0  # vertices dotted
     for k, l in zip(memoryview(ks), memoryview(ls)):
         pv[k], pv[l] = pv[l], pv[k]
-        if end == len(flat):
+        if end == cap:
             np.vecdot(buf, a_p, out=alphas[done : done + rows])
             np.vecdot(buf, e_p, out=omegas[done : done + rows])
             done += rows

@@ -51,7 +51,7 @@ def incoherent_file(tmp_path, capsys):
 
 
 def test_cool_demo_fields(instance_file):
-    text = open(instance_file).read()
+    text = Path(instance_file).read_text()
     doc = json.loads(text)
     assert list(doc) == ["eigenvalues", "target", "cost", "initial_populations", "eps_pop", "eps_grad"]
     assert len(doc["eigenvalues"]) == 8
@@ -95,7 +95,7 @@ def test_build_eval_roundtrip(tmp_path, capsys, instance_file):
     out_path = str(tmp_path / "traj.json")
     code, _, _ = run(capsys, "build", instance_file, out_path)
     assert code == 0
-    text = open(out_path).read()
+    text = Path(out_path).read_text()
     doc = fileio.load_json(out_path)
     assert fileio.dumps_canonical(fileio.trajectory_from_dict(doc)) + "\n" == text
 
@@ -212,14 +212,14 @@ def test_lift_output(tmp_path, capsys, instance_file):
     out_path = str(tmp_path / "lift.json")
     code, _, _ = run(capsys, "lift", instance_file, out_path, "--alpha", "0.52")
     assert code == 0
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(Path(out_path).read_text())
     u = np.array(doc["unitary"], dtype=float)
     ds = np.array(doc["doubly_stochastic"], dtype=float)
     assert np.max(np.abs(u.T @ u - np.eye(8))) <= 1e-12
     assert np.max(np.abs(u**2 - ds)) <= 1e-12
     # lifting at alpha_min is a permutation matrix
     code, _, _ = run(capsys, "lift", instance_file, out_path, "--alpha", "0.34497293037343785")
-    perm = np.array(json.loads(open(out_path).read())["unitary"])
+    perm = np.array(json.loads(Path(out_path).read_text())["unitary"])
     assert np.isin(perm, [0.0, 1.0]).all()
 
 
@@ -255,7 +255,7 @@ def test_verify_tamper_negative_control(tmp_path, capsys, instance_file):
     doc = fileio.load_json(traj_path)
     doc["steps"][2]["gradient"] += 1e-3
     tampered = str(tmp_path / "tampered.json")
-    open(tampered, "w").write(json.dumps(doc))
+    Path(tampered).write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", instance_file, "--samples", "100", "--trajectory", tampered)
     assert code == 4
     assert "FAIL" in out
@@ -439,6 +439,16 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, instance_file, inco
     assert proc.returncode == 0, proc.stderr
     # runpy runs the cli module as __main__, not as trajopt.cli
     assert _loaded(proc) == CLI_MODULES - {"trajopt.cli"} | {f"trajopt.{m}" for m in extra}
+
+
+def test_eval_grid_leaves_numpy_ma_unloaded(instance_file):
+    # np.unique imports numpy.ma, which costs an `eval` child 14-16 ms and
+    # its memory; the grid is deduped by np.unique's sort and mask instead
+    code = _RUN_AND_LIST.replace(_LIST_MODULES, 'print("numpy.ma" in sys.modules, file=sys.stderr)')
+    proc = _child("eval", instance_file, "--grid", "200", code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("alpha,omega,work\n")
+    assert proc.stderr.splitlines()[-1] == "False"
 
 
 def test_package_names_are_their_modules_attributes():

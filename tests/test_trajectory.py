@@ -209,6 +209,9 @@ def test_omega_opt_equals_interpolation_on_all_breakpoints(rng):
     funcs = [traj.cost_function for traj in trajs]
     # -0.0 omegas, which a build never makes but the function must still carry
     funcs.append(MinimalCostFunction(alphas=np.array([0.0, 1.0, 2.0, 3.0]), omegas=np.array([-0.0, -0.0, 1.0, -0.0])))
+    # a built trajectory whose alphas are the integers 1 and 3
+    funcs.append(build(make([0.75, 0.25], [0.0, 4.0], [0.0, -4.0])).cost_function)
+    assert funcs[-1].alphas.tolist() == [1.0, 3.0]
     for f in funcs:
         alphas, omegas = f.alphas, f.omegas
         xs = np.concatenate([
@@ -227,7 +230,15 @@ def test_omega_opt_equals_interpolation_on_all_breakpoints(rng):
         # within ALPHA_TOL outside the range, alpha is clamped to the ends
         for x, end in ((f.alpha_min - 5e-10, f.alpha_min), (f.alpha_max + 5e-10, f.alpha_max)):
             assert _signed(f(x)) == _signed(float(np.interp(end, alphas, omegas)))
-    assert [_signed(funcs[-1](x)) for x in (0.0, 1.0, 3.0)] == [(-0.0, True)] * 3
+        # an np.float64 alpha gives the float's value, bits and sign, at every
+        # breakpoint and at both clamps; so does an int equal to the float
+        for x in [*alphas.tolist(), f.alpha_min - 5e-10, f.alpha_max + 5e-10]:
+            want = _signed(f(x))
+            assert _signed(f(np.float64(x))) == want and type(f(np.float64(x))) is float
+            if x == int(x):
+                assert _signed(f(int(x))) == want and type(f(int(x))) is float
+    assert [_signed(funcs[-2](x)) for x in (0.0, 1.0, 3.0)] == [(-0.0, True)] * 3
+    assert [f(x) for f in funcs[-2:] for x in (1, 3)] == [-0.0, -0.0, -1.0, -3.0]
     invisible = trajs[-1]
     assert invisible.alphas[0] == invisible.alphas[1]
     assert omega_opt(invisible, float(invisible.alphas[0])) == 0.49999999995
@@ -263,6 +274,25 @@ def test_batched_dots_equal_per_vertex_dots(rng, monkeypatch, rows):
                 want = [float(np.dot(coeffs, v)) for v in vertices]
                 assert got.tolist() == want
                 assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+def test_replay_bits_do_not_depend_on_the_buffer_size(rng, monkeypatch):
+    # the buffer only batches the dots: one row per call, 2**13 entries and
+    # 2**16 entries give the default build's alphas and omegas bit for bit;
+    # every instance fills a 2**13 buffer, and the generic one a 2**16 buffer
+    c = rng.integers(0, 3, 64).astype(float)
+    cases = [
+        (128, build, random_instance(rng, 128)),
+        (96, build, tie_instance(rng, 96)),
+        (64, build_generalized, from_populations(tie_instance(rng, 64, conserved=c))),
+    ]
+    want = [(traj.alphas.tobytes(), traj.omegas.tobytes()) for traj in (b(inst) for _, b, inst in cases)]
+    for size in (None, 2**13, 2**16):
+        for (d, build_, inst), bits in zip(cases, want):
+            monkeypatch.setattr(trajectory, "_DOT_BUFFER", size or d)
+            traj = build_(inst)
+            assert traj.dim == d and len(traj.ks) * d > 2**13
+            assert (traj.alphas.tobytes(), traj.omegas.tobytes()) == bits
 
 
 def test_monte_carlo_never_beats_omega(rng):
