@@ -18,16 +18,19 @@ so a step costs O(cells next to them · log) instead of a pass over every
 pair; when all (target, cost) pairs are distinct every cell is one
 position, and these are the pairs touching the two swapped positions.
 A candidate is held as the int k * d + l in a heap per exact gradient and
-is live while l's value run follows k's, so a build step, its moves between
-cells included, is one pass of one loop over ints and lists that makes no
-method call (`_SwapQueue.steps`); only a tie within eps_grad calls `best`.
+is live while l's value run follows k's. Each run keeps its own map from
+the shared classes it holds to their cells, so a build step, its moves
+between cells included, is one pass of one loop over ints, lists and
+dicts that makes no method call (`_SwapQueue.steps`); only a tie within
+eps_grad calls `best`.
 
 `build` needs no queue when the instance certifies its order: with
 distinct populations and targets in every block and pair gradients more
 than eps_grad apart, every pair of a block swaps once, in gradient order
 (kinetic sorting, Basch, Guibas and Hershberger 1999), so one sort of the
 pair gradients gives the steps in O(P log P), P the number of pairs
-(`_sorted_steps` lists the four checks and why they suffice). Any other
+(`_sorted_steps` lists the four checks and why they suffice; numpy's
+default sort serves, as the checks leave no equal gradients). Any other
 instance keeps one queue for the whole trajectory. Both give the same
 steps bit for bit. A build step then makes no numpy call: the vertex's
 entries are swapped through a memoryview, and the target and cost values
@@ -53,8 +56,10 @@ read, and `breakpoints` stacks `alphas` and `omegas`.
 `omega_opt` interpolates on the two breakpoints around alpha, found by
 binary search on a memoryview, in Python floats as `np.interp` would, so
 it costs O(log steps) per call and makes no numpy call; the range test,
-clamp, search and interpolation run in one frame. `state_at` uses the same
-segment lookup (`MinimalCostFunction.segment`).
+clamp, search and interpolation run in one frame, a module-level function
+(`_cost_at`) that `omega_opt` calls directly and that is also
+`MinimalCostFunction.__call__`. `state_at` uses the same segment lookup
+(`MinimalCostFunction.segment`).
 
 Vertices and step indices are stored in preferred-basis coordinates;
 population vectors returned to callers are in the input basis.
@@ -105,16 +110,43 @@ class SwapStep:
     alpha_end: float
 
 
+def _cost_at(f: MinimalCostFunction, alpha: float) -> float:
+    """f(alpha), the body of both `MinimalCostFunction.__call__` and `omega_opt`.
+
+    A module-level function, so that `omega_opt` makes a plain call rather
+    than calling an instance. `segment`'s work runs in this frame:
+    check_alpha's test and clamp, then the search.
+    """
+    low, lo, hi, high, last = f._bounds
+    if not low <= alpha <= high:
+        check_alpha(alpha, lo, hi)  # raises
+    x = float(lo if alpha < lo else hi if alpha > hi else alpha)
+    xp, fp = f._xp, f._fp
+    j = bisect_right(xp, x) - 1
+    if j == last or xp[j] == x:
+        return fp[j]
+    x0, x1, y0, y1 = xp[j], xp[j + 1], fp[j], fp[j + 1]
+    slope = (y1 - y0) / (x1 - x0)
+    y = slope * (x - x0) + y0
+    if y != y:
+        # NaN: np.interp tries from the other end, then a flat segment's value
+        y = slope * (x - x1) + y1
+        if y != y and y0 == y1:
+            y = y0
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class MinimalCostFunction:
     """Piecewise-linear convex minimal cost on [alpha_min, alpha_max].
 
-    A call finds alpha's segment by binary search on a read-only memoryview
-    of alphas and interpolates between its two breakpoints in Python floats,
-    so it costs O(log steps), makes no numpy call and copies nothing; it
-    calls no method and calls `check_alpha` only to raise. The
-    branches are the ones `np.interp` takes for two breakpoints, so the
-    value is the one `np.interp` gives on the whole arrays, bit for bit.
+    A call (`_cost_at`) finds alpha's segment by binary search on a
+    read-only memoryview of alphas and interpolates between its two
+    breakpoints in Python floats, so it costs O(log steps), makes no numpy
+    call and copies nothing; it calls no method and calls `check_alpha`
+    only to raise. The branches are the ones `np.interp` takes for two
+    breakpoints, so the value is the one `np.interp` gives on the whole
+    arrays, bit for bit.
     """
 
     alphas: np.ndarray
@@ -141,25 +173,7 @@ class MinimalCostFunction:
         x = float(check_alpha(alpha, self.alpha_min, self.alpha_max))
         return x, bisect_right(self._xp, x) - 1
 
-    def __call__(self, alpha: float) -> float:
-        # `segment` in this frame: check_alpha's test and clamp, then the search
-        low, lo, hi, high, last = self._bounds
-        if not low <= alpha <= high:
-            check_alpha(alpha, lo, hi)  # raises
-        x = float(lo if alpha < lo else hi if alpha > hi else alpha)
-        xp, fp = self._xp, self._fp
-        j = bisect_right(xp, x) - 1
-        if j == last or xp[j] == x:
-            return fp[j]
-        x0, x1, y0, y1 = xp[j], xp[j + 1], fp[j], fp[j + 1]
-        slope = (y1 - y0) / (x1 - x0)
-        y = slope * (x - x0) + y0
-        if y != y:
-            # NaN: np.interp tries from the other end, then a flat segment's value
-            y = slope * (x - x1) + y1
-            if y != y and y0 == y1:
-                y = y0
-        return y
+    __call__ = _cost_at
 
 
 class StepSequence(Sequence):
@@ -465,11 +479,15 @@ class _SwapQueue:
     carries no gradient: the chosen pair's is recomputed by the expression
     that bucketed it, so a -0.0 survives a bucket it shares with 0.0.
 
-    Each run keeps a list of its cells' heads, with each head's slot in it;
-    a cell with more than one member is a heap of positions. A position
-    whose (a, e) no other position of its block shares has class -1: its
-    cell is always itself, and a swap of two such positions exchanges them
-    in their runs' lists in O(1).
+    Each run keeps a list of its cells' heads, with each head's slot in it.
+    A position whose (a, e) no other position of its block shares has class
+    -1: its cell is always itself, and a swap of two such positions
+    exchanges them in their runs' lists in O(1). The other classes are
+    shared, and each run keeps its own map from the shared classes it holds
+    to their cells, each a heap of positions. A run that holds none has no
+    map (None) until a member of a shared class joins it, and a cell left
+    empty leaves its map, so memory is O(d + cells): no table is sized runs
+    times classes.
     """
 
     def __init__(self, p, prep: _Prepared):
@@ -488,11 +506,11 @@ class _SwapQueue:
                     for k in members:
                         cls[k] = n
                     n += 1
-        self._cls, self._n = cls, n
+        self._cls = cls
         self._run_of = [0] * d
         self._slot = [0] * d  # index of each head in its run's list
         self._heads = [[]]  # the heads of each run's cells; empty sentinels before, between and after blocks
-        self._cells = {}  # run * n + class -> heap of the cell's members, for shared classes
+        self._cells = [None]  # per run: shared class -> heap of its cell's members, or None
         for pos in prep.groups:
             members = pos[np.argsort(p[pos], kind="stable")]
             splits = np.nonzero(np.diff(p[members]) > prep.inst.eps_pop)[0] + 1
@@ -504,15 +522,16 @@ class _SwapQueue:
                     if cls[k] < 0:
                         heads.append(k)
                     else:
-                        cells.setdefault(r * n + cls[k], []).append(k)
+                        cells.setdefault(cls[k], []).append(k)
                 for cell in cells.values():
                     heapq.heapify(cell)
                     heads.append(cell[0])
                 for i, k in enumerate(heads):
                     self._slot[k] = i
-                self._cells.update(cells)
                 self._heads.append(heads)
+                self._cells.append(cells or None)
             self._heads.append([])
+            self._cells.append(None)
         self._grads = []  # heap of the bucket keys
         self._buckets = {}  # gradient -> heap of k * d + l
         for lows, highs in zip(self._heads, self._heads[1:]):
@@ -592,11 +611,11 @@ class _SwapQueue:
         Each step is the pair `best` returns. The common case, a least
         bucket with no other gradient within eps_grad, runs in this loop
         with the state in locals, and so does every swap's move between
-        cells: a swap of two singleton cells in O(1), any other as below.
+        cells: a swap of two singleton cells in O(1), any other in four
+        straight-line moves on the two runs' head lists and cell maps.
         """
         a, e, d = self._a, self._e, self._d
-        heads, run_of, slot, cls = self._heads, self._run_of, self._slot, self._cls
-        cells, nc = self._cells, self._n
+        heads, run_of, slot, cls, cells = self._heads, self._run_of, self._slot, self._cls, self._cells
         grads, buckets = self._grads, self._buckets
         heappush, heappop = heapq.heappush, heapq.heappop
         ks, ls, out = [], [], []
@@ -622,7 +641,8 @@ class _SwapQueue:
             # k moves up to run r + 1 and l down to run r
             r = run_of[k]
             run_of[k], run_of[l] = r + 1, r
-            if cls[k] < 0 and cls[l] < 0:
+            ck, cl = cls[k], cls[l]
+            if ck < 0 and cl < 0:
                 sk, sl = slot[k], slot[l]
                 heads[r][sk] = l
                 heads[r + 1][sl] = k
@@ -633,41 +653,79 @@ class _SwapQueue:
                 # leaves its cell, whose next member becomes head (a cell left
                 # empty drops out of its run's heads), then joins its cell of
                 # the other run, as its head or behind it
-                new = []
-                for x, s in ((k, r), (l, r + 1)):
-                    run, i = heads[s], slot[x]
-                    if cls[x] >= 0:
-                        key = s * nc + cls[x]
-                        cell = cells[key]
-                        heappop(cell)
-                        if cell:
-                            h = run[i] = cell[0]
-                            slot[h] = i
-                            new.append(h)
-                            continue
-                        del cells[key]
-                    last = run.pop()
-                    if last != x:
-                        run[i] = last
+                lows, highs, new = heads[r], heads[r + 1], []
+                i, left = slot[k], True
+                if ck >= 0:
+                    cell = cells[r][ck]
+                    heappop(cell)
+                    if cell:
+                        h = lows[i] = cell[0]
+                        slot[h] = i
+                        new.append(h)
+                        left = False
+                    else:
+                        del cells[r][ck]
+                if left:
+                    last = lows.pop()
+                    if last != k:
+                        lows[i] = last
                         slot[last] = i
-                for x, s in ((k, r + 1), (l, r)):
-                    run = heads[s]
-                    if cls[x] >= 0:
-                        key = s * nc + cls[x]
-                        cell = cells.get(key)
-                        if cell is not None:
-                            h = cell[0]
-                            heappush(cell, x)
-                            if x > h:
-                                continue
-                            slot[x] = i = slot[h]
-                            run[i] = x
-                            new.append(x)
-                            continue
-                        cells[key] = [x]
-                    slot[x] = len(run)
-                    run.append(x)
-                    new.append(x)
+                i, left = slot[l], True
+                if cl >= 0:
+                    cell = cells[r + 1][cl]
+                    heappop(cell)
+                    if cell:
+                        h = highs[i] = cell[0]
+                        slot[h] = i
+                        new.append(h)
+                        left = False
+                    else:
+                        del cells[r + 1][cl]
+                if left:
+                    last = highs.pop()
+                    if last != l:
+                        highs[i] = last
+                        slot[last] = i
+                joins = True
+                if ck >= 0:
+                    found = cells[r + 1]
+                    if found is None:
+                        found = cells[r + 1] = {}
+                    cell = found.get(ck)
+                    if cell is None:
+                        found[ck] = [k]
+                    else:
+                        h = cell[0]
+                        heappush(cell, k)
+                        joins = False
+                        if k < h:
+                            slot[k] = i = slot[h]
+                            highs[i] = k
+                            new.append(k)
+                if joins:
+                    slot[k] = len(highs)
+                    highs.append(k)
+                    new.append(k)
+                joins = True
+                if cl >= 0:
+                    found = cells[r]
+                    if found is None:
+                        found = cells[r] = {}
+                    cell = found.get(cl)
+                    if cell is None:
+                        found[cl] = [l]
+                    else:
+                        h = cell[0]
+                        heappush(cell, l)
+                        joins = False
+                        if l < h:
+                            slot[l] = i = slot[h]
+                            lows[i] = l
+                            new.append(l)
+                if joins:
+                    slot[l] = len(lows)
+                    lows.append(l)
+                    new.append(l)
             # the pairs of each new head, pushed as `_push_from` would push
             # them; (l, k) lowers the target, so its gap fails the test
             for x in new:
@@ -788,6 +846,11 @@ def _sorted_steps(prep: _Prepared):
     None and the build runs the queue; either way the outputs are equal
     bit for bit. The cost is O(P log P) for P = sum over blocks of
     n_b (n_b - 1) / 2.
+
+    The sort need not be stable: when check 3 passes the sorted gradients
+    rise strictly, and then every sort gives the one permutation that
+    orders them; when two gradients are equal check 3 fails, whichever
+    order the sort left them in.
     """
     a_p, e_p, lam_p = prep.a_p, prep.e_p, prep.lam_p
     uppers, lowers = [], []
@@ -808,7 +871,7 @@ def _sorted_steps(prep: _Prepared):
     upper, lower = np.concatenate(uppers), np.concatenate(lowers)
     # the expression `_SwapQueue._push_from` evaluates, element by element
     grads = (e_p[upper] - e_p[lower]) / (a_p[upper] - a_p[lower])
-    order = np.argsort(grads, kind="stable")
+    order = np.argsort(grads)
     grads = grads[order]
     if not np.all(grads[1:] > grads[:-1] + prep.inst.eps_grad):
         return None
@@ -909,7 +972,7 @@ def build(inst: ProblemInstance) -> OptimalTrajectory:
 
 def omega_opt(traj: OptimalTrajectory, alpha: float) -> float:
     """Minimal cost at target value alpha (piecewise-linear interpolation)."""
-    return traj.cost_function(alpha)
+    return _cost_at(traj.cost_function, alpha)
 
 
 def state_at(traj: OptimalTrajectory, alpha: float):

@@ -10,7 +10,9 @@ list the candidates, of a test-local copy of its first form
 
 import heapq
 import struct
+import tracemalloc
 import types
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -78,13 +80,29 @@ def test_build_equals_the_queue_build(seed, d, blocks, grid):
     assert_same_bytes(build(inst), _queue_build(inst))
 
 
+def _stable_sorted_pairs(prep):
+    """Every pair of each block by a stable sort of the gradients: the reference for `_sorted_steps`."""
+    uppers, lowers = zip(*map(trajectory._block_pairs, prep.groups))
+    upper, lower = np.concatenate(uppers), np.concatenate(lowers)
+    grads = (prep.e_p[upper] - prep.e_p[lower]) / (prep.a_p[upper] - prep.a_p[lower])
+    order = np.argsort(grads, kind="stable")
+    return upper[order], lower[order], grads[order]
+
+
 def test_most_generic_instances_are_sorted(rng):
     # the differential above is only as strong as the share of its generic
-    # draws that take the sorted path
+    # draws that take the sorted path; and check 3 leaves no equal
+    # gradients, so the default sort gives the stable sort's arrays
     sorted_ = 0
     for i in range(40):
         inst = _drawn_instance(int(rng.integers(2**32)), int(rng.integers(2, 41)), i % 5, 0)
-        sorted_ += trajectory._sorted_steps(trajectory._prepare(inst)) is not None
+        prep = trajectory._prepare(inst)
+        got = trajectory._sorted_steps(prep)
+        sorted_ += got is not None
+        # without a block of two levels the steps are three empty lists
+        if got is not None and len(got[0]):
+            for x, y in zip(got, _stable_sorted_pairs(prep)):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
     assert sorted_ >= 38
 
 
@@ -109,6 +127,12 @@ def _triple_crossing():
     # a = e: every pair has gradient 1, so three lines cross in one point
     lam = [0.5, 0.3, 0.2]
     return make(lam, [0.0, 1.0, 2.0], [0.0, 1.0, 3.0]), make(lam, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+
+
+def _signed_zero_gradients():
+    # costs 0.0, 0.0 and -0.0: the pair gradients 0.0, -0.0 and -0.0 are equal as floats
+    lam, a = [0.5, 0.3, 0.2], [0.0, 1.0, 2.0]
+    return make(lam, a, [0.0, 1.0, 3.0]), make(lam, a, [0.0, 0.0, -0.0])
 
 
 def _cross_block_chain():
@@ -144,6 +168,7 @@ def _rounded_crossings():
         _coarse_eps_grad,
         _gap_equal_to_eps_grad,
         _triple_crossing,
+        _signed_zero_gradients,
         _rounded_crossings,
         _cross_block_chain,
     ],
@@ -153,6 +178,7 @@ def _rounded_crossings():
         "eps-grad-1e-2",
         "gap-equal-to-eps-grad",
         "triple-crossing",
+        "signed-zero-gradients",
         "rounded-crossings",
         "cross-block-chain",
     ],
@@ -164,6 +190,29 @@ def test_fallback_cases_take_the_queue(case):
     assert trajectory._sorted_steps(trajectory._prepare(fallback)) is None
     for inst in (certified, fallback):
         assert_same_bytes(build(inst), _queue_build(inst))
+
+
+def _ties_last_first(grads):
+    """An argsort that puts equal gradients in descending index order, the reverse of a stable sort."""
+    return np.lexsort((-np.arange(len(grads)), grads))
+
+
+@pytest.mark.parametrize(
+    "case", [_triple_crossing, _signed_zero_gradients], ids=["triple-crossing", "signed-zeros"]
+)
+@pytest.mark.parametrize(
+    "argsort",
+    [partial(np.argsort, kind="stable"), partial(np.argsort, kind="heapsort"), _ties_last_first],
+    ids=["stable", "heapsort", "ties-last-first"],
+)
+def test_equal_gradients_fail_in_any_order(case, argsort):
+    # exactly equal gradients fail check 3 whichever order the sort leaves them in
+    prep = trajectory._prepare(case()[1])
+    upper, lower = trajectory._block_pairs(prep.groups[0])
+    grads = (prep.e_p[upper] - prep.e_p[lower]) / (prep.a_p[upper] - prep.a_p[lower])
+    assert len(set(grads.tolist())) < len(grads)
+    with mock.patch.object(np, "argsort", argsort):
+        assert trajectory._sorted_steps(prep) is None
 
 
 def test_cross_block_chain_keeps_the_block_order():
@@ -602,6 +651,34 @@ def test_the_queue_pushes_one_pair_per_pair_of_cells(case, bound):
     # step on the degenerate instance; on the cooling one every cell is a
     # singleton, and a step pushes the pairs touching the swapped positions
     assert _pushes_per_step(case()) <= bound
+
+
+def _one_cell_per_run(seed, runs):
+    """2 * runs levels: each run is two equal populations sharing one (target, cost), its own class."""
+    rng = np.random.default_rng(seed)
+    lam = np.repeat(np.sort(rng.uniform(0.1, 1.0, runs)), 2)
+    a = np.repeat(np.arange(runs, dtype=float), 2)
+    return make(lam / lam.sum(), a, np.repeat(rng.normal(size=runs), 2))
+
+
+@pytest.mark.parametrize(
+    "case, runs, cells",
+    [(lambda: _cooling(1, 2048), 2048, 0), (lambda: _one_cell_per_run(2, 1024), 1024, 1024)],
+    ids=["cooling-4096", "cells-2048"],
+)
+def test_the_queue_memory_is_linear(case, runs, cells):
+    # a table sized runs x classes would take 8 MB, 4 KB per position, on the second instance
+    prep = trajectory._prepare(case())
+    p0 = trajectory._minimal_pref(prep)
+    tracemalloc.start()
+    try:
+        queue = trajectory._SwapQueue(p0, prep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(1 for heads in queue._heads if heads) == runs
+    assert sum(len(found) for found in queue._cells if found) == cells
+    assert peak <= 1024 * len(p0)
 
 
 @pytest.mark.parametrize("cost", [[1e300, 0.0, 0.5], [1e308, -1e308, 0.5]], ids=["quotient", "difference"])
