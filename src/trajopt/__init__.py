@@ -31,9 +31,9 @@ _EXPORTS = {
         "t_transform_matrix", "unistochastic_of",
     ),
     "conserved": (
-        "BlockStructure", "GeneralizedInstance", "block_decompose", "block_spectra",
-        "build_generalized", "coherence_mass", "dephase", "from_density_matrix", "from_populations",
-        "generalized_vertex_count", "swap_candidates_generalized",
+        "BlockStructure", "block_decompose", "block_spectra", "build_generalized",
+        "coherence_mass", "dephase", "from_density_matrix", "from_populations",
+        "generalized_vertex_count",
     ),
     "cooling": (
         "CoolingInstance", "SystemSpec", "coherent_instance", "cooling_steps",
@@ -97,7 +97,6 @@ __all__ = [
     "from_density_matrix",
     "from_populations",
     "generalized_vertex_count",
-    "GeneralizedInstance",
     "incoherent_instance",
     "induced_polygon",
     "InducedPolygon",
@@ -121,7 +120,6 @@ __all__ = [
     "state_at",
     "subspace_passive",
     "swap_candidates",
-    "swap_candidates_generalized",
     "SwapStep",
     "SystemSpec",
     "t_transform_matrix",

@@ -133,8 +133,7 @@ def _verify_checks(inst, args):
         proj = oracle.induced_polygon(vertices, inst.target, inst.cost)
     elif inst.conserved is not None:
         try:
-            ginst = conserved.from_populations(inst)
-            gverts = conserved.enumerate_generalized_vertices(ginst, max_block_dim=cap)
+            gverts = conserved.enumerate_generalized_vertices(inst, max_block_dim=cap)
             proj = oracle.induced_polygon(gverts, inst.target, inst.cost)
         except DimensionTooLarge as exc:
             skip_reason = f"skipped ({exc})"

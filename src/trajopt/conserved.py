@@ -2,25 +2,35 @@
 
 Allowed unitaries are block-diagonal in the conserved eigenbasis, so the
 reachable populations form a direct product of per-block population
-polytopes. The construction is the base problem's, applied block by block:
-`trajectory` reads the blocks from the instance's conserved vector, so
-`trajectory.build` on an instance with one gives the same trajectory as
-`build_generalized`. This module adds what needs the blocks as a
-structure: density matrices and dephasing, the product polytope's
-vertices, and the generalized names of the build, the swap candidates and
-the maximal point.
+polytopes. A conserved instance is a plain `ProblemInstance` with its
+`conserved` vector set: `trajectory` reads the blocks from that vector
+(`core.block_of_input`), so `trajectory.build`, `swap_candidates` and
+`maximal_vertex` serve it as they serve a flat one. This module adds what
+needs the blocks as a structure: density matrices and dephasing, and the
+product polytope's vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import CONSERVED_EPS, DEFAULT_MAX_ENUM_DIM, ProblemInstance, cluster_ranks, validate
+from .core import (
+    CONSERVED_EPS,
+    DEFAULT_MAX_ENUM_DIM,
+    ProblemInstance,
+    block_indices,
+    block_of_input,
+    cluster_ranks,
+    validate,
+)
 from .errors import DimensionTooLarge, NotHermitian, NotUnitTrace
-from .trajectory import OptimalTrajectory, _build, _maximal_point, _prepare, _swap_candidates
+from .trajectory import _build, _prepare
+
+if TYPE_CHECKING:
+    from .trajectory import OptimalTrajectory
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,34 +49,18 @@ class BlockStructure:
         return tuple(len(b) for b in self.blocks)
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralizedInstance:
-    """A validated instance with a conserved vector; its blocks derive from that vector."""
+def block_decompose(c) -> BlockStructure:
+    """Group indices by conserved eigenvalue (clusters split at gaps > CONSERVED_EPS).
 
-    base: ProblemInstance
-
-    @cached_property
-    def structure(self) -> BlockStructure:
-        return block_decompose(self.base.conserved)
-
-    @property
-    def block_lambdas(self) -> tuple[np.ndarray, ...]:
-        """block_lambdas[i] is the spectrum restricted to block i (base.eigenvalues sliced)."""
-        lam = np.asarray(self.base.eigenvalues)
-        return tuple(lam[np.asarray(b)] for b in self.structure.blocks)
-
-
-def block_decompose(c, eps: float = CONSERVED_EPS) -> BlockStructure:
-    """Group indices by conserved eigenvalue (clusters split at gaps > eps)."""
+    The blocks are those `core.block_of_input` gives an instance with this
+    conserved vector.
+    """
     c = np.asarray(c, dtype=float)
-    ranks = cluster_ranks(c, eps)
-    blocks = []
-    values = []
-    for r in range(ranks.max() + 1):
-        members = np.nonzero(ranks == r)[0]
-        blocks.append(tuple(int(i) for i in members))
-        values.append(float(c[members].mean()))
-    return BlockStructure(blocks=tuple(blocks), block_values=np.array(values))
+    blocks = block_indices(cluster_ranks(c, CONSERVED_EPS), len(c))
+    return BlockStructure(
+        blocks=tuple(tuple(b.tolist()) for b in blocks),
+        block_values=np.array([c[b].mean() for b in blocks]),
+    )
 
 
 def _check_density(rho: np.ndarray) -> np.ndarray:
@@ -104,21 +98,22 @@ def block_spectra(rho, structure: BlockStructure):
     )
 
 
-def from_populations(inst: ProblemInstance) -> GeneralizedInstance:
-    """Generalized instance for a state already diagonal in the input basis.
+def from_populations(inst: ProblemInstance) -> ProblemInstance:
+    """The validated instance of a state already diagonal in the input basis.
 
     The eigenvalues field is read as the populations of the (incoherent)
-    state, so each block's spectrum is just its slice of that vector.
+    state, so each block's spectrum is just its slice of that vector. An
+    instance without a conserved vector raises ValueError.
     """
     if inst.conserved is None:
         raise ValueError("instance has no conserved vector")
-    return GeneralizedInstance(base=validate(inst))
+    return validate(inst)
 
 
 def from_density_matrix(
     rho, target, cost, conserved, eps_pop: float = 1e-12, eps_grad: float = 1e-12
-) -> GeneralizedInstance:
-    """Generalized instance from a Hermitian density matrix.
+) -> ProblemInstance:
+    """Validated conserved instance from a Hermitian density matrix.
 
     Cross-block coherences are discarded (they cannot affect conserved
     dynamics). Each block's eigenvalues go onto its indices in ascending
@@ -130,7 +125,7 @@ def from_density_matrix(
     lam = np.empty(structure.dim)
     for block, spec in zip(structure.blocks, spectra):
         lam[np.asarray(block)] = spec
-    base = validate(
+    return validate(
         ProblemInstance(
             eigenvalues=lam,
             target=np.asarray(target, dtype=float),
@@ -140,60 +135,41 @@ def from_density_matrix(
             eps_grad=eps_grad,
         )
     )
-    return GeneralizedInstance(base=base)
 
 
-def build_generalized(ginst: GeneralizedInstance) -> OptimalTrajectory:
-    """Optimal trajectory under the conserved constraint.
+def build_generalized(inst: ProblemInstance) -> OptimalTrajectory:
+    """Optimal trajectory under the conserved constraint: `trajectory.build`'s.
 
-    The build of `trajectory.build` on ginst.base, whose conserved vector
-    gives the blocks: it starts from the direct sum of per-block minimal
-    vertices, and each step takes the within-block adjacent swap with the
-    globally smallest gradient, ties broken as in the flat build. A
-    constant conserved vector (one block) reproduces the flat trajectory
-    bit for bit.
+    It starts from the direct sum of per-block minimal vertices, and each
+    step takes the within-block adjacent swap with the globally smallest
+    gradient, ties broken as in the flat build. A constant conserved vector
+    (one block) reproduces the flat trajectory bit for bit. The body is
+    `build`'s own rather than a call to it or an alias of it, so a tracer
+    that wraps both functions records a conserved build once, under this
+    name.
     """
-    return _build(_prepare(ginst.base))
-
-
-def swap_candidates_generalized(ginst: GeneralizedInstance, p):
-    """Target-increasing within-block adjacent swaps at p, as (i, j, gradient).
-
-    Indices are input-basis; i carries the larger target coefficient. The
-    list is sorted by the preferred-order positions (k, l) of (i, j), and
-    the build's step out of p is its first entry whose gradient lies within
-    eps_grad of the smallest. At a thermal-at-machine-temperature system
-    with an infinite-temperature bath this is where "only one swap cools"
-    shows up. Raises NotAVertex unless p permutes the eigenvalues inside
-    each conserved block.
-    """
-    return _swap_candidates(_prepare(ginst.base), p)
-
-
-def maximal_point_generalized(ginst: GeneralizedInstance) -> np.ndarray:
-    """Input-basis populations of the generalized maximal point."""
-    return _maximal_point(_prepare(ginst.base))
+    return _build(_prepare(inst))
 
 
 def generalized_vertex_count(
-    ginst: GeneralizedInstance, eps: float | None = None, max_block_dim: int = DEFAULT_MAX_ENUM_DIM
+    inst: ProblemInstance, eps: float | None = None, max_block_dim: int = DEFAULT_MAX_ENUM_DIM
 ) -> int:
-    """Product over blocks of the distinct-permutation counts."""
+    """Product over blocks of the distinct-permutation counts (one block if flat)."""
     from .polytope import vertex_count
 
-    eps = ginst.base.eps_pop if eps is None else eps
+    eps = inst.eps_pop if eps is None else eps
     total = 1
-    for lam in ginst.block_lambdas:
-        if len(lam) > max_block_dim:
+    for idx in block_indices(block_of_input(inst), inst.dim):
+        if len(idx) > max_block_dim:
             raise DimensionTooLarge(
-                f"block dim {len(lam)} exceeds cap {max_block_dim}"
+                f"block dim {len(idx)} exceeds cap {max_block_dim}"
             )
-        total *= vertex_count(lam, eps)
+        total *= vertex_count(inst.eigenvalues[idx], eps)
     return total
 
 
 def enumerate_generalized_vertices(
-    ginst: GeneralizedInstance,
+    inst: ProblemInstance,
     eps: float | None = None,
     max_block_dim: int = DEFAULT_MAX_ENUM_DIM,
     max_count: int = 200_000,
@@ -201,19 +177,14 @@ def enumerate_generalized_vertices(
     """All vertices of the product polytope, input basis, one per row."""
     from .polytope import enumerate_vertices
 
-    eps = ginst.base.eps_pop if eps is None else eps
-    count = generalized_vertex_count(ginst, eps, max_block_dim)
+    eps = inst.eps_pop if eps is None else eps
+    count = generalized_vertex_count(inst, eps, max_block_dim)
     if count > max_count:
         raise DimensionTooLarge(f"{count} product vertices exceed cap {max_count}")
-    d = ginst.structure.dim
-    block_sets = [
-        enumerate_vertices(lam, eps, max_dim=max_block_dim).vertices
-        for lam in ginst.block_lambdas
-    ]
-    out = np.empty((count, d))
+    out = np.empty((count, inst.dim))
     reps = count
-    for block, verts in zip(ginst.structure.blocks, block_sets):
-        idx = np.asarray(block)
+    for idx in block_indices(block_of_input(inst), inst.dim):
+        verts = enumerate_vertices(inst.eigenvalues[idx], eps, max_dim=max_block_dim).vertices
         n = len(verts)
         reps //= n
         tile = count // (n * reps)

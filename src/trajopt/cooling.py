@@ -11,15 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import ProblemInstance, target_value, validate
 from .errors import AlphaOutOfRange, DimensionOverflow, WrongInstanceKind
-
-if TYPE_CHECKING:
-    from .conserved import GeneralizedInstance
 
 BUILD_DIM_CAP = 4096
 
@@ -58,8 +54,9 @@ class SystemSpec:
 class CoolingInstance:
     """Assembled cooling problem plus bookkeeping.
 
-    `problem` is the flat instance; `generalized` is set for the incoherent
-    (energy-conserving) scenario. Flat index order is system-major:
+    `problem` is the instance; in the incoherent (energy-conserving)
+    scenario its conserved vector is the total energy. Index order is
+    system-major:
     (s, m) -> s*dM + m, and (s, m, b) -> s*dM*dB + m*dB + b.
     """
 
@@ -69,11 +66,18 @@ class CoolingInstance:
     beta: float
     bath: SystemSpec | None = None
     beta_bath: float | None = None
-    generalized: GeneralizedInstance | None = None
 
     @property
     def kind(self) -> str:
-        return "incoherent" if self.generalized is not None else "coherent"
+        return "incoherent" if self.problem.conserved is not None else "coherent"
+
+    @property
+    def generalized(self) -> ProblemInstance | None:
+        """`problem` when it has a conserved vector, else None.
+
+        Kept for callers that read the incoherent instance by this name.
+        """
+        return self.problem if self.problem.conserved is not None else None
 
     @property
     def alpha_in(self) -> float:
@@ -142,8 +146,6 @@ def incoherent_instance(
     thermal at beta_machine. Cost is the bath energy; the conserved vector
     is the total energy, so swaps act inside degenerate energy shells.
     """
-    from .conserved import from_populations
-
     d = system.dim * machine.dim * bath.dim
     if d > max_dim:
         raise DimensionOverflow(f"joint dim {d} exceeds cap {max_dim}")
@@ -168,15 +170,13 @@ def incoherent_instance(
             initial_populations=lam,
         )
     )
-    ginst = from_populations(problem)
     return CoolingInstance(
-        problem=ginst.base,
+        problem=problem,
         system=system,
         machine=machine,
         bath=bath,
         beta=beta_machine,
         beta_bath=beta_bath,
-        generalized=ginst,
     )
 
 

@@ -135,6 +135,17 @@ def block_of_input(inst: ProblemInstance) -> np.ndarray | None:
     return cluster_ranks(inst.conserved, CONSERVED_EPS)
 
 
+def block_indices(block_of: np.ndarray | None, d: int) -> list[np.ndarray]:
+    """The indices of each block, ascending, by block number.
+
+    block_of[i] is the block of index i, as `block_of_input` numbers them;
+    block_of=None is one block of all d indices (a flat instance).
+    """
+    if block_of is None:
+        return [np.arange(d)]
+    return [np.flatnonzero(block_of == b) for b in range(int(block_of.max()) + 1)]
+
+
 def check_alpha(alpha: float, lo: float, hi: float) -> float:
     """alpha clamped to [lo, hi]; AlphaOutOfRange beyond ALPHA_TOL outside it or for NaN."""
     if not lo - ALPHA_TOL <= alpha <= hi + ALPHA_TOL:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import block_of_input, check_alpha
+from .core import block_indices, block_of_input, check_alpha
 
 # Image entries the audit draws at once: n samples of dimension d per
 # chunk with n*d <= AUDIT_CHUNK (2 MB of float64).
@@ -126,13 +126,9 @@ def _audit_images(inst, n_samples: int, seed):
     samples (at least one), so a sample costs O(d) and memory stays about
     2 MB at any d and block layout.
     """
-    base = getattr(inst, "base", inst)
-    lam = np.asarray(base.eigenvalues, dtype=float)
+    lam = np.asarray(inst.eigenvalues, dtype=float)
     d = len(lam)
-    block_of = block_of_input(base)
-    if block_of is None:
-        block_of = np.zeros(d, dtype=int)
-    blocks = [np.flatnonzero(block_of == b) for b in range(block_of.max() + 1)]
+    blocks = block_indices(block_of_input(inst), d)
     per_chunk = max(1, AUDIT_CHUNK // d)
     rng = np.random.default_rng(seed)
     for first in range(0, n_samples, per_chunk):
@@ -151,11 +147,10 @@ def monte_carlo_audit(
 ) -> AuditReport:
     """Random vertices of the population polytope must stay on or above the trajectory cost.
 
-    Accepts a ProblemInstance or a GeneralizedInstance; with a conserved
-    vector, sampling is per conserved block. Each sample is one vertex:
-    per block, a uniform permutation of the block's eigenvalues
-    (`_audit_images`), so a sample costs O(sum of block sizes) and the
-    audit O(n_samples * d); memory stays about 2 MB at any d.
+    With a conserved vector, sampling is per conserved block. Each sample
+    is one vertex: per block, a uniform permutation of the block's
+    eigenvalues (`_audit_images`), so a sample costs O(sum of block sizes)
+    and the audit O(n_samples * d); memory stays about 2 MB at any d.
 
     Vertices suffice. By Birkhoff's theorem every doubly-stochastic image
     of the spectrum is a mixture sum_j w_j v_j of vertices v_j; its target
@@ -173,8 +168,7 @@ def monte_carlo_audit(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    base = getattr(inst, "base", inst)
-    ae = np.column_stack([base.target, base.cost])
+    ae = np.column_stack([inst.target, inst.cost])
     alphas, costs = np.concatenate([p @ ae for p in _audit_images(inst, n_samples, seed)]).T
     clipped = np.clip(alphas, traj.alpha_min, traj.alpha_max)
     omega = np.interp(clipped, traj.alphas, traj.omegas)

@@ -43,7 +43,7 @@ preferred order, the coefficients and spectrum in that order, and the
 conserved block of each position, read from the instance's conserved
 vector (`core.block_of_input`). A flat instance is the one-block case, so
 `build`, `next_step`, `swap_candidates` and the extreme vertices honour a
-conserved vector, and `conserved` runs the same functions.
+conserved vector, and a conserved instance is a plain `ProblemInstance`.
 
 A trajectory is stored as its steps: the minimal-point vertex
 (`initial_vertex`) and one entry per step in flat arrays (`ks`, `ls`,
@@ -82,6 +82,7 @@ from .core import (
     PreferredOrder,
     ProblemInstance,
     _frozen,
+    block_indices,
     block_of_input,
     check_alpha,
     cluster_ranks,
@@ -339,9 +340,7 @@ class _Prepared:
     @property
     def groups(self) -> list[np.ndarray]:
         """The preferred positions of each block."""
-        if self.blocks is None:
-            return [np.arange(len(self.lam_p))]
-        return [np.nonzero(self.blocks == b)[0] for b in range(int(self.blocks.max()) + 1)]
+        return block_indices(self.blocks, len(self.lam_p))
 
 
 def _prepare(inst: ProblemInstance) -> _Prepared:

@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_degenerate_spectrum, random_instance
-from trajopt.conserved import (
-    build_generalized,
-    generalized_vertex_count,
-    swap_candidates_generalized,
-)
+from trajopt.conserved import block_decompose, generalized_vertex_count
 from trajopt.cooling import (
     SystemSpec,
     coherent_instance,
@@ -32,7 +28,7 @@ from trajopt.core import cost_value
 from trajopt.lift import lift_point, unistochastic_of
 from trajopt.oracle import envelope_min_cost, induced_polygon, monte_carlo_audit
 from trajopt.polytope import av_swap_pairs, av_swaps, edge_pairs, enumerate_vertices, vertex_count
-from trajopt.trajectory import build, minimal_vertex, omega_opt, state_at
+from trajopt.trajectory import build, minimal_vertex, omega_opt, state_at, swap_candidates
 
 
 @contextmanager
@@ -213,17 +209,17 @@ def test_c08_incoherent_demo():
             beta_machine=1.0,
             beta_bath=0.25,
         )
-        assert generic.generalized.structure.sizes == (1, 3, 4, 3, 1)
-        assert generalized_vertex_count(generic.generalized) == 864
+        assert block_decompose(generic.problem.conserved).sizes == (1, 3, 4, 3, 1)
+        assert generalized_vertex_count(generic.problem) == 864
 
         demo = demo_incoherent_cooling()
-        assert demo.generalized.structure.sizes == (1, 3, 4, 3, 1)
-        cands = swap_candidates_generalized(demo.generalized, demo.problem.initial_populations)
+        assert block_decompose(demo.problem.conserved).sizes == (1, 3, 4, 3, 1)
+        cands = swap_candidates(demo.problem.initial_populations, demo.problem)
         assert len(cands) == 1
         i, j, _ = cands[0]
         assert {i, j} == {4, 7}  # |020> <-> |101>
 
-        traj = build_generalized(demo.generalized)
+        traj = build(demo.problem)
         assert {traj.step_input_pair(traj.steps[0])[0], traj.step_input_pair(traj.steps[0])[1]} == {4, 7}
         c_mat = np.diag(demo.problem.conserved)
         for alpha in np.linspace(traj.alpha_min, traj.alpha_max, 9):

@@ -427,13 +427,15 @@ def test_cli_import_loads_only_the_shared_modules():
         (["eval", "{inst}", "--grid", "5"], {"trajectory"}),
         (["lift", "{inst}", "{tmp}/lift.json", "--alpha", "0.5"], {"trajectory", "lift"}),
         (["cool", "--demo", "working-example"], {"cooling"}),
+        (["cool", "--demo", "incoherent"], {"cooling"}),
     ],
-    ids=["build-generic", "build-cooling", "build-conserved", "eval", "lift", "cool"],
+    ids=["build-generic", "build-cooling", "build-conserved", "eval", "lift", "cool", "cool-incoherent"],
 )
 def test_subcommand_loads_only_the_modules_it_runs(tmp_path, instance_file, incoherent_file, argv, extra):
     # {inst} is a cooling instance: it has initial populations, so validate
     # checks majorization; {incoherent} has a conserved vector, which
-    # `trajectory.build` reads itself, so its build loads no `conserved`
+    # `trajectory.build` reads itself, so its build loads no `conserved`, and
+    # an incoherent cooling instance is a plain validated instance
     argv = [a.format(inst=instance_file, incoherent=incoherent_file, tmp=tmp_path) for a in argv]
     proc = _child(*argv, code=_RUN_AND_LIST)
     assert proc.returncode == 0, proc.stderr

@@ -12,8 +12,6 @@ from trajopt.conserved import (
     from_density_matrix,
     from_populations,
     generalized_vertex_count,
-    maximal_point_generalized,
-    swap_candidates_generalized,
 )
 from trajopt.core import ProblemInstance, validate
 from trajopt.errors import NotAVertex, NotHermitian, NotUnitTrace
@@ -40,19 +38,18 @@ def test_constant_conserved_reduces_to_base(rng):
                 conserved=np.full(inst.dim, 3.0),
             )
         )
-        ginst = from_populations(with_c)
         base = build(inst)
-        gen = build_generalized(ginst)
+        gen = build_generalized(from_populations(with_c))
         assert np.array_equal(base.breakpoints, gen.breakpoints)
         assert np.array_equal(replayed_vertices(base), replayed_vertices(gen))
         assert [(s.k, s.l) for s in base.steps] == [(s.k, s.l) for s in gen.steps]
         assert [s.gradient for s in base.steps] == [s.gradient for s in gen.steps]
         # bit equality, signed zeros included
-        assert maximal_point_generalized(ginst).tobytes() == maximal_vertex(inst).tobytes()
+        assert maximal_vertex(with_c).tobytes() == maximal_vertex(inst).tobytes()
         p_min = minimal_vertex(inst)
         flat = swap_candidates(p_min, inst)
-        assert swap_candidates_generalized(ginst, p_min) == flat
-        assert [np.signbit(g) for *_, g in swap_candidates_generalized(ginst, p_min)] == [
+        assert swap_candidates(p_min, with_c) == flat
+        assert [np.signbit(g) for *_, g in swap_candidates(p_min, with_c)] == [
             np.signbit(g) for *_, g in flat
         ]
 
@@ -72,7 +69,7 @@ def test_two_block_merge_is_sorted_union(rng):
                 conserved=np.concatenate([np.zeros(d1), np.ones(d2)]),
             )
         )
-        gen = build_generalized(from_populations(inst))
+        gen = build(inst)
         merged = sorted(s.gradient for s in gen.steps)
         per_block = sorted([s.gradient for s in build(i1).steps] + [s.gradient for s in build(i2).steps])
         assert len(merged) == len(per_block)
@@ -90,8 +87,8 @@ def _with_conserved(inst, conserved):
 
 
 def test_generalized_steps_stay_in_blocks(rng):
-    # the flat API reads the blocks from the conserved vector: it builds,
-    # lists candidates and places the extreme points as the generalized one
+    # the flat API reads the blocks from the conserved vector: it builds as
+    # build_generalized does, and every swap and candidate stays in a block
     two_blocks = random_instance(rng, 8)
     instances = [
         _with_conserved(random_instance(rng, 6), [0.0, 0.0, 1.0, 1.0, 1.0, 2.0]),
@@ -101,29 +98,23 @@ def test_generalized_steps_stay_in_blocks(rng):
         _with_conserved(two_blocks, rng.permutation(np.arange(8) % 2)),
     ]
     for inst in instances:
-        ginst = from_populations(inst)
-        traj = build_generalized(ginst)
+        traj = build_generalized(from_populations(inst))
         blocks = traj.block_of_position
         for s in traj.steps:
             assert blocks[s.k] == blocks[s.l]
         # endpoint is the per-block maximal point
-        assert np.allclose(traj.vertex_input(len(traj.steps)), maximal_point_generalized(ginst))
+        assert np.allclose(traj.vertex_input(len(traj.steps)), maximal_vertex(inst))
 
         flat = build(inst)
         for name in TRAJECTORY_ARRAYS:
             x, y = getattr(flat, name), getattr(traj, name)
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
-        assert maximal_vertex(inst).tobytes() == maximal_point_generalized(ginst).tobytes()
         assert minimal_vertex(inst).tobytes() == traj.vertex_input(0).tobytes()
-        block_of = ginst.structure.blocks
+        block_of = block_decompose(inst.conserved).blocks
         same_block = {(i, j) for b in block_of for i in b for j in b}
         for v in range(len(traj.steps) + 1):
             p = traj.vertex_input(v)
             cands = swap_candidates(p, inst)
-            assert cands == swap_candidates_generalized(ginst, p)
-            assert [np.signbit(g) for *_, g in cands] == [
-                np.signbit(g) for *_, g in swap_candidates_generalized(ginst, p)
-            ]
             assert all((i, j) in same_block for i, j, _ in cands)
     assert swap_candidates(instances[1].eigenvalues, instances[1]) == [(2, 1, 2.5)]
 
@@ -132,18 +123,16 @@ def test_maximal_point_ranks_targets_per_block():
     # targets 0, 0.6e-12, 1.2e-12 chain into one class across the blocks,
     # but inside block {0, 1} the gap 1.2e-12 exceeds COEFF_EPS, so the
     # larger population goes to the larger target, not to the cheaper level
-    ginst = from_populations(
-        validate(
-            ProblemInstance(
-                eigenvalues=np.array([0.4, 0.3, 0.2, 0.1]),
-                target=np.array([0.0, 1.2e-12, 0.6e-12, 5.0]),
-                cost=np.array([0.0, 1.0, 0.0, 0.0]),
-                conserved=np.array([0.0, 0.0, 1.0, 1.0]),
-            )
+    inst = validate(
+        ProblemInstance(
+            eigenvalues=np.array([0.4, 0.3, 0.2, 0.1]),
+            target=np.array([0.0, 1.2e-12, 0.6e-12, 5.0]),
+            cost=np.array([0.0, 1.0, 0.0, 0.0]),
+            conserved=np.array([0.0, 0.0, 1.0, 1.0]),
         )
     )
-    traj = build_generalized(ginst)
-    assert maximal_point_generalized(ginst).tolist() == [0.3, 0.4, 0.1, 0.2]
+    traj = build(inst)
+    assert maximal_vertex(inst).tolist() == [0.3, 0.4, 0.1, 0.2]
     assert traj.vertex_input(len(traj.steps)).tolist() == [0.3, 0.4, 0.1, 0.2]
 
 
@@ -164,7 +153,7 @@ def test_generalized_build_matches_single_step_rule(rng):
             )
         else:
             inst = tie_instance(rng, d, conserved=conserved)
-        assert_single_step_rule(build_generalized(from_populations(inst)))
+        assert_single_step_rule(build(inst))
 
 
 def test_generalized_envelope_matches_trajectory(rng):
@@ -185,9 +174,8 @@ def test_generalized_envelope_matches_trajectory(rng):
         inst = validate(
             ProblemInstance(lam, rng.normal(size=d), rng.normal(size=d), conserved=c)
         )
-        gi = from_populations(inst)
-        traj = build_generalized(gi)
-        poly = induced_polygon(enumerate_generalized_vertices(gi), inst.target, inst.cost)
+        traj = build(inst)
+        poly = induced_polygon(enumerate_generalized_vertices(inst), inst.target, inst.cost)
         assert traj.alpha_min == pytest.approx(poly.alpha_min, abs=1e-12)
         assert traj.alpha_max == pytest.approx(poly.alpha_max, abs=1e-12)
         for alpha in rng.uniform(traj.alpha_min, traj.alpha_max, 30):
@@ -208,9 +196,8 @@ def test_product_polytope_edges_match_block_swaps(rng):
             conserved=np.array([0.0, 0.0, 1.0, 1.0, 1.0]),
         )
     )
-    ginst = from_populations(inst)
-    verts = enumerate_generalized_vertices(ginst)
-    assert len(verts) == generalized_vertex_count(ginst) == 2 * 6
+    verts = enumerate_generalized_vertices(inst)
+    assert len(verts) == generalized_vertex_count(inst) == 2 * 6
 
     class _Wrap:
         vertices = verts
@@ -241,12 +228,26 @@ def test_product_thermal_state_already_block_diagonal():
 
     demo = demo_incoherent_cooling()
     rho = np.diag(demo.problem.eigenvalues)
-    st = demo.generalized.structure
+    st = block_decompose(demo.problem.conserved)
     assert np.array_equal(dephase(rho, st), rho)
     assert coherence_mass(rho, st) == 0.0
     spectra = block_spectra(rho, st)
     for block, spec in zip(st.blocks, spectra):
         assert np.allclose(spec, np.sort(demo.problem.eigenvalues[list(block)]), atol=1e-15)
+
+
+def test_flat_instance_enumerates_as_one_block(rng):
+    # no conserved vector: the product polytope is the whole permutation polytope
+    from trajopt.polytope import enumerate_vertices
+
+    for i in range(6):
+        inst = random_instance(rng, int(rng.integers(2, 7)), degenerate=(i % 2 == 0))
+        verts = enumerate_generalized_vertices(inst)
+        flat = enumerate_vertices(inst.eigenvalues, eps=inst.eps_pop).vertices
+        assert len(verts) == generalized_vertex_count(inst) == len(flat)
+        assert {v.tobytes() for v in verts} == {v.tobytes() for v in flat}
+    with pytest.raises(ValueError, match="no conserved vector"):
+        from_populations(inst)
 
 
 def test_generalized_vertex_count_small_blocks(rng):
@@ -258,7 +259,7 @@ def test_generalized_vertex_count_small_blocks(rng):
             conserved=np.zeros(3),
         )
     )
-    assert generalized_vertex_count(from_populations(inst)) == 6
+    assert generalized_vertex_count(inst) == 6
     degenerate = validate(
         ProblemInstance(
             eigenvalues=np.array([0.4, 0.3, 0.3]),
@@ -267,7 +268,7 @@ def test_generalized_vertex_count_small_blocks(rng):
             conserved=np.zeros(3),
         )
     )
-    assert generalized_vertex_count(from_populations(degenerate)) == 3
+    assert generalized_vertex_count(degenerate) == 3
 
 
 def _random_unitary(rng, m):
@@ -327,10 +328,9 @@ def test_from_density_matrix_spectra(rng):
     rho /= np.trace(rho)
     spectra = block_spectra(rho, st)
     assert [len(s) for s in spectra] == [1, 2, 3]
-    gi = from_density_matrix(rho, target=rng.normal(size=6), cost=rng.normal(size=6), conserved=c)
-    total = np.concatenate(gi.block_lambdas)
-    assert abs(total.sum() - 1.0) < 1e-9
-    traj = build_generalized(gi)
+    inst = from_density_matrix(rho, target=rng.normal(size=6), cost=rng.normal(size=6), conserved=c)
+    assert abs(inst.eigenvalues.sum() - 1.0) < 1e-9
+    traj = build(inst)
     grads = [s.gradient for s in traj.steps]
     assert all(b - a >= -1e-12 for a, b in zip(grads[:-1], grads[1:]))
 
@@ -344,33 +344,31 @@ def test_rank_one_density_matrix_has_nonnegative_vertices(rng):
         psi = rng.normal(size=d) + 1j * rng.normal(size=d)
         psi /= np.linalg.norm(psi)
         c = rng.integers(0, max(1, d // 3), d).astype(float)
-        gi = from_density_matrix(np.outer(psi, psi.conj()), rng.normal(size=d), rng.normal(size=d), c)
-        traj = build_generalized(gi)
+        inst = from_density_matrix(np.outer(psi, psi.conj()), rng.normal(size=d), rng.normal(size=d), c)
+        traj = build(inst)
         assert replayed_vertices(traj).min() >= 0.0
-        assert np.concatenate(gi.block_lambdas).min() >= 0.0
+        assert inst.eigenvalues.min() >= 0.0
 
 
 def test_swap_candidates_generalized_checks_each_block():
     # blocks {0, 1} and {2, 3}; spectra [0.4, 0.1] and [0.3, 0.2]
-    ginst = from_populations(
-        validate(
-            ProblemInstance(
-                eigenvalues=np.array([0.4, 0.1, 0.3, 0.2]),
-                target=np.array([0.0, 1.0, 2.0, 3.0]),
-                cost=np.array([0.0, 1.0, 2.0, 3.0]),
-                conserved=np.array([0.0, 0.0, 1.0, 1.0]),
-            )
+    inst = validate(
+        ProblemInstance(
+            eigenvalues=np.array([0.4, 0.1, 0.3, 0.2]),
+            target=np.array([0.0, 1.0, 2.0, 3.0]),
+            cost=np.array([0.0, 1.0, 2.0, 3.0]),
+            conserved=np.array([0.0, 0.0, 1.0, 1.0]),
         )
     )
-    assert len(swap_candidates_generalized(ginst, [0.1, 0.4, 0.2, 0.3])) == 0
-    assert len(swap_candidates_generalized(ginst, [0.4, 0.1, 0.3, 0.2])) == 2
+    assert len(swap_candidates([0.1, 0.4, 0.2, 0.3], inst)) == 0
+    assert len(swap_candidates([0.4, 0.1, 0.3, 0.2], inst)) == 2
     # a permutation of the whole spectrum that moves mass across blocks
     with pytest.raises(NotAVertex):
-        swap_candidates_generalized(ginst, [0.4, 0.3, 0.1, 0.2])
+        swap_candidates([0.4, 0.3, 0.1, 0.2], inst)
     with pytest.raises(NotAVertex):
-        swap_candidates_generalized(ginst, [0.7, 0.1, 0.1, 0.1])
+        swap_candidates([0.7, 0.1, 0.1, 0.1], inst)
     with pytest.raises(NotAVertex):
-        swap_candidates_generalized(ginst, [np.nan, 0.1, 0.3, 0.2])
+        swap_candidates([np.nan, 0.1, 0.3, 0.2], inst)
     # one entry too many
     with pytest.raises(NotAVertex):
-        swap_candidates_generalized(ginst, [0.4, 0.1, 0.3, 0.2, 0.0])
+        swap_candidates([0.4, 0.1, 0.3, 0.2, 0.0], inst)

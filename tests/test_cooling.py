@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from trajopt.conserved import build_generalized, swap_candidates_generalized
+from trajopt.conserved import block_decompose
 from trajopt.cooling import (
     SystemSpec,
     coherent_instance,
@@ -18,7 +18,7 @@ from trajopt.cooling import (
     thermal_populations,
 )
 from trajopt.errors import AlphaOutOfRange, DimensionOverflow, WrongInstanceKind
-from trajopt.trajectory import build, omega_opt
+from trajopt.trajectory import build, omega_opt, swap_candidates
 
 MACHINE = (0.0, 0.1, 0.4, 1.1)
 ES = 0.3
@@ -151,8 +151,10 @@ def test_free_energy_bound():
 
 def test_incoherent_demo_structure():
     inc = demo_incoherent_cooling()
-    assert inc.generalized.structure.sizes == (1, 3, 4, 3, 1)
-    cands = swap_candidates_generalized(inc.generalized, inc.problem.initial_populations)
+    assert inc.kind == "incoherent" and inc.generalized is inc.problem
+    assert demo_coherent_erasure().generalized is None
+    assert block_decompose(inc.problem.conserved).sizes == (1, 3, 4, 3, 1)
+    cands = swap_candidates(inc.problem.initial_populations, inc.problem)
     assert len(cands) == 1
     i, j, grad = cands[0]
     assert {i, j} == {4, 7}  # |020> <-> |101>
@@ -167,8 +169,8 @@ def test_incoherent_incommensurate_spacings_freeze_everything():
         beta_machine=1.0,
         beta_bath=0.0,
     )
-    assert inst.generalized.structure.sizes == tuple([1] * 12)
-    traj = build_generalized(inst.generalized)
+    assert block_decompose(inst.problem.conserved).sizes == tuple([1] * 12)
+    traj = build(inst.problem)
     assert len(traj.steps) == 0
     # ladder system+machine with a mismatched bath: blocks survive but the
     # bath cannot trade energy, so populations inside each block are equal
@@ -180,5 +182,5 @@ def test_incoherent_incommensurate_spacings_freeze_everything():
         beta_machine=1.0,
         beta_bath=0.0,
     )
-    traj2 = build_generalized(inst2.generalized)
+    traj2 = build(inst2.problem)
     assert len(traj2.steps) == 0

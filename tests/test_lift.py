@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import random_instance, tie_instance
-from trajopt.conserved import build_generalized, from_populations
 from trajopt.core import ProblemInstance, validate
 from trajopt.errors import DimensionMismatch, IndexOutOfRange, TOutOfRange
 from trajopt.lift import (
@@ -104,8 +103,7 @@ def _trajectories(rng, n):
         elif i % 3 == 1:
             yield build(tie_instance(rng, d))
         else:
-            inst = tie_instance(rng, d, conserved=rng.integers(0, 3, d).astype(float))
-            yield build_generalized(from_populations(inst))
+            yield build(tie_instance(rng, d, conserved=rng.integers(0, 3, d).astype(float)))
 
 
 def _dense_unitary(traj, alpha):

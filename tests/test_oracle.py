@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_instance
 from trajopt import oracle
-from trajopt.conserved import build_generalized, from_populations
+from trajopt.conserved import block_decompose
 from trajopt.core import ProblemInstance, validate
 from trajopt.errors import AlphaOutOfRange
 from trajopt.oracle import (
@@ -191,14 +191,12 @@ def test_audit_detects_tampered_trajectory(rng):
 def _conserved_instance(rng):
     """Blocks of sizes 3, 1 and 4; the singleton keeps its eigenvalue."""
     d = 8
-    return from_populations(
-        validate(
-            ProblemInstance(
-                eigenvalues=rng.dirichlet(np.ones(d)),
-                target=rng.normal(size=d),
-                cost=rng.normal(size=d),
-                conserved=np.array([0.0, 2.0, 0.0, 1.0, 2.0, 0.0, 2.0, 2.0]),
-            )
+    return validate(
+        ProblemInstance(
+            eigenvalues=rng.dirichlet(np.ones(d)),
+            target=rng.normal(size=d),
+            cost=rng.normal(size=d),
+            conserved=np.array([0.0, 2.0, 0.0, 1.0, 2.0, 0.0, 2.0, 2.0]),
         )
     )
 
@@ -219,11 +217,11 @@ def test_audit_images_are_majorized_per_block(rng):
     assert images.shape == (300, 6)
     _assert_majorized_images(images, np.asarray(flat.eigenvalues), [range(6)])
 
-    ginst = _conserved_instance(rng)
-    lam = np.asarray(ginst.base.eigenvalues)
-    images = np.vstack(list(_audit_images(ginst, 300, seed=4)))
+    inst = _conserved_instance(rng)
+    lam = np.asarray(inst.eigenvalues)
+    images = np.vstack(list(_audit_images(inst, 300, seed=4)))
     assert images.shape == (300, 8)
-    _assert_majorized_images(images, lam, ginst.structure.blocks)
+    _assert_majorized_images(images, lam, block_decompose(inst.conserved).blocks)
     assert np.all(images[:, 3] == lam[3])
 
 
@@ -251,10 +249,10 @@ def test_audit_images_span_chunks(rng, monkeypatch):
         _assert_majorized_images(images, lam, [range(64)])
     # a budget below one sample still draws whole samples, one per chunk
     monkeypatch.setattr(oracle, "AUDIT_CHUNK", 5)
-    ginst = _conserved_instance(rng)
-    chunks = list(_audit_images(ginst, 40, seed=1))
+    inst = _conserved_instance(rng)
+    chunks = list(_audit_images(inst, 40, seed=1))
     assert len(chunks) == 40 and all(c.shape == (1, 8) for c in chunks)
-    _assert_majorized_images(np.vstack(chunks), np.asarray(ginst.base.eigenvalues), ginst.structure.blocks)
+    _assert_majorized_images(np.vstack(chunks), np.asarray(inst.eigenvalues), block_decompose(inst.conserved).blocks)
 
 
 def test_audit_refuses_zero_samples(rng):
@@ -326,9 +324,9 @@ def test_vertex_audit_detects_more_tampering_than_mixtures(monkeypatch):
 
 
 def test_audit_detects_tampered_conserved_trajectory(rng):
-    ginst = _conserved_instance(rng)
-    traj = build_generalized(ginst)
-    assert monte_carlo_audit(ginst, traj, n_samples=500, seed=0).passed
+    inst = _conserved_instance(rng)
+    traj = build(inst)
+    assert monte_carlo_audit(inst, traj, n_samples=500, seed=0).passed
     bad = dataclasses.replace(traj, omegas=traj.omegas + 0.05)
-    report = monte_carlo_audit(ginst, bad, n_samples=500, seed=0)
+    report = monte_carlo_audit(inst, bad, n_samples=500, seed=0)
     assert report.violations > 0

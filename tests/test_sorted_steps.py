@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from conftest import random_instance, tie_instance
 from trajopt import trajectory
-from trajopt.conserved import build_generalized, from_populations
 from trajopt.core import COEFF_EPS, ProblemInstance, validate
 from trajopt.errors import NonFiniteValue
 from trajopt.fileio import load_instance
@@ -238,7 +237,7 @@ def test_generic_builds_never_run_the_queue(rng, monkeypatch):
     conserved = make(base.eigenvalues, base.target, base.cost, conserved=np.arange(48) % 3)
     monkeypatch.setattr(trajectory, "_SwapQueue", _no_queue)
     assert len(build(flat).ks) == 64 * 63 // 2
-    assert len(build_generalized(from_populations(conserved)).ks) == 3 * 16 * 15 // 2
+    assert len(build(conserved).ks) == 3 * 16 * 15 // 2
 
 
 def test_tied_golden_instance_runs_the_queue(monkeypatch):

@@ -11,7 +11,6 @@ from conftest import (
     tie_instance,
 )
 from trajopt import trajectory
-from trajopt.conserved import build_generalized, from_populations, swap_candidates_generalized
 from trajopt.core import ProblemInstance, cost_value, target_value, validate
 from trajopt.errors import AlphaOutOfRange, NotAVertex
 from trajopt.lift import apply_chain
@@ -266,7 +265,7 @@ def test_batched_dots_equal_per_vertex_dots(rng, monkeypatch, rows):
             c = rng.integers(0, 3, d).astype(float)
             trajs += [
                 build(tie_instance(rng, d)),
-                build_generalized(from_populations(tie_instance(rng, d, conserved=c))),
+                build(tie_instance(rng, d, conserved=c)),
             ]
         for traj in trajs:
             vertices = replayed_vertices(traj)
@@ -282,15 +281,15 @@ def test_replay_bits_do_not_depend_on_the_buffer_size(rng, monkeypatch):
     # every instance fills a 2**13 buffer, and the generic one a 2**16 buffer
     c = rng.integers(0, 3, 64).astype(float)
     cases = [
-        (128, build, random_instance(rng, 128)),
-        (96, build, tie_instance(rng, 96)),
-        (64, build_generalized, from_populations(tie_instance(rng, 64, conserved=c))),
+        (128, random_instance(rng, 128)),
+        (96, tie_instance(rng, 96)),
+        (64, tie_instance(rng, 64, conserved=c)),
     ]
-    want = [(traj.alphas.tobytes(), traj.omegas.tobytes()) for traj in (b(inst) for _, b, inst in cases)]
+    want = [(traj.alphas.tobytes(), traj.omegas.tobytes()) for traj in (build(inst) for _, inst in cases)]
     for size in (None, 2**13, 2**16):
-        for (d, build_, inst), bits in zip(cases, want):
+        for (d, inst), bits in zip(cases, want):
             monkeypatch.setattr(trajectory, "_DOT_BUFFER", size or d)
-            traj = build_(inst)
+            traj = build(inst)
             assert traj.dim == d and len(traj.ks) * d > 2**13
             assert (traj.alphas.tobytes(), traj.omegas.tobytes()) == bits
 
@@ -398,12 +397,9 @@ def test_public_queries_follow_the_build(rng):
             near = np.asarray(inst.target) + rng.integers(0, 3, d) * 0.6e-12
             inst = validate(dataclasses.replace(inst, target=near))
         traj = build(inst)
-        ginst = None if inst.conserved is None else from_populations(inst)
         perm, inverse = traj.order.perm, traj.order.inverse
         for v in range(len(traj.steps) + 1):
             cands = swap_candidates(traj.vertex_input(v), inst)
-            if ginst is not None:
-                assert cands == swap_candidates_generalized(ginst, traj.vertex_input(v))
             keys = [(int(inverse[i]), int(inverse[j])) for i, j, _ in cands]
             assert keys == sorted(keys)
             ref = single_step_candidates(traj, traj.vertex(v))
@@ -472,7 +468,7 @@ def _built_mix(rng, n):
             out.append(build(tie_instance(rng, d)))
         else:
             c = rng.integers(0, int(rng.integers(1, 4)), d).astype(float)
-            out.append(build_generalized(from_populations(tie_instance(rng, d, conserved=c))))
+            out.append(build(tie_instance(rng, d, conserved=c)))
     return out
 
 
@@ -532,7 +528,7 @@ def test_trajectory_memory_is_linear_in_steps_and_dim(rng):
     assert len(flat.steps) == d * (d - 1) // 2
     base = random_instance(rng, d)
     c = (np.arange(d) % 4).astype(float)
-    conserved = build_generalized(from_populations(make(base.eigenvalues, base.target, base.cost, conserved=c)))
+    conserved = build(make(base.eigenvalues, base.target, base.cost, conserved=c))
     assert len(conserved.steps) == 4 * 32 * 31 // 2
     for traj in (flat, conserved):
         assert _array_bytes(traj) <= 64 * (len(traj.steps) + d)
