@@ -139,11 +139,15 @@ def block_indices(block_of: np.ndarray | None, d: int) -> list[np.ndarray]:
     """The indices of each block, ascending, by block number.
 
     block_of[i] is the block of index i, as `block_of_input` numbers them;
-    block_of=None is one block of all d indices (a flat instance).
+    block_of=None is one block of all d indices (a flat instance). One
+    stable sort of the block numbers, split at the block boundaries:
+    O(d log d) for any number of blocks.
     """
     if block_of is None:
         return [np.arange(d)]
-    return [np.flatnonzero(block_of == b) for b in range(int(block_of.max()) + 1)]
+    order = np.argsort(block_of, kind="stable")
+    ends = np.bincount(block_of).cumsum().tolist()
+    return [order[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def check_alpha(alpha: float, lo: float, hi: float) -> float:

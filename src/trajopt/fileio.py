@@ -4,18 +4,22 @@ Floats are emitted with 17 significant digits so files reload bit-exactly,
 and field order is fixed so build -> load -> re-serialize is byte-identical.
 
 One generator (`_pieces`) makes the canonical text as pieces, none longer
-than one row: a dict entry, a line of scalars (a float row of a list or a
-2-D array, an int list), or one flat dict of a list. `dumps_canonical`
-joins them; `write_canonical` writes them to an open stream or to a path (through a
-new file renamed over the output where that keeps the output's links,
-owner and mode; in place otherwise), so writing a document holds about
-one row beyond the document itself; `same_canonical` compares two
-documents' texts a piece at a time.
+than one row: a dict entry or a list row (each joined to the first piece
+of its value), a line of scalars, or at most 512 scalars of a numeric 1-D
+array, whose one line is streamed a slice at a time. `dumps_canonical`
+joins them; `write_canonical` writes them to an open stream or to a path
+(through a new file renamed over the output where that keeps the
+output's links, owner and mode; in place otherwise), so writing a
+document holds about one row beyond the document itself; `same_canonical`
+compares two documents' texts a piece at a time.
 
-A trajectory file stores the minimal-point vertex and the steps, not every
-vertex, as the runtime trajectory does: the reader makes the step arrays
-with the function the builder uses, so a reloaded trajectory equals the
-built one bit for bit.
+A trajectory file (version 0.3.0) stores the columns of the runtime
+trajectory and nothing that can be derived from them: `breakpoints`, the
+two rows [alphas, omegas] with one entry per vertex; `ks`, `ls` and
+`gradients`, one entry per step; the minimal-point vertex
+`initial_vertex`, `target`, `cost` and `metadata`. The reader checks each
+column whole and makes the trajectory with the function the builder
+uses, so a reloaded trajectory equals the built one bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import json
 import math
 import os
 import stat
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
@@ -36,7 +39,7 @@ from .errors import ParseError
 if TYPE_CHECKING:
     from .trajectory import OptimalTrajectory
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
 TIE_BREAK = "lexicographic-kl"
 
 INSTANCE_FIELDS = (
@@ -50,14 +53,18 @@ INSTANCE_FIELDS = (
 )
 
 TRAJECTORY_FIELDS = (
-    "alpha_range",
     "breakpoints",
-    "steps",
+    "ks",
+    "ls",
+    "gradients",
     "initial_vertex",
     "target",
     "cost",
     "metadata",
 )
+
+# a key that only an older trajectory file holds, and that file's version
+_OLD_FORMATS = (("vertices", "0.1.0"), ("steps", "0.2.0"))
 
 
 def format_float(x) -> str:
@@ -153,142 +160,76 @@ def same_canonical(a, b) -> bool:
 
 _SEQUENCES = (list, tuple, np.ndarray)
 _CONTAINERS = (dict, list, tuple, np.ndarray)
+# scalars of a numeric 1-D array per piece: a slice's list and text stay small
+_CHUNK = 512
 
 
 def _pieces(obj, indent: int):
     """The canonical text of obj as a sequence of strings, none longer than one row.
 
-    A piece is a dict entry, a line of scalars (a float row, an int list),
-    one flat dict of a list, or the brackets around them. A list of
-    scalars is one line; a list holding any dict, list, tuple or array
-    puts each item on its own line. Each row's fast path (plain finite
-    floats, flat dicts) writes the text the general path would, so a row
-    that fails it goes the general way and the text does not change.
+    A piece is a dict entry or a row of a list, joined to the first piece
+    of its value; a line of scalars; at most _CHUNK scalars of a numeric
+    1-D array, whose line is streamed a slice at a time; or the brackets
+    around them. A list of scalars is one line; a list holding any dict,
+    list, tuple or array puts each item on its own line.
     """
     if isinstance(obj, dict):
         yield from _dict_pieces(obj, indent)
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "fiu":
+        lead = "["
+        for start in range(0, len(obj), _CHUNK):
+            yield lead + _scalars(obj[start : start + _CHUNK].tolist())
+            lead = ", "
+        yield "]" if lead == ", " else "[]"
     elif isinstance(obj, _SEQUENCES):
-        items = _items(obj)
-        line = _line(items)
-        if line is None:
-            yield from _row_pieces(items, indent)
+        text = _scalars(obj)
+        if text is None:
+            yield from _row_pieces(obj, indent)
         else:
-            yield line
+            yield "[" + text + "]"
     else:
         yield _dumps_scalar(obj)
 
 
-def _items(seq):
-    """The items of a list, tuple or array; a numeric 1-D array's as Python scalars.
-
-    Lists, tuples and arrays of more dimensions are not copied: the items
-    of a 2-D array are its rows.
-    """
-    if isinstance(seq, np.ndarray) and seq.ndim == 1 and seq.dtype.kind in "fiu":
-        return seq.tolist()
-    return seq
-
-
-def _line(items):
-    """The one-line text of a sequence of scalars; None if an item is a container."""
+def _scalars(items):
+    """The items of a sequence formatted and joined by ", "; None if an item is a container."""
     types = set(map(type, items))
     if types == {float} and all(map(math.isfinite, items)):
         # v + 0.0 turns -0.0 into 0.0, as format_float does
-        return "[" + ", ".join(["%.17g" % (v + 0.0) for v in items]) + "]"
+        return ", ".join(["%.17g" % (v + 0.0) for v in items])
     if types == {int}:
-        return "[" + ", ".join(map(str, items)) + "]"
+        return ", ".join(map(str, items))
     if any(issubclass(t, _CONTAINERS) for t in types):
         return None
-    return "[" + ", ".join(map(_dumps_scalar, items)) + "]"
+    return ", ".join(map(_dumps_scalar, items))
 
 
 def _dict_pieces(obj: dict, indent: int):
-    """A dict's entries, one piece each when the value fits on its line, and its braces."""
+    """A dict's entries, each joined to the first piece of its value, and its braces."""
     if not obj:
         yield "{}"
         return
     pad = " " * indent
     lead = "{\n"
-    frames = {}
     for k, v in obj.items():
+        pieces = _pieces(v, indent + 2)
         # encode_basestring_ascii is what json.dumps(str) runs
-        head = f"{lead}{pad}  {encode_basestring_ascii(str(k))}: "
-        text = _one_piece(v, pad + "  ", frames)
-        if text is None:
-            yield head
-            yield from _pieces(v, indent + 2)
-        else:
-            yield head + text
+        yield f"{lead}{pad}  {encode_basestring_ascii(str(k))}: " + next(pieces)
+        yield from pieces
         lead = ",\n"
     yield "\n" + pad + "}"
 
 
 def _row_pieces(items, indent: int):
-    """A sequence with a container in it: one item per line, each one piece when it fits."""
+    """A sequence with a container in it: one item per line, each joined to its lead."""
     pad = " " * indent
-    lead, sep = "[\n" + pad + "  ", ",\n" + pad + "  "
-    frames = {}
+    lead = "[\n"
     for v in items:
-        text = _one_piece(v, pad + "  ", frames)
-        if text is None:
-            yield lead
-            yield from _pieces(v, indent + 2)
-        else:
-            yield lead + text
-        lead = sep
+        pieces = _pieces(v, indent + 2)
+        yield lead + pad + "  " + next(pieces)
+        yield from pieces
+        lead = ",\n"
     yield "\n" + pad + "]"
-
-
-def _one_piece(v, pad: str, frames: dict):
-    """The text of v at `pad` when it is one piece (a scalar, a line of
-    scalars or a flat dict); None when v takes several lines."""
-    # a plain finite float or int is formatted here, as _dumps_scalar would
-    t = type(v)
-    if t is float and math.isfinite(v):
-        return "%.17g" % (v + 0.0)
-    if t is int:
-        return str(v)
-    if isinstance(v, dict):
-        return _flat_dict(v, frames, pad)
-    if isinstance(v, _SEQUENCES):
-        return _line(_items(v))
-    return _dumps_scalar(v)
-
-
-def _flat_dict(row: dict, frames: dict, pad: str):
-    """A dict of plain finite floats and ints under str keys, as `_dict_pieces`
-    writes it at `pad`; None for a dict that is empty or holds any other key
-    or value, which `_dict_pieces` writes in several pieces.
-
-    Each key sequence's fixed text is split once around its values and kept
-    in frames (False for a sequence that is not all str), so a row is one
-    join of that text with the row's formatted values. A join allocates the
-    row's exact size; a %-format over a template can leave each row in a
-    larger block, which raised the peak RSS of a build.
-    """
-    keys = tuple(row)
-    parts = frames.get(keys)
-    if parts is None:
-        if not keys or set(map(type, keys)) != {str}:
-            frames[keys] = False
-            return None
-        heads = [f",\n{pad}  {encode_basestring_ascii(k)}: " for k in keys]
-        heads[0] = "{" + heads[0][1:]
-        parts = frames[keys] = [None] * (2 * len(keys) + 1)
-        parts[0::2] = heads + ["\n" + pad + "}"]
-    elif parts is False:
-        return None
-    texts = []
-    for v in row.values():
-        t = type(v)
-        if t is float and math.isfinite(v):
-            texts.append("%.17g" % (v + 0.0))
-        elif t is int:
-            texts.append(str(v))
-        else:
-            return None
-    parts[1::2] = texts
-    return "".join(parts)
 
 
 def _dumps_scalar(obj) -> str:
@@ -391,31 +332,26 @@ def load_instance(path: str) -> ProblemInstance:
 
 
 def trajectory_to_dict(traj: OptimalTrajectory) -> dict:
+    """The trajectory document; its columns are the trajectory's own arrays,
+    which the serializer writes _CHUNK scalars at a time."""
     meta = {
         "tool_version": TOOL_VERSION,
         "tie_break": TIE_BREAK,
         "eps_pop": float(traj.eps_pop),
         "eps_grad": float(traj.eps_grad),
         "basis": "preferred",
-        "order": traj.order.perm.tolist(),
+        "order": traj.order.perm,
     }
     if traj.block_of_position is not None:
-        meta["block_of_position"] = traj.block_of_position.tolist()
-    # one float per alpha, shared by its breakpoint and the steps it bounds;
-    # the other columns are read through memoryviews, with no list copy
-    alphas = traj.alphas.tolist()
+        meta["block_of_position"] = traj.block_of_position
     return {
-        "alpha_range": [alphas[0], alphas[-1]],
-        "breakpoints": [[alpha, omega] for alpha, omega in zip(alphas, memoryview(traj.omegas))],
-        "steps": [
-            {"k": k, "l": l, "gradient": grad, "alpha_start": start, "alpha_end": end}
-            for k, l, grad, start, end in zip(
-                memoryview(traj.ks), memoryview(traj.ls), memoryview(traj.gradients), alphas, islice(alphas, 1, None)
-            )
-        ],
-        "initial_vertex": traj.initial_vertex.tolist(),
-        "target": traj.target_pref.tolist(),
-        "cost": traj.cost_pref.tolist(),
+        "breakpoints": [traj.alphas, traj.omegas],
+        "ks": traj.ks,
+        "ls": traj.ls,
+        "gradients": traj.gradients,
+        "initial_vertex": traj.initial_vertex,
+        "target": traj.target_pref,
+        "cost": traj.cost_pref,
         "metadata": meta,
     }
 
@@ -440,22 +376,76 @@ def _check_length(raw, field: str, d: int) -> None:
         raise ParseError(f"{field}: expected {d} entries, one per position of metadata.order, got {got}")
 
 
+def _numbers(raw, field: str) -> np.ndarray:
+    """A JSON array of finite numbers as a float64 array.
+
+    The column is tested whole; its entries are walked only to name the
+    first bad one. The type test comes first, as numpy reads "1.5" and
+    true as numbers.
+    """
+    if not isinstance(raw, list):
+        raise ParseError(f"{field}: expected a number array")
+    out = None
+    if set(map(type, raw)) <= {float, int}:
+        try:
+            out = np.array(raw, dtype=float)
+        except OverflowError:  # an integer beyond float range
+            pass
+    if out is None or not np.isfinite(out).all():
+        for i, v in enumerate(raw):
+            _check_number(v, f"{field}[{i}]")
+    return out
+
+
+def _indices(raw, field: str, d: int) -> np.ndarray:
+    """A JSON array of indices in [0, d) as an int64 array, tested whole as `_numbers` is."""
+    if not isinstance(raw, list):
+        raise ParseError(f"{field}: expected an index array")
+    out = None
+    if set(map(type, raw)) <= {int}:  # bool is not int here
+        try:
+            out = np.array(raw, dtype=np.int64)
+        except OverflowError:
+            pass
+    if out is None or ((out < 0) | (out >= d)).any():
+        for i, v in enumerate(raw):
+            _index(v, f"{field}[{i}]", d)
+    return out
+
+
 def trajectory_from_dict(doc: dict) -> dict:
-    """Validate a trajectory document; returns it unchanged.
+    """Validate a trajectory document by reading it (`trajectory_to_runtime`); returns it unchanged."""
+    trajectory_to_runtime(doc)
+    return doc
+
+
+def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
+    """The runtime trajectory of a trajectory document, checked column by column.
 
     Every index the reader uses is checked: `metadata.order` is a
-    permutation of 0..d-1, each step's k and l are distinct positions in
-    [0, d), and `initial_vertex`, `target`, `cost` and `block_of_position`
-    hold one entry per position. Every number is finite (Python's json
-    reads NaN and Infinity). Step i runs exactly from the alpha of
-    breakpoint i to that of breakpoint i + 1. A version 0.1.0 file, which
-    stores every vertex and no `initial_vertex`, is rejected.
+    permutation of 0..d-1, `ks` and `ls` hold positions in [0, d) with
+    k != l at each step, and `initial_vertex`, `target`, `cost` and
+    `block_of_position` hold one entry per position. Every number is
+    finite (Python's json reads NaN and Infinity); `ks`, `ls` and
+    `gradients` hold one entry per step and each `breakpoints` row one
+    more; the alphas increase strictly. Files of versions 0.1.0 (every
+    vertex) and 0.2.0 (one object per step) are refused.
+
+    The arrays go to the function the build makes its trajectory with,
+    and delta_alphas is replayed from the steps on first read, for a build
+    and a reload alike, so the result equals the built trajectory in every
+    field. `metadata.block_of_position`, written when the instance has a
+    conserved vector, reloads as the built array. Files write zeros
+    unsigned, so a -0.0 of the build reloads as 0.0.
     """
+    from .trajectory import _trajectory
+
     if not isinstance(doc, dict):
         raise ParseError("trajectory file must contain a JSON object")
     for field in TRAJECTORY_FIELDS:
         if field not in doc:
-            hint = " (a version 0.1.0 file; rebuild it)" if "vertices" in doc else ""
+            old = [version for key, version in _OLD_FORMATS if key in doc]
+            hint = f" (a version {old[0]} file; rebuild it)" if old else ""
             raise ParseError(f"{field}: required field missing{hint}")
     meta = doc["metadata"]
     if not isinstance(meta, dict):
@@ -465,89 +455,57 @@ def trajectory_from_dict(doc: dict) -> dict:
             raise ParseError(f"metadata.{field}: required field missing")
     _check_number(meta["eps_pop"], "metadata.eps_pop")
     _check_number(meta["eps_grad"], "metadata.eps_grad")
-    order = meta["order"]
-    if not isinstance(order, list) or not order:
+    if not isinstance(meta["order"], list) or not meta["order"]:
         raise ParseError("metadata.order: expected a non-empty index array")
-    d = len(order)
-    seen = [False] * d
-    for i, raw in enumerate(order):
-        j = _index(raw, f"metadata.order[{i}]", d)
-        if seen[j]:
-            raise ParseError(f"metadata.order[{i}]: index {j} repeats, so order is not a permutation")
-        seen[j] = True
+    d = len(meta["order"])
+    perm = _indices(meta["order"], "metadata.order", d)
+    _, first = np.unique(perm, return_index=True)
+    if len(first) < d:
+        i = int(np.setdiff1d(np.arange(d), first)[0])
+        raise ParseError(f"metadata.order[{i}]: index {perm[i]} repeats, so order is not a permutation")
+    vectors = {}
     for field in ("initial_vertex", "target", "cost"):
         _check_length(doc[field], field, d)
-        for i, raw in enumerate(doc[field]):
-            _check_number(raw, f"{field}[{i}]")
+        vectors[field] = _numbers(doc[field], field)
     blocks = meta.get("block_of_position")
     if blocks is not None:
         _check_length(blocks, "metadata.block_of_position", d)
-        for i, raw in enumerate(blocks):
-            _index(raw, f"metadata.block_of_position[{i}]", d)
-    steps = doc["steps"]
-    if not isinstance(steps, list):
-        raise ParseError("steps: expected an array")
-    for i, step in enumerate(steps):
-        if not isinstance(step, dict):
-            raise ParseError(f"steps[{i}]: expected an object")
-        k = _index(step.get("k"), f"steps[{i}].k", d)
-        if _index(step.get("l"), f"steps[{i}].l", d) == k:
-            raise ParseError(f"steps[{i}]: k and l are both {k}")
-        for field in ("gradient", "alpha_start", "alpha_end"):
-            _check_number(step.get(field), f"steps[{i}].{field}")
+        blocks = _indices(blocks, "metadata.block_of_position", d)
     rows = doc["breakpoints"]
-    if not isinstance(rows, list) or not all(isinstance(row, list) and len(row) == 2 for row in rows):
-        raise ParseError("breakpoints: expected [alpha, omega] number pairs")
-    if len(rows) != len(steps) + 1:
-        raise ParseError(f"breakpoints: expected {len(steps) + 1} [alpha, omega] pairs, one more than the steps")
-    for i, row in enumerate(rows):
-        for j, raw in enumerate(row):  # numpy would take "1.5" and true as numbers
-            _check_number(raw, f"breakpoints[{i}][{j}]")
-    breakpoints = np.asarray(rows, dtype=float)
-    if np.any(np.diff(breakpoints[:, 0]) <= 0):
+    if not isinstance(rows, list) or len(rows) != 2:
+        raise ParseError("breakpoints: expected two rows, [alphas, omegas]")
+    alphas = _numbers(rows[0], "breakpoints[0]")
+    omegas = _numbers(rows[1], "breakpoints[1]")
+    ks = _indices(doc["ks"], "ks", d)
+    ls = _indices(doc["ls"], "ls", d)
+    gradients = _numbers(doc["gradients"], "gradients")
+    if not len(ks) == len(ls) == len(gradients) == len(alphas) - 1 == len(omegas) - 1:
+        raise ParseError(
+            "ks, ls and gradients must hold one entry per step and each breakpoints row one more; got "
+            f"{len(ks)} ks, {len(ls)} ls, {len(gradients)} gradients, {len(alphas)} alphas and {len(omegas)} omegas"
+        )
+    same = np.flatnonzero(ks == ls)
+    if len(same):
+        i = int(same[0])
+        raise ParseError(f"ks[{i}], ls[{i}]: k and l are both {ks[i]}")
+    if np.any(np.diff(alphas) <= 0):
         raise ParseError("breakpoints: alpha values must be strictly increasing")
-    alphas = breakpoints[:, 0].tolist()
-    for i, step in enumerate(steps):
-        for field, row in (("alpha_start", i), ("alpha_end", i + 1)):
-            if step[field] != alphas[row]:
-                raise ParseError(f"steps[{i}].{field}: {step[field]!r} is not the alpha of breakpoints[{row}], {alphas[row]!r}")
-    return doc
-
-
-def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
-    """Rebuild the runtime trajectory of a trajectory document.
-
-    The step arrays are made by the function the build uses, and
-    delta_alphas is replayed from the steps on first read, for a build and
-    a reload alike, so the result equals the built trajectory in every
-    field. `metadata.block_of_position`, written when the instance has a
-    conserved vector, reloads as the built array. Files write zeros
-    unsigned, so a -0.0 of the build reloads as 0.0.
-    """
-    from .trajectory import _trajectory
-
-    doc = trajectory_from_dict(doc)
-    meta = doc["metadata"]
-    perm = np.asarray(meta["order"], dtype=int)
     inverse = np.argsort(perm)
     perm.setflags(write=False)
     inverse.setflags(write=False)
-    steps = doc["steps"]
-    breakpoints = doc["breakpoints"]
-    blocks = meta.get("block_of_position")
     return _trajectory(
         PreferredOrder(perm=perm, inverse=inverse),
-        _number_list(doc["target"], "target"),
-        _number_list(doc["cost"], "cost"),
-        _number_list(doc["initial_vertex"], "initial_vertex"),
-        [s["k"] for s in steps],
-        [s["l"] for s in steps],
-        [float(s["gradient"]) for s in steps],
-        [float(alpha) for alpha, _ in breakpoints],
-        [float(omega) for _, omega in breakpoints],
+        vectors["target"],
+        vectors["cost"],
+        vectors["initial_vertex"],
+        ks,
+        ls,
+        gradients,
+        alphas,
+        omegas,
         float(meta["eps_pop"]),
         float(meta["eps_grad"]),
-        None if blocks is None else np.asarray(blocks, dtype=int),
+        blocks,
     )
 
 

@@ -118,8 +118,8 @@ def write_case(root, name, source) -> dict:
         instance.write_text(json.dumps(source(), indent=1) + "\n")
     run_cli(["build", instance, case / "build.json"])
     (case / "eval.csv").write_text(run_cli(["eval", instance, "--grid", GRID]))
-    lo, hi = json.loads((case / "build.json").read_text())["alpha_range"]
-    alpha = format_float((lo + hi) / 2)
+    alphas = json.loads((case / "build.json").read_text())["breakpoints"][0]
+    alpha = format_float((alphas[0] + alphas[-1]) / 2)
     run_cli(["lift", instance, case / "lift.json", "--alpha", alpha])
     return {"cool": source if isinstance(source, list) else None, "lift_alpha": alpha}
 

@@ -238,6 +238,22 @@ def test_c09_free_energy_dominated():
             assert slack >= -1e-9, f"alpha={alpha}: slack {slack:.3e}"
 
 
+def test_c09_free_energy_dominated_on_drawn_machines():
+    with criterion(9, "work cost dominates the free-energy bound on drawn qubit-plus-machine instances"):
+        rng = np.random.default_rng(2718)
+        for _ in range(20):
+            beta = float(rng.uniform(0.3, 3.0))
+            pops = None if rng.integers(0, 2) else tuple(rng.dirichlet([1.0, 1.0]))
+            system = SystemSpec(energies=(0.0, float(rng.uniform(0.1, 2.0))), initial_populations=pops)
+            machine = SystemSpec(energies=np.sort(rng.uniform(0.0, 3.0, int(rng.integers(3, 9)))))
+            cool = coherent_instance(system, machine, beta)
+            traj = build(cool.problem)
+            omega_in = omega_opt(traj, cool.alpha_in)
+            for alpha in np.linspace(traj.alpha_min, traj.alpha_max, 100).tolist():
+                slack = omega_opt(traj, alpha) - omega_in - free_energy_bound(cool, alpha)
+                assert slack >= -1e-9, f"alpha={alpha}: slack {slack:.3e}"
+
+
 def test_c10_vertex_counting():
     with criterion(10, "enumerated vertex counts match the multinomial formula"):
         rng = np.random.default_rng(141421)

@@ -105,7 +105,7 @@ def test_build_eval_roundtrip(tmp_path, capsys, instance_file):
     assert lines[0] == "alpha,omega,work"
     rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
     # every breakpoint appears and matches the stored omega digit for digit
-    for alpha, omega in doc["breakpoints"]:
+    for alpha, omega in zip(*doc["breakpoints"]):
         key = fileio.format_float(alpha)
         assert key in rows
         assert rows[key][1] == fileio.format_float(omega)
@@ -120,7 +120,7 @@ def test_trajectory_file_evaluates_standalone(tmp_path, capsys, instance_file):
     run(capsys, "build", instance_file, out_path)
     doc = fileio.load_json(out_path)
     runtime = fileio.trajectory_to_runtime(doc)
-    for alpha, omega in doc["breakpoints"]:
+    for alpha, omega in zip(*doc["breakpoints"]):
         assert omega_opt(runtime, float(alpha)) == float(omega)
 
 
@@ -253,7 +253,7 @@ def test_verify_tamper_negative_control(tmp_path, capsys, instance_file):
     code, _, _ = run(capsys, "verify", instance_file, "--samples", "100", "--trajectory", traj_path)
     assert code == 0
     doc = fileio.load_json(traj_path)
-    doc["steps"][2]["gradient"] += 1e-3
+    doc["gradients"][2] += 1e-3
     tampered = str(tmp_path / "tampered.json")
     Path(tampered).write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", instance_file, "--samples", "100", "--trajectory", tampered)
@@ -357,7 +357,7 @@ def test_huge_integer_instance_number_is_a_parse_error(tmp_path, capsys, field):
     assert "401-digit integer is too large for a float" in err
 
 
-@pytest.mark.parametrize("path", [("breakpoints", 3, 1), ("steps", 2, "gradient"), ("metadata", "eps_pop")])
+@pytest.mark.parametrize("path", [("breakpoints", 1, 3), ("gradients", 2), ("metadata", "eps_pop")])
 def test_verify_rejects_huge_integer_in_trajectory_file(tmp_path, capsys, path):
     code, _, _ = run(capsys, "build", str(GENERIC), str(tmp_path / "traj.json"))
     assert code == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,11 @@ from trajopt.conserved import (
     from_populations,
     generalized_vertex_count,
 )
-from trajopt.core import ProblemInstance, validate
+from trajopt.cooling import SystemSpec, incoherent_instance
+from trajopt.core import ALPHA_TOL, ProblemInstance, validate
 from trajopt.errors import NotAVertex, NotHermitian, NotUnitTrace
 from trajopt.polytope import av_swaps, is_edge
-from trajopt.trajectory import build, maximal_vertex, minimal_vertex, swap_candidates
+from trajopt.trajectory import build, maximal_vertex, minimal_vertex, omega_opt, swap_candidates
 
 
 def test_block_decompose_examples():
@@ -372,3 +375,31 @@ def test_swap_candidates_generalized_checks_each_block():
     # one entry too many
     with pytest.raises(NotAVertex):
         swap_candidates([0.4, 0.1, 0.3, 0.2, 0.0], inst)
+
+
+def _laddered(rng, step):
+    """3-8 levels on a grid of spacing step, so that total energies coincide."""
+    return SystemSpec(energies=np.sort(rng.integers(0, 4, int(rng.integers(3, 9)))) * step)
+
+
+def test_conserved_trajectory_lies_above_the_unconstrained_one(rng):
+    """Energy-preserving unitaries are a subset of all unitaries, so the conserved
+    build reaches a sub-range of the flat one's and costs no less anywhere on it."""
+    instances = []
+    for _ in range(20):
+        step = rng.uniform(0.5, 1.5)
+        system = SystemSpec(energies=(0.0, step * int(rng.integers(1, 3))))
+        cool = incoherent_instance(
+            system, _laddered(rng, step), _laddered(rng, step), float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.0, 2.0))
+        )
+        instances.append(cool.problem)
+    for _ in range(6):
+        d = int(rng.integers(4, 20))
+        instances.append(tie_instance(rng, d, conserved=rng.integers(0, int(rng.integers(1, 4)), d).astype(float)))
+    for inst in instances:
+        conserved = build(inst)
+        flat = build(validate(replace(inst, conserved=None)))
+        assert conserved.alpha_min >= flat.alpha_min - ALPHA_TOL
+        assert conserved.alpha_max <= flat.alpha_max + ALPHA_TOL
+        for alpha in np.linspace(conserved.alpha_min, conserved.alpha_max, 200).tolist():
+            assert omega_opt(conserved, alpha) >= omega_opt(flat, alpha) - 1e-9, alpha

@@ -3,6 +3,7 @@ import pytest
 
 from trajopt.core import (
     ProblemInstance,
+    block_indices,
     cost_value,
     preferred_order,
     target_value,
@@ -138,3 +139,18 @@ def test_functionals_linear(rng):
         direct = target_value(mix, a)
         combo = t * target_value(p, a) + (1 - t) * target_value(q, a)
         assert abs(direct - combo) < 1e-12
+
+
+def test_block_indices_equal_one_pass_per_block(rng):
+    """The sort-and-split lists equal the flatnonzero pass per block, empty blocks included."""
+    cases = [np.arange(50), np.zeros(50, dtype=int), np.array([0]), np.array([2, 0, 2])]
+    for _ in range(40):
+        d = int(rng.integers(1, 60))
+        cases.append(rng.integers(0, int(rng.integers(1, d + 2)), d))
+    for block_of in cases:
+        got = block_indices(block_of, len(block_of))
+        want = [np.flatnonzero(block_of == b) for b in range(int(block_of.max()) + 1)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tolist() == w.tolist()
+    assert [b.tolist() for b in block_indices(None, 4)] == [[0, 1, 2, 3]]

@@ -4,6 +4,7 @@ The expected files were written by tests/golden/generate.py; see its
 docstring for when they may be regenerated.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -37,3 +38,13 @@ def test_golden_bytes(name, tmp_path, capsys):
 
     run(capsys, "lift", instance, tmp_path / "lift.json", "--alpha", CASES[name]["lift_alpha"])
     assert (tmp_path / "lift.json").read_bytes() == (case / "lift.json").read_bytes()
+
+
+def test_generate_check_finds_the_whole_corpus_unchanged(capsys):
+    # covers what test_golden_bytes does not compare: cases.json (the lift
+    # alphas) and the instance.json files the generator writes
+    spec = importlib.util.spec_from_file_location("generate", GOLDEN / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    assert generate.check_corpus() == 0
+    assert capsys.readouterr().out == ""
