@@ -149,14 +149,18 @@ def _verify_checks(inst, args):
             worst = max(worst, diff)
         yield "envelope-equivalence", worst <= 1e-9, f"max |diff| = {worst:.3e}"
 
-    if vertices is not None and inst.dim <= 5:
+    if vertices is None or inst.dim > 5:
+        yield "edge-structure", None, "skipped (needs flat instance with dim <= 5)"
+    elif (gap := polytope.relative_gap(vertices)) < polytope.EDGE_MIN_GAP:
+        yield "edge-structure", None, (
+            f"skipped (eigenvalues {gap:.1e} of their spread apart < {polytope.EDGE_MIN_GAP:.0e})"
+        )
+    else:
         predicted = polytope.av_swap_pairs(vertices, eps=inst.eps_pop)
         brute = polytope.edge_pairs(vertices)
         yield "edge-structure", predicted == brute, (
             f"{len(brute)} edges, {len(predicted)} predicted"
         )
-    else:
-        yield "edge-structure", None, "skipped (needs flat instance with dim <= 5)"
 
     report = oracle.monte_carlo_audit(inst, traj, n_samples=args.samples, seed=args.seed)
     yield "monte-carlo-audit", report.passed, (

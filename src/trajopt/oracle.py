@@ -4,11 +4,19 @@ Projecting every polytope vertex to (target, cost) gives a polygon whose
 lower boundary is the minimal cost function; comparing that envelope with
 the constructed trajectory, and sampling random vertices of the polytope,
 falsifies the construction without sharing any code path with it.
+
+`induced_polygon` builds the lower envelope only; the upper envelope and
+the hull are built on their first read and kept. `envelope_min_cost`
+interpolates on the lower envelope's breakpoints, held as Python floats,
+with np.interp's branches, so it returns np.interp's value bit for bit
+without a numpy call per lookup.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,14 +32,16 @@ class InducedPolygon:
     """Image of the population polytope under (target, cost).
 
     points: all projected vertices, one (alpha, eps) row each
-    hull: convex hull cycle, counter-clockwise
     lower_envelope: (alpha, eps) breakpoints of the lower boundary
+    upper_envelope: (alpha, eps) breakpoints of the upper boundary
+    hull: convex hull cycle, counter-clockwise
+
+    The upper envelope and the hull are built when first read and then
+    kept; the lower envelope is built with the polygon.
     """
 
     points: np.ndarray
-    hull: np.ndarray
     lower_envelope: np.ndarray
-    upper_envelope: np.ndarray
 
     @property
     def alpha_min(self) -> float:
@@ -40,6 +50,28 @@ class InducedPolygon:
     @property
     def alpha_max(self) -> float:
         return float(self.lower_envelope[-1, 0])
+
+    @cached_property
+    def _breakpoints(self) -> tuple[list, list]:
+        """The lower envelope's alphas and costs as lists of Python floats."""
+        return self.lower_envelope[:, 0].tolist(), self.lower_envelope[:, 1].tolist()
+
+    @cached_property
+    def upper_envelope(self) -> np.ndarray:
+        alphas, costs = self.points.T
+        by_alpha = self.points[np.lexsort((costs, alphas))]
+        _, first, counts = np.unique(by_alpha[:, 0], return_index=True, return_counts=True)
+        return _half_hull(by_alpha[first + counts - 1][::-1])[::-1]
+
+    @cached_property
+    def hull(self) -> np.ndarray:
+        """The lower envelope, then the reversed upper one, their shared end points taken once."""
+        lower, top = self.lower_envelope, self.upper_envelope[::-1]
+        if np.array_equal(top[0], lower[-1]):
+            top = top[1:]
+        if len(top) and np.array_equal(top[-1], lower[0]):
+            top = top[:-1]
+        return np.concatenate([lower, top])
 
 
 @dataclass(frozen=True)
@@ -80,13 +112,12 @@ def _half_hull(pts: np.ndarray) -> np.ndarray:
 
 
 def induced_polygon(vertices, a, e) -> InducedPolygon:
-    """Project vertices (rows, input basis) to (target, cost) and take hulls.
+    """Project vertices (rows, input basis) to (target, cost) and take the lower hull.
 
     Accepts a VertexSet or a plain (N, d) array. At equal alpha only the
     lower cost enters the lower envelope and only the higher cost the upper
-    one (each is a function of alpha). Both are monotone chains, and the
-    hull is the lower envelope followed by the reversed upper envelope,
-    their shared end points taken once.
+    one (each is a function of alpha). Both are monotone chains; the upper
+    one, and the hull they bound, are built only when read.
     """
     verts = getattr(vertices, "vertices", vertices)
     verts = np.asarray(verts, dtype=float)
@@ -95,25 +126,31 @@ def induced_polygon(vertices, a, e) -> InducedPolygon:
     points = np.column_stack([alphas, costs])
 
     by_alpha = points[np.lexsort((costs, alphas))]
-    _, first, counts = np.unique(by_alpha[:, 0], return_index=True, return_counts=True)
-    lower = _half_hull(by_alpha[first])
-    top = _half_hull(by_alpha[first + counts - 1][::-1])
-    upper = top[::-1]
-    if np.array_equal(top[0], lower[-1]):
-        top = top[1:]
-    if len(top) and np.array_equal(top[-1], lower[0]):
-        top = top[:-1]
-    hull = np.concatenate([lower, top])
-    return InducedPolygon(
-        points=points, hull=hull, lower_envelope=lower, upper_envelope=upper
-    )
+    _, first = np.unique(by_alpha[:, 0], return_index=True)
+    return InducedPolygon(points=points, lower_envelope=_half_hull(by_alpha[first]))
 
 
 def envelope_min_cost(poly: InducedPolygon, alpha: float) -> float:
-    """Linear interpolation on the lower envelope."""
-    alpha = check_alpha(alpha, poly.alpha_min, poly.alpha_max)
-    env = poly.lower_envelope
-    return float(np.interp(alpha, env[:, 0], env[:, 1]))
+    """Linear interpolation on the lower envelope, bit for bit np.interp's.
+
+    A bisection on the breakpoints held as Python floats, then the
+    branches of np.interp: a breakpoint's own cost where alpha sits on one
+    (or the envelope has one point), else slope * (alpha - x_j) + y_j with
+    np.interp's NaN fallbacks. This module shares no code with
+    `trajectory`, whose omega_opt it checks.
+    """
+    xs, ys = poly._breakpoints
+    alpha = check_alpha(float(alpha), xs[0], xs[-1])
+    j = bisect_right(xs, alpha) - 1
+    if j == len(xs) - 1 or xs[j] == alpha:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    value = slope * (alpha - xs[j]) + ys[j]
+    if value != value:
+        value = slope * (alpha - xs[j + 1]) + ys[j + 1]
+        if value != value and ys[j] == ys[j + 1]:
+            value = ys[j]
+    return value
 
 
 def _audit_images(inst, n_samples: int, seed):

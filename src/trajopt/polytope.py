@@ -6,7 +6,11 @@ the default enumeration cap `DEFAULT_MAX_ENUM_DIM` (both defined in `core`,
 whose `validate` and `cli` use them without loading this module), the vertex
 enumeration with degeneracy counting, adjacent-valued swap enumeration,
 and a brute-force edge oracle that is independent of the adjacent-swap
-characterization (it solves a small LP instead).
+characterization (it solves a small LP instead). The LP for a vertex pair
+asks for the least weight on the pair over the convex representations of
+its midpoint: 1 on an edge, 0 otherwise. It runs on the vertex
+coordinates scaled to [0, 1], has d rows (every coordinate but the last,
+then the weight sum) and starts from the pair itself.
 
 Enumeration order is a contract: `enumerate_vertices` lists the distinct
 arrangements lexicographically in the positions of the distinct values,
@@ -27,9 +31,17 @@ import numpy as np
 
 from .core import DEFAULT_MAX_ENUM_DIM, cluster_ranks, majorizes
 from .errors import DimensionTooLarge, NotAVertex
-from .simplex import LPStatus, solve_lp
+from .simplex import solve_lp
 
-# Simplex tableau entries one stacked LP solve holds (2 MB of float64).
+# The least gap between distinct eigenvalues, relative to their spread,
+# at which the LP edge test is trusted. Vertices that differ by a swap of
+# two values closer than this are nearly equal columns of the LP, and its
+# pivots lose the verdict to rounding (see README, `verify`).
+EDGE_MIN_GAP = 1e-5
+
+# Floats one stacked LP solve holds (2 MB of float64): per LP of n
+# vertices and m rows, a cost and a reduced-cost row and an m×m basis
+# inverse.
 LP_CHUNK = 1 << 18
 
 
@@ -144,44 +156,55 @@ def _find_vertex(vset: VertexSet, v: np.ndarray, eps: float) -> int:
 
 
 def _convexity_rows(verts: np.ndarray) -> np.ndarray:
-    """Equality rows of "a convex combination of the vertices": coordinates, then weight sum."""
-    return np.vstack([verts.T, np.ones(len(verts))])
+    """Equality rows of "a convex combination of the vertices", on coordinates scaled to [0, 1].
 
-
-def _pair_weights(verts: np.ndarray, A: np.ndarray, i1, i2, tol: float) -> np.ndarray:
-    """segment_weight of each vertex pair (i1[k], i2[k]), given A = _convexity_rows(verts).
-
-    i1[k] != i2[k]. The LPs share A, so each chunk of them is one stacked `solve_lp` call;
-    a chunk holds at most LP_CHUNK tableau entries (at least one LP).
+    Each coordinate x maps to (x - lo) / (hi - lo), lo and hi the least and
+    greatest vertex entry; the map is affine, so it keeps every convex
+    weight, and the LP's absolute tolerances become relative to the
+    spread of the values. The rows are every scaled coordinate but the
+    last, then the weight sum: all vertices permute the same values, so
+    their coordinates share one sum, and the last coordinate row follows
+    from the others and the weight-sum row.
     """
-    n = len(verts)
-    m = len(A)
-    per_chunk = max(1, LP_CHUNK // ((m + 1) * (n + m + 1)))
+    lo, hi = verts.min(), verts.max()
+    scaled = (verts - lo) / (hi - lo if hi > lo else 1.0)
+    return np.vstack([scaled[:, :-1].T, np.ones(len(verts))])
+
+
+def _pair_weights(A: np.ndarray, i1, i2, tol: float) -> np.ndarray:
+    """segment_weight of each vertex pair (i1[k], i2[k]), given A = _convexity_rows(vertices).
+
+    i1[k] != i2[k]. LP k has b = (A[:, i1[k]] + A[:, i2[k]]) / 2, so the
+    pair itself is a feasible basis to start from. The weight is NaN where
+    the LP ends otherwise than optimal, which rounding can cause below
+    EDGE_MIN_GAP. The LPs share A, so each chunk of them is one stacked
+    `solve_lp` call; a chunk holds at most LP_CHUNK floats (at least one
+    LP).
+    """
+    m, n = A.shape
+    per_chunk = max(1, LP_CHUNK // (2 * n + m * m))
     weights = np.empty(len(i1))
     for first in range(0, len(i1), per_chunk):
-        rows1 = i1[first : first + per_chunk]
-        rows2 = i2[first : first + per_chunk]
-        lps = np.arange(len(rows1))
-        b = np.column_stack([0.5 * (verts[rows1] + verts[rows2]), np.ones(len(lps))])
-        c = np.zeros((len(lps), n))
-        c[lps, rows1] = 1.0
-        c[lps, rows2] = 1.0
-        status, _, obj = solve_lp(c, A, b, tol=tol)
-        for s in status:
-            if s != LPStatus.OPTIMAL:
-                raise RuntimeError(f"midpoint LP ended with status {s}")
-        weights[first : first + per_chunk] = obj
+        pair = np.column_stack([i1[first : first + per_chunk], i2[first : first + per_chunk]])
+        lps = np.arange(len(pair))[:, None]
+        b = 0.5 * (A[:, pair[:, 0]] + A[:, pair[:, 1]]).T
+        c = np.zeros((len(pair), n))
+        c[lps, pair] = 1.0
+        _, _, weights[first : first + per_chunk] = solve_lp(c, A, b, tol=tol, basis=pair)
     return weights
 
 
 def segment_weight(v1, v2, vset: VertexSet, tol: float = 1e-9) -> float:
-    """Minimal total weight on {v1, v2} over convex representations of their midpoint."""
+    """Minimal total weight on {v1, v2} over convex representations of their midpoint.
+
+    NaN where the LP cannot finish, which rounding can cause below
+    EDGE_MIN_GAP (see _pair_weights).
+    """
     i1 = _find_vertex(vset, v1, tol)
     i2 = _find_vertex(vset, v2, tol)
     if i1 == i2:
         raise NotAVertex("v1 and v2 are the same vertex")
-    verts = vset.vertices
-    return float(_pair_weights(verts, _convexity_rows(verts), np.array([i1]), np.array([i2]), tol)[0])
+    return float(_pair_weights(_convexity_rows(vset.vertices), np.array([i1]), np.array([i2]), tol)[0])
 
 
 def is_edge(v1, v2, vset: VertexSet, eps: float = 1e-9) -> bool:
@@ -193,6 +216,14 @@ def is_edge(v1, v2, vset: VertexSet, eps: float = 1e-9) -> bool:
     uncritical.
     """
     return segment_weight(v1, v2, vset, tol=eps) >= 0.5
+
+
+def relative_gap(vset: VertexSet) -> float:
+    """The least gap between distinct eigenvalues over max - min; inf with fewer than two values."""
+    values = np.unique(vset.eigenvalues)
+    if len(values) < 2:
+        return float("inf")
+    return float(np.diff(values).min() / (values[-1] - values[0]))
 
 
 def _rank_codes(vset: VertexSet):
@@ -224,15 +255,17 @@ def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set
     the codes of (i, j) and (j, i). Keys of all pairs i < j are computed at
     once, and one LP runs per orbit, at its first pair in row-major order.
     Either way the LPs share one constraint matrix and are solved as
-    stacks of up to LP_CHUNK tableau entries, one `solve_lp` call each;
-    each LP gives the weight it gives alone.
+    stacks of up to LP_CHUNK floats, one `solve_lp` call each, each LP
+    from its own pair as the starting basis; each LP gives the weight it
+    gives alone. Below EDGE_MIN_GAP (see relative_gap) the verdicts are
+    not to be trusted; they are still returned, and no error is raised.
     """
     verts = vset.vertices
     A = _convexity_rows(verts)
     n = len(verts)
     iu, ju = np.triu_indices(n, 1)
     if not symmetry:
-        hits = _pair_weights(verts, A, iu, ju, eps) >= 0.5
+        hits = _pair_weights(A, iu, ju, eps) >= 0.5
         return {(int(i), int(j)) for i, j in zip(iu[hits], ju[hits])}
 
     ranks, weights = _rank_codes(vset)
@@ -249,7 +282,7 @@ def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set
 
     codes = np.minimum(ordered_codes(iu, ju), ordered_codes(ju, iu))
     _, first, orbit = np.unique(codes, return_index=True, return_inverse=True)
-    verdicts = _pair_weights(verts, A, iu[first], ju[first], eps) >= 0.5
+    verdicts = _pair_weights(A, iu[first], ju[first], eps) >= 0.5
     hits = verdicts[orbit.reshape(-1)]
     return {(int(i), int(j)) for i, j in zip(iu[hits], ju[hits])}
 

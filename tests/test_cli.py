@@ -247,6 +247,23 @@ def test_verify_edge_check_small_instance(tmp_path, capsys):
     assert "PASS  edge-structure" in out
 
 
+def test_verify_skips_the_edge_check_on_a_near_tie(tmp_path, capsys):
+    # two eigenvalues 1e-10 apart, 6.7e-10 of the spread: the LP cannot
+    # resolve an edge that short, so the check is skipped and named, not
+    # failed (it printed "FAIL edge-structure: 360 edges, 240 predicted")
+    lam = np.array([0.3, 0.25, 0.2, 0.15, 0.15 - 1e-10])
+    inst = {
+        "eigenvalues": (lam / lam.sum()).tolist(),
+        "target": [0, 1, 2, 3, 4.5],
+        "cost": [0.3, -1, 0.7, 2, 0.1],
+    }
+    path = tmp_path / "near_tie.json"
+    path.write_text(json.dumps(inst))
+    code, out, _ = run(capsys, "verify", str(path), "--samples", "200")
+    assert code == 0 and "FAIL" not in out
+    assert "SKIP  edge-structure: skipped (eigenvalues 6.7e-10 of their spread apart < 1e-05)" in out
+
+
 def test_verify_tamper_negative_control(tmp_path, capsys, instance_file):
     traj_path = str(tmp_path / "traj.json")
     run(capsys, "build", instance_file, traj_path)

@@ -24,6 +24,15 @@ def run(capsys, *argv) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_instance_verifies(name, capsys):
+    # every oracle check passes or is skipped on the corpus; at d=5,
+    # negative-zero-gradient runs the LP edge test
+    code = main(["verify", str(GOLDEN / name / "instance.json"), "--samples", "500"])
+    out = capsys.readouterr().out
+    assert code == 0 and "FAIL" not in out, out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_bytes(name, tmp_path, capsys):
     case = GOLDEN / name
     instance = case / "instance.json"

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_instance
 from trajopt import oracle
 from trajopt.conserved import block_decompose
-from trajopt.core import ProblemInstance, validate
+from trajopt.core import ALPHA_TOL, ProblemInstance, check_alpha, validate
 from trajopt.errors import AlphaOutOfRange
 from trajopt.oracle import (
     _audit_images,
@@ -120,6 +120,53 @@ def test_hull_passes_on_curves():
     assert len(convex.lower_envelope) == 33 and len(convex.upper_envelope) == 2
     concave = induced_polygon(np.column_stack([x, -x * x]), [1.0, 0.0], [0.0, 1.0])
     assert len(concave.lower_envelope) == 2 and len(concave.upper_envelope) == 33
+
+
+def _np_envelope(poly, alpha):
+    """envelope_min_cost as np.interp on the lower envelope (the form it replaced)."""
+    env = poly.lower_envelope
+    return float(np.interp(check_alpha(alpha, poly.alpha_min, poly.alpha_max), env[:, 0], env[:, 1]))
+
+
+def test_envelope_lookup_is_np_interp_bit_for_bit(rng):
+    polys = [induced_polygon(enumerate_vertices([0.5, 0.3, 0.2]), np.ones(3), [0.0, 1.0, 2.0])]
+    for i in range(12):
+        inst = random_instance(rng, int(rng.integers(3, 7)), degenerate=(i % 2 == 0))
+        polys.append(induced_polygon(enumerate_vertices(inst.eigenvalues), inst.target, inst.cost))
+    assert len(polys[0].lower_envelope) == 1
+    for poly in polys:
+        xs = poly.lower_envelope[:, 0]
+        lo, hi = poly.alpha_min, poly.alpha_max
+        probes = [*xs, *(0.5 * (xs[1:] + xs[:-1])), *rng.uniform(lo, hi, 20)]
+        probes += [lo - ALPHA_TOL, lo - 0.5 * ALPHA_TOL, hi + 0.5 * ALPHA_TOL, hi + ALPHA_TOL]
+        probes += [np.nextafter(x, np.inf) for x in xs] + [np.nextafter(x, -np.inf) for x in xs[1:]]
+        for alpha in map(float, probes):
+            got = envelope_min_cost(poly, alpha)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(_np_envelope(poly, alpha)).tobytes(), alpha
+        for alpha in (lo - 2 * ALPHA_TOL, hi + 2 * ALPHA_TOL, math.nan):
+            with pytest.raises(AlphaOutOfRange):
+                envelope_min_cost(poly, alpha)
+
+
+def test_polygon_builds_the_upper_chain_only_when_read(monkeypatch):
+    calls = []
+    real = oracle._half_hull
+
+    def counting(pts):
+        calls.append(len(pts))
+        return real(pts)
+
+    monkeypatch.setattr(oracle, "_half_hull", counting)
+    rng = np.random.default_rng(7)
+    lam, a, e = rng.dirichlet(np.ones(7)), rng.normal(size=7), rng.normal(size=7)
+    poly = induced_polygon(enumerate_vertices(lam), a, e)
+    for alpha in rng.uniform(poly.alpha_min, poly.alpha_max, 50):
+        envelope_min_cost(poly, float(alpha))
+    assert len(calls) == 1
+    upper = poly.upper_envelope
+    assert len(calls) == 2
+    assert poly.upper_envelope is upper and len(poly.hull) and len(calls) == 2
 
 
 def test_envelope_matches_trajectory(rng):

@@ -211,3 +211,58 @@ def test_edge_pairs_solves_one_lp_per_orbit(lam, solves, monkeypatch):
     assert edge_pairs(vs) == av_swap_pairs(vs)
     assert sum(lps) == solves
     assert len(lps) == 1  # one chunk holds them all
+
+
+def test_relative_gap():
+    assert polytope.relative_gap(enumerate_vertices([0.4, 0.3, 0.2, 0.1])) == pytest.approx(1 / 3)
+    assert polytope.relative_gap(enumerate_vertices([0.5, 0.25, 0.25])) == pytest.approx(1.0)
+    assert polytope.relative_gap(enumerate_vertices([0.25] * 4)) == math.inf
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+def test_edge_pairs_agree_with_swaps_down_to_the_least_gap(scale, rng):
+    # two values planted 1, 3 or 10 times EDGE_MIN_GAP of the spread apart,
+    # half the draws with a tied pair as well: wherever `verify` runs the
+    # edge check, the LP verdicts are the adjacent-swap pairs, with and
+    # without the orbit cache, at any scale of the spectrum
+    ran = 0
+    for k in range(20):
+        d = int(rng.integers(3, 6))
+        lam = rng.dirichlet(np.ones(d))
+        if k % 2 and d >= 4:
+            lam[0] = lam[1]
+        i, j = rng.choice(d, 2, replace=False)
+        gap = polytope.EDGE_MIN_GAP * (1, 3, 10)[k % 3] * (lam.max() - lam.min())
+        lam[j] = lam[i] + gap if lam[i] - gap <= 0 else lam[i] - gap
+        vs = enumerate_vertices(lam * scale)
+        if polytope.relative_gap(vs) < polytope.EDGE_MIN_GAP:
+            continue
+        ran += 1
+        predicted = av_swap_pairs(vs)
+        assert edge_pairs(vs) == predicted, lam.tolist()
+        if d <= 4:
+            assert edge_pairs(vs, symmetry=False) == predicted, lam.tolist()
+    assert ran >= 15
+
+
+def test_segment_weight_separates_edges_from_other_pairs():
+    # an edge's midpoint has no representation off the pair (weight 1);
+    # any other pair's midpoint has one with no weight on the pair
+    vs = enumerate_vertices([0.4, 0.3, 0.2, 0.1])
+    edges = av_swap_pairs(vs)
+    for i, j in itertools.combinations(range(vs.count), 2):
+        weight = polytope.segment_weight(vs.vertices[i], vs.vertices[j], vs)
+        assert weight == pytest.approx(1.0 if (i, j) in edges else 0.0, abs=1e-9)
+
+
+def test_edge_pairs_below_the_least_gap_end_without_raising():
+    # two values 3e-8 of the spread apart: some pair LPs pivot on bases too
+    # near singular to finish, stop at the iteration limit and count as no
+    # edge (weight NaN); edge_pairs still returns its verdicts
+    vs = enumerate_vertices([0.4681749137060114, 0.04634296504830694, 0.04634297822248084])
+    assert polytope.relative_gap(vs) < polytope.EDGE_MIN_GAP
+    iu, ju = np.triu_indices(vs.count, 1)
+    weights = polytope._pair_weights(polytope._convexity_rows(vs.vertices), iu, ju, 1e-9)
+    assert np.isnan(weights).any()
+    edges = edge_pairs(vs)
+    assert edges <= set(zip(iu.tolist(), ju.tolist()))

@@ -162,6 +162,51 @@ def _same_result(got, want):
         assert np.float64(objective).tobytes() == np.float64(want[2]).tobytes()
 
 
+# The revised form sums in another order than the tableau reference, and
+# may stop at another optimal vertex; entries are small integers and O(1)
+# values, so 1e-9 leaves some 10^6 ulps of room.
+REF_TOL = 1e-9
+
+
+def _agrees_with(got, want, A, b):
+    """Same status as want; when optimal, the same objective and an x that solves A x = b, x >= 0."""
+    status, x, objective = got
+    assert status == want[0]
+    if want[1] is None:
+        assert x is None and objective is None
+        return
+    assert objective == pytest.approx(want[2], rel=REF_TOL, abs=REF_TOL)
+    assert x.min() >= -REF_TOL
+    assert np.abs(A @ x - b).max() <= REF_TOL * max(1.0, np.abs(b).max())
+
+
+def _started_stack(seed):
+    """The mixed stack with feasible b and a starting basis per LP.
+
+    Each LP gets k linearly independent columns of A, drawn at random, and
+    b = A x0 with x0 >= 0 on those columns (some entries 0, so some starts
+    are degenerate). None when A is zero.
+    """
+    rng = np.random.default_rng(seed)
+    c, A, _ = _mixed_stack(seed)
+    rank = np.linalg.matrix_rank(A)
+    if rank == 0:
+        return None
+    k = int(rng.integers(1, rank + 1))
+    cols = np.empty((len(c), k), dtype=int)
+    for i in range(len(c)):
+        pick = []
+        for j in rng.permutation(A.shape[1]).tolist():
+            if np.linalg.matrix_rank(A[:, pick + [j]]) == len(pick) + 1:
+                pick.append(j)
+            if len(pick) == k:
+                break
+        cols[i] = pick
+    x0 = rng.integers(0, 3, size=cols.shape) * rng.uniform(0.0, 1.0, size=cols.shape)
+    b = np.einsum("mlk,lk->lm", A[:, cols], x0)
+    return c, A, b, cols
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_stack_solves_each_lp_as_it_is_solved_alone(seed):
     c, A, b = _mixed_stack(seed)
@@ -176,7 +221,7 @@ def test_stack_solves_each_lp_as_it_is_solved_alone(seed):
             # every row dropped as redundant and a negative reduced cost
             assert not A.any() and alone == (LPStatus.UNBOUNDED, None, None)
             continue
-        _same_result(alone, reference)
+        _agrees_with(alone, reference, A, b[i])
         if statuses[i] == LPStatus.OPTIMAL:
             _same_result((statuses[i], xs[i], objectives[i]), alone)
         else:
@@ -185,6 +230,34 @@ def test_stack_solves_each_lp_as_it_is_solved_alone(seed):
     one = solve_lp(c[:1], A, b[:1])
     assert one[0] == statuses[:1]
     assert one[1].tobytes() == xs[:1].tobytes() and one[2].tobytes() == objectives[:1].tobytes()
+
+    # a starting basis: each LP of the stack still returns what it returns
+    # alone, and the optimum of the LP solved without one
+    started = _started_stack(seed)
+    if started is None:
+        return
+    c, A, b, cols = started
+    statuses, xs, objectives = solve_lp(c, A, b, basis=cols)
+    for i in range(len(c)):
+        alone = solve_lp(c[i], A, b[i], basis=cols[i])
+        _agrees_with(alone, solve_lp(c[i], A, b[i]), A, b[i])
+        if statuses[i] == LPStatus.OPTIMAL:
+            _same_result((statuses[i], xs[i], objectives[i]), alone)
+        else:
+            assert statuses[i] == alone[0] == LPStatus.UNBOUNDED
+
+
+def test_unusable_starting_basis_is_ignored():
+    # dependent columns, or columns whose basic solution is negative, fall
+    # back to the artificial start and give the result without a basis
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    c = np.array([1.0, 2.0, 0.0])
+    status, x, value = solve_lp(c, a, np.array([0.6, 0.4]), basis=[1, 2])
+    assert status == LPStatus.OPTIMAL and value == pytest.approx(0.6)
+    for b, start in (([0.6, 0.4], [0, 1]), ([-0.6, 0.4], [0, 2])):
+        _same_result(solve_lp(c, a, np.array(b), basis=start), solve_lp(c, a, np.array(b)))
+    statuses, xs, objectives = solve_lp(c, a, np.array([[0.6, 0.4], [0.6, 0.4]]), basis=[[1, 2], [0, 1]])
+    assert statuses == [LPStatus.OPTIMAL] * 2 and np.allclose(xs, [[0.6, 0, 0.4]] * 2)
 
 
 def test_stack_mixes_every_ending():

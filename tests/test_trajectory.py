@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     assert_single_step_rule,
+    random_degenerate_spectrum,
     random_instance,
     replayed_vertices,
     single_step_candidates,
@@ -417,6 +418,31 @@ def test_public_queries_follow_the_build(rng):
             fields = ("k", "l", "delta_alpha", "alpha_start", "alpha_end", "gradient")
             assert [getattr(got, f) for f in fields] == [getattr(step, f) for f in fields]
             assert np.signbit(got.gradient) == np.signbit(step.gradient)
+
+
+def test_build_is_exactly_equivariant(rng):
+    # with distinct (target, cost) pairs the build is a function of their
+    # order alone: a power-of-two rescaling moves only the values it
+    # scales, by exactly that factor, and a permutation of the input
+    # indices moves nothing (the arrays are in preferred coordinates)
+    def arrays(traj):
+        return [traj.ks, traj.ls, traj.alphas, traj.gradients, traj.omegas]
+
+    def same(got, want):
+        for g, w in zip(arrays(got), want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    for i in range(30):
+        d = int(rng.integers(3, 61))
+        lam = random_degenerate_spectrum(rng, d) if i % 2 else rng.dirichlet(np.ones(d))
+        a, e = rng.normal(size=d), rng.normal(size=d)
+        f = 2.0 ** int(rng.integers(-3, 4))
+        base = build(make(lam, a, e))
+        ks, ls, alphas, gradients, omegas = arrays(base)
+        same(build(make(lam, a, e * f)), [ks, ls, alphas, gradients * f, omegas * f])
+        same(build(make(lam, a * f, e)), [ks, ls, alphas * f, gradients / f, omegas])
+        perm = rng.permutation(d)
+        same(build(make(lam[perm], a[perm], e[perm])), arrays(base))
 
 
 def test_build_scales_to_hundreds(rng):
