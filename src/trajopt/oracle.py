@@ -6,7 +6,9 @@ the constructed trajectory, and sampling random vertices of the polytope,
 falsifies the construction without sharing any code path with it.
 
 `induced_polygon` builds the lower envelope only; the upper envelope and
-the hull are built on their first read and kept. `envelope_min_cost`
+the hull are built on their first read and kept. Each envelope sorts the
+alphas once and reduces each run of equal alphas to its least (greatest)
+cost, then drops the points that do not turn convex. `envelope_min_cost`
 interpolates on the lower envelope's breakpoints, held as Python floats,
 with np.interp's branches, so it returns np.interp's value bit for bit
 without a numpy call per lookup.
@@ -58,10 +60,8 @@ class InducedPolygon:
 
     @cached_property
     def upper_envelope(self) -> np.ndarray:
-        alphas, costs = self.points.T
-        by_alpha = self.points[np.lexsort((costs, alphas))]
-        _, first, counts = np.unique(by_alpha[:, 0], return_index=True, return_counts=True)
-        return _half_hull(by_alpha[first + counts - 1][::-1])[::-1]
+        top = _cost_per_alpha(self.points[:, 0], self.points[:, 1], upper=True)
+        return _half_hull(top[::-1])[::-1]
 
     @cached_property
     def hull(self) -> np.ndarray:
@@ -111,23 +111,47 @@ def _half_hull(pts: np.ndarray) -> np.ndarray:
     return chain
 
 
+def _cost_per_alpha(alphas, costs, upper: bool = False) -> np.ndarray:
+    """One (alpha, cost) row per distinct alpha, ascending: the least cost, or with upper the greatest.
+
+    One argsort of the alphas, then one reduceat over each run of equal
+    alphas. Each row is the point a lexsort by (alpha, cost) puts first in
+    its run (last with upper), ties in cost going to the lower input index
+    (the higher with upper). The reduced values can differ from that point
+    only in the sign of a zero, since -0.0 == 0.0; when a row holds a zero,
+    each run's point is picked by its index instead.
+    """
+    reduce = np.maximum if upper else np.minimum
+    order = np.argsort(alphas)
+    xs, cs = alphas[order], costs[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ys = reduce.reduceat(cs, starts)
+    rows = np.column_stack([xs[starts], ys])
+    if (rows == 0.0).any():
+        runs = np.diff(np.append(starts, len(xs)))
+        at = np.where(cs == np.repeat(ys, runs), order, -1 if upper else len(xs))
+        k = reduce.reduceat(at, starts)
+        rows = np.column_stack([alphas[k], costs[k]])
+    return rows
+
+
 def induced_polygon(vertices, a, e) -> InducedPolygon:
     """Project vertices (rows, input basis) to (target, cost) and take the lower hull.
 
     Accepts a VertexSet or a plain (N, d) array. At equal alpha only the
     lower cost enters the lower envelope and only the higher cost the upper
-    one (each is a function of alpha). Both are monotone chains; the upper
-    one, and the hull they bound, are built only when read.
+    one (each is a function of alpha, see _cost_per_alpha). Both are
+    monotone chains; the upper one, and the hull they bound, are built only
+    when read.
     """
     verts = getattr(vertices, "vertices", vertices)
     verts = np.asarray(verts, dtype=float)
     alphas = verts @ np.asarray(a, dtype=float)
     costs = verts @ np.asarray(e, dtype=float)
-    points = np.column_stack([alphas, costs])
-
-    by_alpha = points[np.lexsort((costs, alphas))]
-    _, first = np.unique(by_alpha[:, 0], return_index=True)
-    return InducedPolygon(points=points, lower_envelope=_half_hull(by_alpha[first]))
+    return InducedPolygon(
+        points=np.column_stack([alphas, costs]),
+        lower_envelope=_half_hull(_cost_per_alpha(alphas, costs)),
+    )
 
 
 def envelope_min_cost(poly: InducedPolygon, alpha: float) -> float:

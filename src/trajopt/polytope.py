@@ -15,11 +15,15 @@ then the weight sum) and starts from the pair itself.
 Enumeration order is a contract: `enumerate_vertices` lists the distinct
 arrangements lexicographically in the positions of the distinct values,
 largest value first, so row 0 is the descending spectrum and the last row
-the ascending one. Each vertex is also one int64, its value ranks
+the ascending one. The rows come from a first-position recursion memoised
+on the class counts. Each vertex is also one int64, its value ranks
 (0 = largest) read as digits in base m, the number of distinct values;
-rows in enumeration order have increasing codes. `edge_pairs` keys an
-unordered vertex pair by the smaller code of its two ordered orbit keys,
-and `av_swap_pairs` finds a swapped vertex by its code.
+rows in enumeration order have increasing codes, so a vertex is found by
+its code with one binary search. `edge_pairs` keys an unordered vertex
+pair by the smaller code of its two ordered orbit keys; every orbit holds
+a pair of vertex 0, so only those n - 1 pairs are keyed, and vertex 0's
+edges are relabelled onto every other vertex. `av_swap_pairs` finds a
+swapped vertex by its code.
 """
 
 from __future__ import annotations
@@ -71,46 +75,67 @@ class AvSwap:
 def degeneracy_classes(values, eps: float):
     """Regularize eps-close entries to class means.
 
-    Returns (regularized values, class sizes sorted by descending value).
+    Returns (regularized values, class sizes by ascending value).
     """
     values = np.asarray(values, dtype=float)
     ranks = cluster_ranks(values, eps)
+    sizes = np.bincount(ranks)
     reg = values.copy()
-    sizes = []
-    for r in range(ranks.max() + 1):
+    for r in np.flatnonzero(sizes > 1).tolist():
         members = ranks == r
         reg[members] = values[members].mean()
-        sizes.append(int(members.sum()))
-    return reg, tuple(sizes)
+    return reg, tuple(sizes.tolist())
 
 
 def vertex_count(lam, eps: float = 1e-12) -> int:
     """n!/prod(s_i!) for the degeneracy classes of lam."""
-    _, sizes = degeneracy_classes(lam, eps)
-    count = math.factorial(len(np.asarray(lam)))
-    for s in sizes:
+    lam = np.asarray(lam, dtype=float)
+    count = math.factorial(len(lam))
+    for s in np.bincount(cluster_ranks(lam, eps)).tolist():
         count //= math.factorial(s)
     return count
+
+
+def _arrangements(counts: tuple, itype, memo: dict) -> np.ndarray:
+    """The distinct arrangements of class indices with these counts, one per row, lexicographically.
+
+    A first-position recursion: the rows starting with class v are v
+    followed by the arrangements of the counts with one v taken.
+    Arrangements depend only on the tuple of nonzero counts, so memo keeps
+    each tuple's rows; where taking v empties its class, the rows of the
+    shorter tuple are relabelled by sub + (sub >= v). For distinct values
+    that builds one subproblem per level.
+    """
+    rows = memo.get(counts)
+    if rows is not None:
+        return rows
+    if len(counts) == 1:
+        rows = np.zeros((1, counts[0]), dtype=itype)
+    else:
+        subs = []
+        for v, c in enumerate(counts):
+            if c > 1:
+                subs.append(_arrangements(counts[:v] + (c - 1,) + counts[v + 1 :], itype, memo))
+            else:
+                sub = _arrangements(counts[:v] + counts[v + 1 :], itype, memo)
+                subs.append(sub + (sub >= v))
+        rows = np.empty((sum(map(len, subs)), sum(counts)), dtype=itype)
+        rows[:, 0] = np.repeat(np.arange(len(counts), dtype=itype), [len(sub) for sub in subs])
+        np.concatenate(subs, out=rows[:, 1:])
+    memo[counts] = rows
+    return rows
 
 
 def _distinct_permutations(values_desc: np.ndarray) -> np.ndarray:
     """The distinct arrangements of a descending multiset, one per row, lexicographically.
 
-    Rows grow one position per level: every prefix is extended by each value
-    it still has left, largest first, which is the order a depth-first walk
-    emits them in.
+    The arrangements of its class counts, largest value first (see
+    _arrangements), with one memo per call.
     """
     d = len(values_desc)
     starts = np.flatnonzero(np.r_[True, values_desc[1:] != values_desc[:-1]])
-    itype = np.min_scalar_type(d)
-    left = np.diff(np.r_[starts, d]).astype(itype)[None, :]
-    rows = np.empty((1, 0), dtype=itype)
-    for _ in range(d):
-        prefix, value = np.nonzero(left)
-        rows = np.column_stack([rows[prefix], value.astype(itype)])
-        left = left[prefix]
-        left[np.arange(len(prefix)), value] -= 1
-    return values_desc[starts][rows]
+    counts = tuple(np.diff(np.r_[starts, d]).tolist())
+    return values_desc[starts][_arrangements(counts, np.min_scalar_type(d), {})]
 
 
 def enumerate_vertices(
@@ -252,8 +277,13 @@ def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set
     degeneracy block of the spectrum, the residual relabeling freedom. The
     key is itself an arrangement of the spectrum, so it encodes as one
     int64 (see _rank_codes); the orbit key of {v_i, v_j} is the smaller of
-    the codes of (i, j) and (j, i). Keys of all pairs i < j are computed at
-    once, and one LP runs per orbit, at its first pair in row-major order.
+    the codes of (i, j) and (j, i). Coordinate permutations act
+    transitively on the vertices, so every orbit holds a pair (0, j): keys
+    are computed for those n - 1 pairs only, and one LP runs per distinct
+    key, at its least j (the orbit's first pair in row-major order). The
+    relabelling order[0] -> order[i] maps vertex 0 to vertex i and its
+    edge neighbours to those of vertex i, each found by its code, as in
+    av_swap_pairs: O(n·deg·d) in all, not O(n²·d).
     Either way the LPs share one constraint matrix and are solved as
     stacks of up to LP_CHUNK floats, one `solve_lp` call each, each LP
     from its own pair as the starting basis; each LP gives the weight it
@@ -263,8 +293,8 @@ def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set
     verts = vset.vertices
     A = _convexity_rows(verts)
     n = len(verts)
-    iu, ju = np.triu_indices(n, 1)
     if not symmetry:
+        iu, ju = np.triu_indices(n, 1)
         hits = _pair_weights(A, iu, ju, eps) >= 0.5
         return {(int(i), int(j)) for i, j in zip(iu[hits], ju[hits])}
 
@@ -280,11 +310,18 @@ def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set
                 keys[:, start:stop] = np.sort(keys[:, start:stop], axis=1)
         return keys @ weights
 
-    codes = np.minimum(ordered_codes(iu, ju), ordered_codes(ju, iu))
+    others = np.arange(1, n)
+    zeros = np.zeros_like(others)
+    codes = np.minimum(ordered_codes(zeros, others), ordered_codes(others, zeros))
     _, first, orbit = np.unique(codes, return_index=True, return_inverse=True)
-    verdicts = _pair_weights(A, iu[first], ju[first], eps) >= 0.5
-    hits = verdicts[orbit.reshape(-1)]
-    return {(int(i), int(j)) for i, j in zip(iu[hits], ju[hits])}
+    verdicts = _pair_weights(A, zeros[first], others[first], eps) >= 0.5
+    neighbours = others[verdicts[orbit.reshape(-1)]]
+    # vertex i is vertex 0 relabelled by order[0] -> order[i] (order[0] is
+    # the identity); its neighbours are vertex 0's, relabelled alike
+    images = np.searchsorted(ranks @ weights, weights[order] @ ranks[neighbours].T)
+    v = np.repeat(np.arange(n), len(neighbours))
+    w = images.reshape(-1)
+    return set(zip(np.minimum(v, w).tolist(), np.maximum(v, w).tolist()))
 
 
 def av_swap_pairs(vset: VertexSet, eps: float = 1e-12) -> set:
@@ -292,7 +329,8 @@ def av_swap_pairs(vset: VertexSet, eps: float = 1e-12) -> set:
 
     The pairs av_swaps gives at every vertex, found in one broadcast over
     all vertices: positions k, l whose values sit in neighboring eps-classes,
-    p[k] below p[l]. The swapped vertex is looked up by its code.
+    p[k] below p[l]. The swapped vertex is looked up by its code, with one
+    binary search, since codes increase in enumeration order.
     """
     ranks, weights = _rank_codes(vset)
     values = np.unique(vset.eigenvalues)[::-1]
@@ -300,6 +338,5 @@ def av_swap_pairs(vset: VertexSet, eps: float = 1e-12) -> set:
     v, k, l = np.nonzero(cls[:, None, :] == cls[:, :, None] + 1)
     codes = ranks @ weights
     swapped = codes[v] + (ranks[v, l] - ranks[v, k]) * (weights[k] - weights[l])
-    sorter = np.argsort(codes)
-    w = sorter[np.searchsorted(codes, swapped, sorter=sorter)]
+    w = np.searchsorted(codes, swapped)
     return set(zip(np.minimum(v, w).tolist(), np.maximum(v, w).tolist()))

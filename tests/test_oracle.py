@@ -67,10 +67,15 @@ def _chain_polygon(points):
 
 
 def _clouds(rng):
-    """Point clouds for the hull: random, tied alphas, collinear runs, convex and concave curves."""
+    """Point clouds for the hull: random, tied alphas, collinear runs, convex and concave curves, signed zeros."""
     x = np.linspace(-1.0, 1.0, 33)
     yield rng.normal(size=(200, 2))
     yield np.column_stack([rng.integers(0, 8, 300), rng.normal(size=300)]).astype(float)
+    yield rng.integers(-2, 3, (400, 2)).astype(float)  # many exactly tied alphas, tied costs among them
+    # signed zeros: -0.0 == 0.0, so a row must be the very point a lexsort picks, sign and all
+    zeros = rng.choice([-0.0, 0.0], size=(60, 2))
+    yield np.where(rng.integers(0, 3, (60, 2)) == 0, rng.choice([-1.0, 1.0], (60, 2)), zeros)
+    yield np.array([[-0.0, 1.0], [0.0, -1.0], [-0.0, -1.0], [0.0, 2.0], [1.0, -0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, -0.0]])
     yield np.column_stack([np.arange(12.0), 2.0 * np.arange(12.0) - 3.0])  # one line
     run = np.arange(-4.0, 5.0)
     yield np.concatenate([np.column_stack([run, np.abs(run)]), np.column_stack([run, 8.0 - np.abs(run)])])
@@ -94,6 +99,18 @@ def test_hull_passes_equal_monotone_chain(rng):
         assert poly.lower_envelope.tobytes() == lower.tobytes() and poly.lower_envelope.shape == lower.shape
         assert poly.upper_envelope.tobytes() == upper.tobytes() and poly.upper_envelope.shape == upper.shape
         assert poly.hull.tobytes() == hull.tobytes() and poly.hull.shape == hull.shape
+
+
+def test_one_sort_picks_the_lexsort_rows(rng):
+    # the rows each chain is built from are the ones a lexsort by (alpha,
+    # cost) and np.unique pick, down to the sign of a zero; a projection
+    # by matmul may drop that sign, so the clouds go in unprojected
+    for cloud in _clouds(rng):
+        by_alpha = cloud[np.lexsort((cloud[:, 1], cloud[:, 0]))]
+        _, first, counts = np.unique(by_alpha[:, 0], return_index=True, return_counts=True)
+        for upper, ref in ((False, by_alpha[first]), (True, by_alpha[first + counts - 1])):
+            got = oracle._cost_per_alpha(cloud[:, 0].copy(), cloud[:, 1].copy(), upper=upper)
+            assert got.tobytes() == ref.tobytes() and got.shape == ref.shape
 
 
 def test_hull_passes_differ_from_chain_only_by_rounding():
@@ -167,6 +184,24 @@ def test_polygon_builds_the_upper_chain_only_when_read(monkeypatch):
     upper = poly.upper_envelope
     assert len(calls) == 2
     assert poly.upper_envelope is upper and len(poly.hull) and len(calls) == 2
+
+
+def test_polygon_sorts_the_alphas_once(rng, monkeypatch):
+    # one argsort and a reduceat per run of equal alphas build each
+    # envelope: no lexsort and no np.unique
+    clouds = list(_clouds(rng))
+    inst = random_instance(rng, 6, degenerate=True)
+    verts = enumerate_vertices(inst.eigenvalues).vertices
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second sort")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    monkeypatch.setattr(np, "unique", refuse)
+    polys = [induced_polygon(cloud, [1.0, 0.0], [0.0, 1.0]) for cloud in clouds]
+    polys.append(induced_polygon(verts, inst.target, inst.cost))
+    for poly in polys:
+        assert len(poly.lower_envelope) and len(poly.upper_envelope) and len(poly.hull)
 
 
 def test_envelope_matches_trajectory(rng):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -68,7 +69,7 @@ def _recursive_permutations(values_desc):
     yield from rec(0)
 
 
-@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("d", range(1, 9))
 def test_enumeration_is_the_recursive_generator_byte_for_byte(d, rng):
     # every multiset pattern: each composition of d into class sizes, largest value first
     for cuts in itertools.product((False, True), repeat=d - 1):
@@ -78,6 +79,15 @@ def test_enumeration_is_the_recursive_generator_byte_for_byte(d, rng):
         ref = np.array(list(_recursive_permutations(np.sort(vs.eigenvalues)[::-1])))
         got = vs.vertices
         assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # the memo holds every subproblem until the enumeration returns; a
+    # reference cycle through it would keep them alive until the cyclic
+    # collector runs, and the peak memory of a run of jobs would grow
+    gc.collect()
+    enumerate_vertices(np.repeat([0.3, 0.2, 0.1, 0.05], [1, 2, 1, 3]))
+    assert gc.collect() == 0
 
 
 def test_vertex_count_formula(rng):
@@ -147,14 +157,24 @@ def _av_swap_pairs_by_vertex(vs, eps):
     return pairs
 
 
-def test_edge_structure_small_cases():
-    for lam in (
+def test_edge_structure_small_cases(rng):
+    from conftest import random_degenerate_spectrum
+
+    cases = [
         [0.1, 0.2, 0.3, 0.4],
         [0.1, 0.1, 0.35, 0.45],
         [0.5, 0.25, 0.25],
         [0.1, 0.2, 0.2, 0.2, 0.3],
         [0.4, 0.25, 0.25, 0.1],
-    ):
+    ]
+    # drawn tied spectra at d=2..5: vertex 0 has a nontrivial stabiliser,
+    # so the orbits found from its pairs must still cover every pair
+    while len(cases) < 25:
+        d = 2 + len(cases) % 4
+        lam = random_degenerate_spectrum(rng, d)
+        if len(np.unique(lam)) < d:
+            cases.append(lam)
+    for lam in cases:
         vs = enumerate_vertices(lam)
         brute = edge_pairs(vs, symmetry=False)
         cached = edge_pairs(vs, symmetry=True)
@@ -183,6 +203,27 @@ def test_av_swap_pairs_matches_per_vertex_swaps(rng):
     vs = enumerate_vertices([0.4, 0.3, 0.3 + 1e-9, 0.0])
     assert av_swap_pairs(vs, eps=1e-6) == _av_swap_pairs_by_vertex(vs, 1e-6)
     assert av_swap_pairs(vs, eps=1e-6) != av_swap_pairs(vs)
+
+
+def test_edge_pairs_keys_only_the_pairs_of_vertex_zero(monkeypatch):
+    # every orbit of vertex pairs holds a pair (0, j), so the orbit keys
+    # are computed for those n - 1 pairs and no all-pairs index is built
+    vs = enumerate_vertices([0.32, 0.26, 0.2, 0.2, 0.02])
+    expected = edge_pairs(vs, symmetry=False)
+    keyed = []
+    unique = np.unique
+
+    def recording(ar, *args, **kwargs):
+        keyed.append(np.size(ar))
+        return unique(ar, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("edge_pairs built all pairs")
+
+    monkeypatch.setattr(np, "triu_indices", refuse)
+    monkeypatch.setattr(np, "unique", recording)
+    assert edge_pairs(vs) == expected == av_swap_pairs(vs)
+    assert max(keyed) == vs.count - 1 == 59
 
 
 def test_degenerate_triangle_every_pair_is_edge():
