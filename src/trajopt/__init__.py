@@ -72,63 +72,4 @@ def __dir__() -> list:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "av_swaps",
-    "AvSwap",
-    "block_decompose",
-    "block_spectra",
-    "BlockStructure",
-    "build",
-    "build_generalized",
-    "COEFF_EPS",
-    "coherence_mass",
-    "coherent_instance",
-    "cooling_steps",
-    "CoolingInstance",
-    "cost_value",
-    "demo_coherent_erasure",
-    "demo_incoherent_cooling",
-    "dephase",
-    "entry_point",
-    "enumerate_vertices",
-    "envelope_min_cost",
-    "free_energy_bound",
-    "from_density_matrix",
-    "from_populations",
-    "generalized_vertex_count",
-    "incoherent_instance",
-    "induced_polygon",
-    "InducedPolygon",
-    "is_edge",
-    "lift_point",
-    "LiftedPoint",
-    "majorizes",
-    "maximal_vertex",
-    "minimal_vertex",
-    "MinimalCostFunction",
-    "MinimumUniqueness",
-    "monte_carlo_audit",
-    "next_step",
-    "omega_opt",
-    "OptimalTrajectory",
-    "preferred_order",
-    "PreferredOrder",
-    "ProblemInstance",
-    "qubit_gradient",
-    "rotation_matrix",
-    "state_at",
-    "subspace_passive",
-    "swap_candidates",
-    "SwapStep",
-    "SystemSpec",
-    "t_transform_matrix",
-    "target_value",
-    "thermal_populations",
-    "TTransform",
-    "TwoLevelRotation",
-    "uniqueness_at_minimum",
-    "unistochastic_of",
-    "validate",
-    "VertexSet",
-]
+__all__ = sorted(_MODULE_OF, key=str.lower)

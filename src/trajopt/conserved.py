@@ -27,7 +27,7 @@ from .core import (
     validate,
 )
 from .errors import DimensionTooLarge, NotHermitian, NotUnitTrace
-from .trajectory import _build, _prepare
+from .trajectory import _build, _prepare, _quiet
 
 if TYPE_CHECKING:
     from .trajectory import OptimalTrajectory
@@ -148,7 +148,8 @@ def build_generalized(inst: ProblemInstance) -> OptimalTrajectory:
     that wraps both functions records a conserved build once, under this
     name.
     """
-    return _build(_prepare(inst))
+    with _quiet():
+        return _build(_prepare(inst))
 
 
 def generalized_vertex_count(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance, target_value, validate
+from .core import ProblemInstance, validate
 from .errors import AlphaOutOfRange, DimensionOverflow, WrongInstanceKind
 
 BUILD_DIM_CAP = 4096
@@ -81,7 +81,7 @@ class CoolingInstance:
 
     @property
     def alpha_in(self) -> float:
-        return target_value(self.problem.initial_populations, self.problem.target)
+        return self.problem.alpha_in
 
     @property
     def ground_indices(self) -> np.ndarray:

@@ -20,6 +20,12 @@ two rows [alphas, omegas] with one entry per vertex; `ks`, `ls` and
 `initial_vertex`, `target`, `cost` and `metadata`. The reader checks each
 column whole and makes the trajectory with the function the builder
 uses, so a reloaded trajectory equals the built one bit for bit.
+
+Instance and trajectory files share one reader per kind of value:
+`_number` for a scalar, `_numbers` for a column of numbers and `_indices`
+for a column of indices. A number must be a finite JSON number (not
+true, false, a string, NaN, an infinity or an integer beyond float range),
+and a refused column names its first bad entry.
 """
 
 from __future__ import annotations
@@ -246,29 +252,67 @@ def _dumps_scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _float(raw, field: str) -> float:
-    """A JSON number as a float.
+def _number(raw, field: str) -> float:
+    """A finite JSON number as a float.
 
     bool is an int subclass, but true and false are not numbers; an
     integer beyond float range (JSON integers are unbounded) is refused
-    rather than left to overflow.
+    rather than left to overflow; Python's json reads NaN and Infinity.
     """
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ParseError(f"{field}: expected a number, got {raw!r}")
     try:
-        return float(raw)
+        value = float(raw)
     except OverflowError:
         raise ParseError(f"{field}: a {len(str(abs(raw)))}-digit integer is too large for a float") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{field}: expected a finite number, got {raw!r}")
+    return value
 
 
-def _number_list(raw, field: str) -> np.ndarray:
-    if not isinstance(raw, list) or not raw:
-        raise ParseError(f"{field}: expected a non-empty number array")
-    return np.array([_float(v, f"{field}[{i}]") for i, v in enumerate(raw)])
+def _column(raw, field: str, length: int | None, kind: str, types: set, dtype):
+    """The whole-column test `_numbers` and `_indices` share.
+
+    raw as an array of dtype, or None when an entry's type is not in types
+    or its value overflows dtype, for the caller to name the entry. raw
+    must be a list, of length entries if length is given.
+    """
+    if length is not None and (not isinstance(raw, list) or len(raw) != length):
+        got = len(raw) if isinstance(raw, list) else type(raw).__name__
+        raise ParseError(f"{field}: expected {length} entries, one per position of metadata.order, got {got}")
+    if not isinstance(raw, list):
+        raise ParseError(f"{field}: expected {kind} array")
+    if set(map(type, raw)) <= types:  # numpy would read "1.5" and true as numbers
+        try:
+            return np.array(raw, dtype=dtype)
+        except OverflowError:  # an integer beyond the range of dtype
+            pass
+    return None
 
 
-def _number(raw, field: str, default: float) -> float:
-    return default if raw is None else _float(raw, field)
+def _numbers(raw, field: str, length: int | None = None) -> np.ndarray:
+    """A JSON array of finite numbers as a float64 array.
+
+    The column is tested whole; its entries are walked only to name the
+    first bad one.
+    """
+    out = _column(raw, field, length, "a number", {float, int}, float)
+    if out is None or not np.isfinite(out).all():
+        for i, v in enumerate(raw):
+            _number(v, f"{field}[{i}]")
+    return out
+
+
+def _indices(raw, field: str, d: int, length: int | None = None) -> np.ndarray:
+    """A JSON array of indices in [0, d) as an int64 array, tested whole as `_numbers` is."""
+    out = _column(raw, field, length, "an index", {int}, np.int64)  # bool is not int here
+    if out is None or ((out < 0) | (out >= d)).any():
+        for i, v in enumerate(raw):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ParseError(f"{field}[{i}]: expected an integer index, got {v!r}")
+            if not 0 <= v < d:
+                raise ParseError(f"{field}[{i}]: index {v} outside [0, {d})")
+    return out
 
 
 def instance_to_dict(inst: ProblemInstance) -> dict:
@@ -292,26 +336,16 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     unknown = set(doc) - set(INSTANCE_FIELDS)
     if unknown:
         raise ParseError(f"unknown instance fields: {sorted(unknown)}")
-    for field in ("eigenvalues", "target", "cost"):
+    required = ("eigenvalues", "target", "cost")
+    for field in required:
         if field not in doc:
             raise ParseError(f"{field}: required field missing")
-    return ProblemInstance(
-        eigenvalues=_number_list(doc["eigenvalues"], "eigenvalues"),
-        target=_number_list(doc["target"], "target"),
-        cost=_number_list(doc["cost"], "cost"),
-        conserved=(
-            _number_list(doc["conserved"], "conserved")
-            if doc.get("conserved") is not None
-            else None
-        ),
-        initial_populations=(
-            _number_list(doc["initial_populations"], "initial_populations")
-            if doc.get("initial_populations") is not None
-            else None
-        ),
-        eps_pop=_number(doc.get("eps_pop"), "eps_pop", 1e-12),
-        eps_grad=_number(doc.get("eps_grad"), "eps_grad", 1e-12),
-    )
+    # an absent or null optional field takes the ProblemInstance default
+    return ProblemInstance(**{
+        field: (_number if field.startswith("eps_") else _numbers)(doc[field], field)
+        for field in INSTANCE_FIELDS
+        if field in required or doc.get(field) is not None
+    })
 
 
 def load_json(path: str) -> dict:
@@ -356,63 +390,6 @@ def trajectory_to_dict(traj: OptimalTrajectory) -> dict:
     }
 
 
-def _index(raw, field: str, d: int) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ParseError(f"{field}: expected an integer index, got {raw!r}")
-    if not 0 <= raw < d:
-        raise ParseError(f"{field}: index {raw} outside [0, {d})")
-    return raw
-
-
-def _check_number(raw, field: str) -> None:
-    value = raw if type(raw) is float else _float(raw, field)  # a file holds mostly floats
-    if not math.isfinite(value):
-        raise ParseError(f"{field}: expected a finite number, got {raw!r}")
-
-
-def _check_length(raw, field: str, d: int) -> None:
-    if not isinstance(raw, list) or len(raw) != d:
-        got = len(raw) if isinstance(raw, list) else type(raw).__name__
-        raise ParseError(f"{field}: expected {d} entries, one per position of metadata.order, got {got}")
-
-
-def _numbers(raw, field: str) -> np.ndarray:
-    """A JSON array of finite numbers as a float64 array.
-
-    The column is tested whole; its entries are walked only to name the
-    first bad one. The type test comes first, as numpy reads "1.5" and
-    true as numbers.
-    """
-    if not isinstance(raw, list):
-        raise ParseError(f"{field}: expected a number array")
-    out = None
-    if set(map(type, raw)) <= {float, int}:
-        try:
-            out = np.array(raw, dtype=float)
-        except OverflowError:  # an integer beyond float range
-            pass
-    if out is None or not np.isfinite(out).all():
-        for i, v in enumerate(raw):
-            _check_number(v, f"{field}[{i}]")
-    return out
-
-
-def _indices(raw, field: str, d: int) -> np.ndarray:
-    """A JSON array of indices in [0, d) as an int64 array, tested whole as `_numbers` is."""
-    if not isinstance(raw, list):
-        raise ParseError(f"{field}: expected an index array")
-    out = None
-    if set(map(type, raw)) <= {int}:  # bool is not int here
-        try:
-            out = np.array(raw, dtype=np.int64)
-        except OverflowError:
-            pass
-    if out is None or ((out < 0) | (out >= d)).any():
-        for i, v in enumerate(raw):
-            _index(v, f"{field}[{i}]", d)
-    return out
-
-
 def trajectory_from_dict(doc: dict) -> dict:
     """Validate a trajectory document by reading it (`trajectory_to_runtime`); returns it unchanged."""
     trajectory_to_runtime(doc)
@@ -453,8 +430,8 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
     for field in ("order", "eps_pop", "eps_grad"):
         if field not in meta:
             raise ParseError(f"metadata.{field}: required field missing")
-    _check_number(meta["eps_pop"], "metadata.eps_pop")
-    _check_number(meta["eps_grad"], "metadata.eps_grad")
+    eps_pop = _number(meta["eps_pop"], "metadata.eps_pop")
+    eps_grad = _number(meta["eps_grad"], "metadata.eps_grad")
     if not isinstance(meta["order"], list) or not meta["order"]:
         raise ParseError("metadata.order: expected a non-empty index array")
     d = len(meta["order"])
@@ -463,14 +440,10 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
     if len(first) < d:
         i = int(np.setdiff1d(np.arange(d), first)[0])
         raise ParseError(f"metadata.order[{i}]: index {perm[i]} repeats, so order is not a permutation")
-    vectors = {}
-    for field in ("initial_vertex", "target", "cost"):
-        _check_length(doc[field], field, d)
-        vectors[field] = _numbers(doc[field], field)
+    vectors = {field: _numbers(doc[field], field, d) for field in ("initial_vertex", "target", "cost")}
     blocks = meta.get("block_of_position")
     if blocks is not None:
-        _check_length(blocks, "metadata.block_of_position", d)
-        blocks = _indices(blocks, "metadata.block_of_position", d)
+        blocks = _indices(blocks, "metadata.block_of_position", d, d)
     rows = doc["breakpoints"]
     if not isinstance(rows, list) or len(rows) != 2:
         raise ParseError("breakpoints: expected two rows, [alphas, omegas]")
@@ -503,8 +476,8 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
         gradients,
         alphas,
         omegas,
-        float(meta["eps_pop"]),
-        float(meta["eps_grad"]),
+        eps_pop,
+        eps_grad,
         blocks,
     )
 

@@ -59,9 +59,11 @@ class VertexSet:
     """
 
     vertices: np.ndarray
-    count: int
     eigenvalues: np.ndarray
-    class_sizes: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,8 @@ class AvSwap:
     l: int
 
 
-def degeneracy_classes(values, eps: float):
-    """Regularize eps-close entries to class means.
-
-    Returns (regularized values, class sizes by ascending value).
-    """
+def degeneracy_classes(values, eps: float) -> np.ndarray:
+    """The values with eps-close entries regularized to their class means."""
     values = np.asarray(values, dtype=float)
     ranks = cluster_ranks(values, eps)
     sizes = np.bincount(ranks)
@@ -84,7 +83,7 @@ def degeneracy_classes(values, eps: float):
     for r in np.flatnonzero(sizes > 1).tolist():
         members = ranks == r
         reg[members] = values[members].mean()
-    return reg, tuple(sizes.tolist())
+    return reg
 
 
 def vertex_count(lam, eps: float = 1e-12) -> int:
@@ -146,13 +145,11 @@ def enumerate_vertices(
     d = len(lam)
     if d > max_dim:
         raise DimensionTooLarge(f"dim {d} exceeds enumeration cap {max_dim}")
-    reg, sizes = degeneracy_classes(lam, eps)
+    reg = degeneracy_classes(lam, eps)
     desc = np.sort(reg)[::-1]
     verts = _distinct_permutations(desc)
     verts.setflags(write=False)
-    return VertexSet(
-        vertices=verts, count=len(verts), eigenvalues=reg, class_sizes=sizes
-    )
+    return VertexSet(vertices=verts, eigenvalues=reg)
 
 
 def av_swaps(p, eps: float = 1e-12) -> list[AvSwap]:

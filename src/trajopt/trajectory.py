@@ -44,6 +44,10 @@ conserved block of each position, read from the instance's conserved
 vector (`core.block_of_input`). A flat instance is the one-block case, so
 `build`, `next_step`, `swap_candidates` and the extreme vertices honour a
 conserved vector, and a conserved instance is a plain `ProblemInstance`.
+Each public function on a prepared instance runs under one numpy error
+policy (`_quiet`): coefficient differences that overflow split classes as
+inf gaps do, and an overflowing gradient is refused in `_build`, so numpy
+need not warn of either.
 
 A trajectory is stored as its steps: the minimal-point vertex
 (`initial_vertex`) and one entry per step in flat arrays (`ks`, `ls`,
@@ -343,6 +347,14 @@ class _Prepared:
         return block_indices(self.blocks, len(self.lam_p))
 
 
+def _quiet() -> np.errstate:
+    """The numpy error policy of every public function on a prepared instance.
+
+    A new errstate per call: one errstate cannot be entered twice at once.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _prepare(inst: ProblemInstance) -> _Prepared:
     """Preferred order, coefficients, spectrum and conserved blocks of inst."""
     order = preferred_order(inst.target, inst.cost)
@@ -384,13 +396,15 @@ def _maximal_point(prep: _Prepared) -> np.ndarray:
 
 def minimal_vertex(inst: ProblemInstance) -> np.ndarray:
     """Input-basis populations of the trajectory's minimal point."""
-    prep = _prepare(inst)
-    return prep.order.to_input(_minimal_pref(prep))
+    with _quiet():
+        prep = _prepare(inst)
+        return prep.order.to_input(_minimal_pref(prep))
 
 
 def maximal_vertex(inst: ProblemInstance) -> np.ndarray:
     """Input-basis populations of the trajectory's maximal point."""
-    return _maximal_point(_prepare(inst))
+    with _quiet():
+        return _maximal_point(_prepare(inst))
 
 
 def _candidates_at(prep: _Prepared, p):
@@ -426,14 +440,19 @@ def swap_candidates(p, inst: ProblemInstance):
     its first entry whose gradient lies within eps_grad of the smallest.
     Raises NotAVertex unless p permutes the eigenvalues inside each block.
     """
-    return _swap_candidates(_prepare(inst), p)
+    with _quiet():
+        return _swap_candidates(_prepare(inst), p)
 
 
 def next_step(p, inst: ProblemInstance) -> SwapStep | None:
     """The optimal swap out of vertex p (input basis), or None at the maximum."""
-    prep = _prepare(inst)
+    with _quiet():
+        return _next_step(_prepare(inst), p)
+
+
+def _next_step(prep: _Prepared, p) -> SwapStep | None:
     pp, queue = _candidates_at(prep, p)
-    chosen = queue.best(inst.eps_grad)
+    chosen = queue.best(prep.inst.eps_grad)
     if chosen is None:
         return None
     k, l, grad = chosen
@@ -963,9 +982,7 @@ def build(inst: ProblemInstance) -> OptimalTrajectory:
     taken in batches, O(steps · d). The polytope is never enumerated.
     Raises NonFiniteValue when a step gradient overflows float64.
     """
-    # coefficient differences that overflow split classes as inf gaps do, and
-    # an overflowing gradient is refused in _build: numpy need not warn of either
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         return _build(_prepare(inst))
 
 
@@ -1006,7 +1023,11 @@ def uniqueness_at_minimum(inst: ProblemInstance) -> MinimumUniqueness:
     conserved vector, degeneracies count inside each block only: no allowed
     unitary mixes two blocks.
     """
-    prep = _prepare(inst)
+    with _quiet():
+        return _uniqueness_at_minimum(_prepare(inst))
+
+
+def _uniqueness_at_minimum(prep: _Prepared) -> MinimumUniqueness:
     a_p, e_p = prep.a_p, prep.e_p
     p_min = _minimal_pref(prep)
     # target classes are ranked per block and numbered apart across blocks,
@@ -1031,7 +1052,7 @@ def uniqueness_at_minimum(inst: ProblemInstance) -> MinimumUniqueness:
     tied = sizes >= 2
     if not tied.any():
         return MinimumUniqueness(unique=True, condition=2)
-    if not np.any(spread[tied] > inst.eps_pop):
+    if not np.any(spread[tied] > prep.inst.eps_pop):
         return MinimumUniqueness(unique=True, condition=3)
     return MinimumUniqueness(unique=False, condition=None)
 

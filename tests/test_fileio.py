@@ -203,6 +203,27 @@ def test_instance_non_number_rejected(path, value):
         fileio.instance_from_dict(inst)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "path", [("target", 0), ("eigenvalues", 2), ("cost", 5), ("eps_pop",), ("eps_grad",)]
+)
+def test_instance_non_finite_number_rejected(path, value):
+    # the instance reader names the entry, as the trajectory reader does
+    inst = fileio.load_json(str(GOLDEN / "generic" / "instance.json"))
+    _set(inst, path, value)
+    label = path[0] + "".join(f"[{k}]" for k in path[1:])
+    with pytest.raises(ParseError, match=re.escape(label) + ": expected a finite number, got"):
+        fileio.instance_from_dict(inst)
+
+
+@pytest.mark.parametrize("field", ["eigenvalues", "cost", "conserved", "initial_populations"])
+def test_instance_vector_given_as_a_string_rejected(field):
+    inst = fileio.load_json(str(GOLDEN / "generic" / "instance.json"))
+    inst[field] = "0.5, 0.5"
+    with pytest.raises(ParseError, match=f"{field}: expected a number array"):
+        fileio.instance_from_dict(inst)
+
+
 @pytest.mark.parametrize("field", ["initial_vertex", "target", "cost"])
 def test_vector_of_wrong_length_rejected(doc, field):
     doc[field] = doc[field][:-1]

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     tie_instance,
 )
 from trajopt import trajectory
+from trajopt.conserved import build_generalized
 from trajopt.core import ProblemInstance, cost_value, target_value, validate
 from trajopt.errors import AlphaOutOfRange, NotAVertex
 from trajopt.lift import apply_chain
@@ -560,3 +562,23 @@ def test_trajectory_memory_is_linear_in_steps_and_dim(rng):
         assert _array_bytes(traj) <= 64 * (len(traj.steps) + d)
         for name in ("initial_vertex", "ks", "ls", "gradients", "delta_alphas", "alphas", "omegas"):
             assert not getattr(traj, name).flags.writeable, name
+
+
+@pytest.mark.parametrize("conserved", [None, [0.0, 0.0, 1.0, 1.0]], ids=["flat", "two-block"])
+def test_entry_points_share_the_build_error_policy(conserved):
+    # target differences overflow float64: every function on the prepared
+    # coefficients treats them as build does, without a numpy warning
+    inst = make([0.4, 0.3, 0.2, 0.1], [-1e308, 1e308, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0],
+                conserved=None if conserved is None else np.array(conserved))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = build(inst)
+        assert build_generalized(inst).ks.tolist() == traj.ks.tolist()
+        minimal_vertex(inst)
+        maximal_vertex(inst)
+        uniqueness_at_minimum(inst)
+        for i in range(len(traj.ks) + 1):
+            p = traj.vertex_input(i)
+            swap_candidates(p, inst)
+            step = next_step(p, inst)
+            assert (step is None) == (i == len(traj.ks))
