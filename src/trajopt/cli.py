@@ -151,10 +151,6 @@ def _verify_checks(inst, args):
 
     if vertices is None or inst.dim > 5:
         yield "edge-structure", None, "skipped (needs flat instance with dim <= 5)"
-    elif (gap := polytope.relative_gap(vertices)) < polytope.EDGE_MIN_GAP:
-        yield "edge-structure", None, (
-            f"skipped (eigenvalues {gap:.1e} of their spread apart < {polytope.EDGE_MIN_GAP:.0e})"
-        )
     else:
         predicted = polytope.av_swap_pairs(vertices, eps=inst.eps_pop)
         brute = polytope.edge_pairs(vertices)

@@ -5,12 +5,18 @@ of the permutations of λ. This module provides the majorization test and
 the default enumeration cap `DEFAULT_MAX_ENUM_DIM` (both defined in `core`,
 whose `validate` and `cli` use them without loading this module), the vertex
 enumeration with degeneracy counting, adjacent-valued swap enumeration,
-and a brute-force edge oracle that is independent of the adjacent-swap
-characterization (it solves a small LP instead). The LP for a vertex pair
-asks for the least weight on the pair over the convex representations of
-its midpoint: 1 on an edge, 0 otherwise. It runs on the vertex
+and two edge tests that are independent of the adjacent-swap
+characterization. `edge_pairs` decides a pair of vertices on the faces
+cut out by Rado's inequalities, x(S) <= the sum of the |S| largest
+eigenvalues (R. Rado, "An inequality", J. London Math. Soc. 1952): it
+counts, in integers on the value ranks, the rank of the sets tight at
+both vertices, and needs no tolerance (see _face_is_edge). `is_edge` and
+`segment_weight` take any vertex set, so they solve a small LP instead:
+the least weight on the pair over the convex representations of its
+midpoint, 1 on an edge and 0 otherwise. It runs on the vertex
 coordinates scaled to [0, 1], has d rows (every coordinate but the last,
-then the weight sum) and starts from the pair itself.
+then the weight sum) and starts from the pair itself; `simplex` is
+loaded only when it runs.
 
 Enumeration order is a contract: `enumerate_vertices` lists the distinct
 arrangements lexicographically in the positions of the distinct values,
@@ -35,18 +41,6 @@ import numpy as np
 
 from .core import DEFAULT_MAX_ENUM_DIM, cluster_ranks, majorizes
 from .errors import DimensionTooLarge, NotAVertex
-from .simplex import solve_lp
-
-# The least gap between distinct eigenvalues, relative to their spread,
-# at which the LP edge test is trusted. Vertices that differ by a swap of
-# two values closer than this are nearly equal columns of the LP, and its
-# pivots lose the verdict to rounding (see README, `verify`).
-EDGE_MIN_GAP = 1e-5
-
-# Floats one stacked LP solve holds (2 MB of float64): per LP of n
-# vertices and m rows, a cost and a reduced-cost row and an m×m basis
-# inverse.
-LP_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,40 +187,25 @@ def _convexity_rows(verts: np.ndarray) -> np.ndarray:
     return np.vstack([scaled[:, :-1].T, np.ones(len(verts))])
 
 
-def _pair_weights(A: np.ndarray, i1, i2, tol: float) -> np.ndarray:
-    """segment_weight of each vertex pair (i1[k], i2[k]), given A = _convexity_rows(vertices).
-
-    i1[k] != i2[k]. LP k has b = (A[:, i1[k]] + A[:, i2[k]]) / 2, so the
-    pair itself is a feasible basis to start from. The weight is NaN where
-    the LP ends otherwise than optimal, which rounding can cause below
-    EDGE_MIN_GAP. The LPs share A, so each chunk of them is one stacked
-    `solve_lp` call; a chunk holds at most LP_CHUNK floats (at least one
-    LP).
-    """
-    m, n = A.shape
-    per_chunk = max(1, LP_CHUNK // (2 * n + m * m))
-    weights = np.empty(len(i1))
-    for first in range(0, len(i1), per_chunk):
-        pair = np.column_stack([i1[first : first + per_chunk], i2[first : first + per_chunk]])
-        lps = np.arange(len(pair))[:, None]
-        b = 0.5 * (A[:, pair[:, 0]] + A[:, pair[:, 1]]).T
-        c = np.zeros((len(pair), n))
-        c[lps, pair] = 1.0
-        _, _, weights[first : first + per_chunk] = solve_lp(c, A, b, tol=tol, basis=pair)
-    return weights
-
-
 def segment_weight(v1, v2, vset: VertexSet, tol: float = 1e-9) -> float:
     """Minimal total weight on {v1, v2} over convex representations of their midpoint.
 
-    NaN where the LP cannot finish, which rounding can cause below
-    EDGE_MIN_GAP (see _pair_weights).
+    One LP on A = _convexity_rows(vertices), with b = the pair's midpoint,
+    so the pair itself is a feasible basis to start from. NaN where the
+    LP ends otherwise than optimal, which rounding can cause when the
+    pair swaps two nearly equal values.
     """
+    from .simplex import solve_lp
+
     i1 = _find_vertex(vset, v1, tol)
     i2 = _find_vertex(vset, v2, tol)
     if i1 == i2:
         raise NotAVertex("v1 and v2 are the same vertex")
-    return float(_pair_weights(_convexity_rows(vset.vertices), np.array([i1]), np.array([i2]), tol)[0])
+    A = _convexity_rows(vset.vertices)
+    c = np.zeros(A.shape[1])
+    c[[i1, i2]] = 1.0
+    _, _, weight = solve_lp(c, A, 0.5 * (A[:, i1] + A[:, i2]), tol=tol, basis=[i1, i2])
+    return float("nan") if weight is None else float(weight)
 
 
 def is_edge(v1, v2, vset: VertexSet, eps: float = 1e-9) -> bool:
@@ -238,14 +217,6 @@ def is_edge(v1, v2, vset: VertexSet, eps: float = 1e-9) -> bool:
     uncritical.
     """
     return segment_weight(v1, v2, vset, tol=eps) >= 0.5
-
-
-def relative_gap(vset: VertexSet) -> float:
-    """The least gap between distinct eigenvalues over max - min; inf with fewer than two values."""
-    values = np.unique(vset.eigenvalues)
-    if len(values) < 2:
-        return float("inf")
-    return float(np.diff(values).min() / (values[-1] - values[0]))
 
 
 def _rank_codes(vset: VertexSet):
@@ -263,12 +234,53 @@ def _rank_codes(vset: VertexSet):
     return ranks, m ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
-def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set:
-    """All unordered vertex-index pairs passing is_edge.
+def _below_masks(ranks: np.ndarray, m: int) -> np.ndarray:
+    """Per vertex (row of value ranks), the positions ranked before class c as an int64 bit mask, c = 0..m."""
+    bits = np.int64(1) << np.arange(ranks.shape[1], dtype=np.int64)
+    return (ranks[:, None, :] < np.arange(m + 1)[:, None]) @ bits
 
-    With symmetry=False every pair is solved independently (the reference).
-    With symmetry=True pairs related by a coordinate permutation share one
-    LP (the polytope is permutation invariant). The ordered key of
+
+def _face_is_edge(below_u: np.ndarray, below_v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Whether each vertex pair (u, v) is an edge, given their _below_masks and the class sizes.
+
+    Exact on the value ranks. A k-set S is tight at a vertex when x(S) is
+    the sum of the k largest eigenvalues: S holds every position ranked
+    before c, the class of the k-th largest value, and only positions
+    ranked c or before. So the k-sets tight at both u and v lie between
+    A = {rank < c in u or v} and B = {rank <= c in u and v}; there are
+    some iff A ⊆ B and |A| <= k <= |B|, and they span 1_A if |A| = k,
+    1_B if |B| = k, and 1_A with every e_x, x in B∖A, if |A| < k < |B|.
+    k runs to d, where B is every position. The pair is an edge iff the
+    sets tight at both span d − 1 dimensions. Take the free coordinates
+    F (the union of those B∖A) out: as c grows, A and B grow and every B
+    lies in the next A, so the sets left form a chain, and the rank is
+    |F| plus the number of distinct nonempty sets left. The masks are
+    int64 and d <= 62 (_rank_codes refuses more where there are pairs),
+    so bitwise_count counts them.
+    """
+    d = int(sizes.sum())
+    cls = np.repeat(np.arange(len(sizes)), sizes)
+    A = (below_u[:, :-1] | below_v[:, :-1])[:, cls]
+    B = (below_u[:, 1:] & below_v[:, 1:])[:, cls]
+    k = np.arange(1, d + 1)
+    a, b = np.bitwise_count(A), np.bitwise_count(B)
+    nested = (A & ~B) == 0
+    between = nested & (a < k) & (k < b)
+    free = np.bitwise_or.reduce(np.where(between, B & ~A, 0), axis=1)
+    sets = np.concatenate(
+        [np.where(between | nested & (a == k), A, 0), np.where(nested & (b == k), B, 0)], axis=1
+    )
+    sets = np.sort(sets & ~free[:, None], axis=1)
+    distinct = np.count_nonzero(sets[:, 1:] != sets[:, :-1], axis=1) + (sets[:, 0] != 0)
+    return np.bitwise_count(free) + distinct == d - 1
+
+
+def edge_pairs(vset: VertexSet, symmetry: bool = True) -> set:
+    """All unordered vertex-index pairs that are edges, by the face test (_face_is_edge).
+
+    With symmetry=False every pair is tested (the reference). With
+    symmetry=True pairs related by a coordinate permutation share one
+    test (the polytope is permutation invariant). The ordered key of
     (v_i, v_j) relabels coordinates so v_i becomes the descending spectrum
     (one stable argsort per i), then sorts v_j descending inside each
     degeneracy block of the spectrum, the residual relabeling freedom. The
@@ -276,28 +288,23 @@ def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set
     int64 (see _rank_codes); the orbit key of {v_i, v_j} is the smaller of
     the codes of (i, j) and (j, i). Coordinate permutations act
     transitively on the vertices, so every orbit holds a pair (0, j): keys
-    are computed for those n - 1 pairs only, and one LP runs per distinct
-    key, at its least j (the orbit's first pair in row-major order). The
-    relabelling order[0] -> order[i] maps vertex 0 to vertex i and its
-    edge neighbours to those of vertex i, each found by its code, as in
-    av_swap_pairs: O(n·deg·d) in all, not O(n²·d).
-    Either way the LPs share one constraint matrix and are solved as
-    stacks of up to LP_CHUNK floats, one `solve_lp` call each, each LP
-    from its own pair as the starting basis; each LP gives the weight it
-    gives alone. Below EDGE_MIN_GAP (see relative_gap) the verdicts are
-    not to be trusted; they are still returned, and no error is raised.
+    are computed for those n - 1 pairs only, and one pair per distinct
+    key is tested, at its least j (the orbit's first pair in row-major
+    order), all in one array pass. The relabelling order[0] -> order[i]
+    maps vertex 0 to vertex i and its edge neighbours to those of vertex
+    i, each found by its code, as in av_swap_pairs: O(n·deg·d) in all,
+    not O(n²·d).
     """
-    verts = vset.vertices
-    A = _convexity_rows(verts)
-    n = len(verts)
+    ranks, weights = _rank_codes(vset)
+    n = len(ranks)
+    sizes = np.bincount(ranks[0])
     if not symmetry:
         iu, ju = np.triu_indices(n, 1)
-        hits = _pair_weights(A, iu, ju, eps) >= 0.5
-        return {(int(i), int(j)) for i, j in zip(iu[hits], ju[hits])}
+        below = _below_masks(ranks, len(sizes))
+        hits = _face_is_edge(below[iu], below[ju], sizes)
+        return set(zip(iu[hits].tolist(), ju[hits].tolist()))
 
-    ranks, weights = _rank_codes(vset)
     order = np.argsort(ranks, axis=1, kind="stable")
-    sizes = np.bincount(ranks[0])
     bounds = np.r_[0, np.cumsum(sizes)]
 
     def ordered_codes(first, second):
@@ -311,7 +318,9 @@ def edge_pairs(vset: VertexSet, eps: float = 1e-9, symmetry: bool = True) -> set
     zeros = np.zeros_like(others)
     codes = np.minimum(ordered_codes(zeros, others), ordered_codes(others, zeros))
     _, first, orbit = np.unique(codes, return_index=True, return_inverse=True)
-    verdicts = _pair_weights(A, zeros[first], others[first], eps) >= 0.5
+    verdicts = _face_is_edge(
+        _below_masks(ranks[:1], len(sizes)), _below_masks(ranks[others[first]], len(sizes)), sizes
+    )
     neighbours = others[verdicts[orbit.reshape(-1)]]
     # vertex i is vertex 0 relabelled by order[0] -> order[i] (order[0] is
     # the identity); its neighbours are vertex 0's, relabelled alike

@@ -15,6 +15,7 @@ from trajopt.core import validate
 from trajopt.trajectory import build
 
 GENERIC = Path(__file__).resolve().parent / "golden" / "generic" / "instance.json"
+FLAT_D5 = GENERIC.parent.parent / "negative-zero-gradient" / "instance.json"
 
 
 def run(capsys, *argv):
@@ -247,10 +248,10 @@ def test_verify_edge_check_small_instance(tmp_path, capsys):
     assert "PASS  edge-structure" in out
 
 
-def test_verify_skips_the_edge_check_on_a_near_tie(tmp_path, capsys):
-    # two eigenvalues 1e-10 apart, 6.7e-10 of the spread: the LP cannot
-    # resolve an edge that short, so the check is skipped and named, not
-    # failed (it printed "FAIL edge-structure: 360 edges, 240 predicted")
+def test_verify_runs_the_edge_check_on_a_near_tie(tmp_path, capsys):
+    # two eigenvalues 1e-10 apart, 6.7e-10 of the spread: the face test
+    # works on value ranks, so it decides the edges of a swap that short
+    # (an LP test printed "FAIL edge-structure: 360 edges, 240 predicted")
     lam = np.array([0.3, 0.25, 0.2, 0.15, 0.15 - 1e-10])
     inst = {
         "eigenvalues": (lam / lam.sum()).tolist(),
@@ -261,7 +262,7 @@ def test_verify_skips_the_edge_check_on_a_near_tie(tmp_path, capsys):
     path.write_text(json.dumps(inst))
     code, out, _ = run(capsys, "verify", str(path), "--samples", "200")
     assert code == 0 and "FAIL" not in out
-    assert "SKIP  edge-structure: skipped (eigenvalues 6.7e-10 of their spread apart < 1e-05)" in out
+    assert "PASS  edge-structure: 240 edges, 240 predicted" in out
 
 
 def test_verify_tamper_negative_control(tmp_path, capsys, instance_file):
@@ -445,14 +446,16 @@ def test_cli_import_loads_only_the_shared_modules():
         (["lift", "{inst}", "{tmp}/lift.json", "--alpha", "0.5"], {"trajectory", "lift"}),
         (["cool", "--demo", "working-example"], {"cooling"}),
         (["cool", "--demo", "incoherent"], {"cooling"}),
+        (["verify", str(FLAT_D5), "--samples", "50"], {"trajectory", "conserved", "oracle", "polytope"}),
     ],
-    ids=["build-generic", "build-cooling", "build-conserved", "eval", "lift", "cool", "cool-incoherent"],
+    ids=["build-generic", "build-cooling", "build-conserved", "eval", "lift", "cool", "cool-incoherent", "verify"],
 )
 def test_subcommand_loads_only_the_modules_it_runs(tmp_path, instance_file, incoherent_file, argv, extra):
     # {inst} is a cooling instance: it has initial populations, so validate
     # checks majorization; {incoherent} has a conserved vector, which
     # `trajectory.build` reads itself, so its build loads no `conserved`, and
-    # an incoherent cooling instance is a plain validated instance
+    # an incoherent cooling instance is a plain validated instance; `verify`
+    # runs the edge-structure check on FLAT_D5 (flat, d=5), which solves no LP
     argv = [a.format(inst=instance_file, incoherent=incoherent_file, tmp=tmp_path) for a in argv]
     proc = _child(*argv, code=_RUN_AND_LIST)
     assert proc.returncode == 0, proc.stderr

@@ -182,16 +182,6 @@ def test_edge_structure_small_cases(rng):
         assert brute == cached == predicted == _av_swap_pairs_by_vertex(vs, 1e-12)
 
 
-def test_edge_pairs_across_lp_chunks(monkeypatch):
-    # stacks cut at any size give the same edges: here one LP per call,
-    # then a few LPs per call
-    cases = [enumerate_vertices(lam) for lam in ([0.1, 0.2, 0.3, 0.4], [0.1, 0.1, 0.35, 0.45])]
-    for cap in (1, 3 * 6 * 30):
-        monkeypatch.setattr(polytope, "LP_CHUNK", cap)
-        for vs in cases:
-            assert edge_pairs(vs, symmetry=False) == edge_pairs(vs) == av_swap_pairs(vs)
-
-
 def test_av_swap_pairs_matches_per_vertex_swaps(rng):
     from conftest import random_degenerate_spectrum
 
@@ -232,58 +222,91 @@ def test_degenerate_triangle_every_pair_is_edge():
 
 
 @pytest.mark.parametrize(
-    "lam, solves",
+    "lam, tested",
     [([0.32, 0.26, 0.2, 0.13, 0.09], 72), ([0.3, 0.3, 0.15, 0.15, 0.1], 8)],
 )
-def test_edge_pairs_solves_one_lp_per_orbit(lam, solves, monkeypatch):
-    # one LP per orbit of unordered pairs: 72 of the 7 140 pairs at d=5
-    # generic (119 with ordered orbit keys); the edges must still be the
-    # adjacent-swap pairs. A call may solve a stack of LPs, one per row
-    # of its b, so the LPs are counted, not the calls.
-    lps = []
-    real = polytope.solve_lp
+def test_edge_pairs_tests_one_pair_per_orbit(lam, tested, monkeypatch):
+    # one face test per orbit of unordered pairs: 72 of the 7 140 pairs at
+    # d=5 generic (119 with ordered orbit keys), in one array pass; the
+    # edges must still be the adjacent-swap pairs, and no LP is solved
+    from trajopt import simplex
 
-    def counting(c, A, b, **kwargs):
-        lps.append(len(np.atleast_2d(b)))
-        return real(c, A, b, **kwargs)
+    passes = []
+    real = polytope._face_is_edge
 
-    monkeypatch.setattr(polytope, "solve_lp", counting)
+    def counting(below_u, below_v, sizes):
+        passes.append(len(below_v))
+        return real(below_u, below_v, sizes)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("edge_pairs solved an LP")
+
+    monkeypatch.setattr(polytope, "_face_is_edge", counting)
+    monkeypatch.setattr(simplex, "solve_lp", refuse)
     vs = enumerate_vertices(lam)
     assert edge_pairs(vs) == av_swap_pairs(vs)
-    assert sum(lps) == solves
-    assert len(lps) == 1  # one chunk holds them all
-
-
-def test_relative_gap():
-    assert polytope.relative_gap(enumerate_vertices([0.4, 0.3, 0.2, 0.1])) == pytest.approx(1 / 3)
-    assert polytope.relative_gap(enumerate_vertices([0.5, 0.25, 0.25])) == pytest.approx(1.0)
-    assert polytope.relative_gap(enumerate_vertices([0.25] * 4)) == math.inf
+    assert passes == [tested]
+    assert edge_pairs(vs, symmetry=False) == av_swap_pairs(vs)
+    assert passes[1:] == [vs.count * (vs.count - 1) // 2]
 
 
 @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
 def test_edge_pairs_agree_with_swaps_down_to_the_least_gap(scale, rng):
-    # two values planted 1, 3 or 10 times EDGE_MIN_GAP of the spread apart,
-    # half the draws with a tied pair as well: wherever `verify` runs the
-    # edge check, the LP verdicts are the adjacent-swap pairs, with and
-    # without the orbit cache, at any scale of the spectrum
-    ran = 0
+    # two values planted 1, 3 or 10 times 1e-5 of the spread apart (the
+    # least gap at which the LP edge test was trusted), half the draws
+    # with a tied pair as well: the face test's verdicts are the
+    # adjacent-swap pairs, with and without the orbit cache, at any scale
+    # of the spectrum
     for k in range(20):
         d = int(rng.integers(3, 6))
         lam = rng.dirichlet(np.ones(d))
         if k % 2 and d >= 4:
             lam[0] = lam[1]
         i, j = rng.choice(d, 2, replace=False)
-        gap = polytope.EDGE_MIN_GAP * (1, 3, 10)[k % 3] * (lam.max() - lam.min())
+        gap = 1e-5 * (1, 3, 10)[k % 3] * (lam.max() - lam.min())
         lam[j] = lam[i] + gap if lam[i] - gap <= 0 else lam[i] - gap
         vs = enumerate_vertices(lam * scale)
-        if polytope.relative_gap(vs) < polytope.EDGE_MIN_GAP:
-            continue
-        ran += 1
         predicted = av_swap_pairs(vs)
         assert edge_pairs(vs) == predicted, lam.tolist()
         if d <= 4:
             assert edge_pairs(vs, symmetry=False) == predicted, lam.tolist()
-    assert ran >= 15
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_edge_pairs_are_the_swaps_on_drawn_spectra(scale, rng):
+    # the face test against the adjacent-swap rule, two independent
+    # characterisations: tied spectra at d=2..7, most with two values
+    # planted 1e-10, 1e-8 or 1e-5 of the spread apart, at three scales;
+    # every pair is also tested alone (symmetry=False) up to d=5
+    from conftest import random_degenerate_spectrum
+
+    for k in range(24):
+        d = 2 + k % 6
+        lam = random_degenerate_spectrum(rng, d)
+        if k % 4 and d >= 3:
+            i, j = rng.choice(d, 2, replace=False)
+            gap = (1e-10, 1e-8, 1e-5)[k % 3] * (lam.max() - lam.min())
+            lam[j] = lam[i] - gap if lam[i] > gap else lam[i] + gap
+        vs = enumerate_vertices(lam * scale)
+        predicted = av_swap_pairs(vs)
+        assert edge_pairs(vs) == predicted, lam.tolist()
+        if d <= 5:
+            assert edge_pairs(vs, symmetry=False) == predicted, lam.tolist()
+
+
+def test_edge_pairs_at_a_tie():
+    # [0.4, 0.3, 0.3, 0.1]: swapping 0.4 with either 0.3, or 0.1 with
+    # either 0.3, is an edge; swapping 0.4 with 0.1, or making two
+    # adjacent swaps at once, is not
+    vs = enumerate_vertices([0.4, 0.3, 0.3, 0.1])
+    index = {tuple(v): i for i, v in enumerate(vs.vertices.tolist())}
+    assert index[(0.4, 0.3, 0.3, 0.1)] == 0
+    neighbours = [(0.3, 0.4, 0.3, 0.1), (0.3, 0.3, 0.4, 0.1), (0.4, 0.3, 0.1, 0.3), (0.4, 0.1, 0.3, 0.3)]
+    for symmetry in (True, False):
+        edges = edge_pairs(vs, symmetry=symmetry)
+        assert (0, index[(0.1, 0.3, 0.3, 0.4)]) not in edges
+        assert (0, index[(0.3, 0.4, 0.1, 0.3)]) not in edges
+        assert {j for i, j in edges if i == 0} == {index[v] for v in neighbours}
 
 
 def test_segment_weight_separates_edges_from_other_pairs():
@@ -297,13 +320,10 @@ def test_segment_weight_separates_edges_from_other_pairs():
 
 
 def test_edge_pairs_below_the_least_gap_end_without_raising():
-    # two values 3e-8 of the spread apart: some pair LPs pivot on bases too
-    # near singular to finish, stop at the iteration limit and count as no
-    # edge (weight NaN); edge_pairs still returns its verdicts
+    # two values 3e-8 of the spread apart: the LP test lost some of these
+    # verdicts to rounding (pivots on bases too near singular to finish);
+    # the face test works on value ranks, so they are the swaps exactly
     vs = enumerate_vertices([0.4681749137060114, 0.04634296504830694, 0.04634297822248084])
-    assert polytope.relative_gap(vs) < polytope.EDGE_MIN_GAP
-    iu, ju = np.triu_indices(vs.count, 1)
-    weights = polytope._pair_weights(polytope._convexity_rows(vs.vertices), iu, ju, 1e-9)
-    assert np.isnan(weights).any()
-    edges = edge_pairs(vs)
-    assert edges <= set(zip(iu.tolist(), ju.tolist()))
+    # three distinct values: the polytope is a hexagon
+    assert edge_pairs(vs) == edge_pairs(vs, symmetry=False) == av_swap_pairs(vs)
+    assert len(av_swap_pairs(vs)) == 6
