@@ -205,13 +205,10 @@ def _float_list(raw: str, field: str) -> list[float]:
 def cmd_cool(args) -> int:
     from . import cooling
 
-    if args.demo is not None:
-        if args.demo == "working-example":
-            cool = cooling.demo_coherent_erasure()
-        elif args.demo == "incoherent":
-            cool = cooling.demo_incoherent_cooling()
-        else:
-            raise ParseError(f"unknown demo {args.demo!r}")
+    if args.demo == "working-example":
+        cool = cooling.demo_coherent_erasure()
+    elif args.demo == "incoherent":  # argparse refuses any other demo
+        cool = cooling.demo_incoherent_cooling()
     else:
         if args.system_energies is None or args.machine_energies is None:
             raise ParseError("--system-energies and --machine-energies are required")

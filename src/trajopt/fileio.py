@@ -13,10 +13,10 @@ output's links, owner and mode; in place otherwise), so writing a
 document holds about one row beyond the document itself; `same_canonical`
 compares two documents' texts a piece at a time.
 
-A trajectory file (version 0.3.0) stores the columns of the runtime
+A trajectory file (version 0.4.0) stores the columns of the runtime
 trajectory and nothing that can be derived from them: `breakpoints`, the
-two rows [alphas, omegas] with one entry per vertex; `ks`, `ls` and
-`gradients`, one entry per step; the minimal-point vertex
+two rows [alphas, omegas] with one entry per vertex; `ks` and `ls`, one
+entry per step (whose gradients they give); the minimal-point vertex
 `initial_vertex`, `target`, `cost` and `metadata`. The reader checks each
 column whole and makes the trajectory with the function the builder
 uses, so a reloaded trajectory equals the built one bit for bit.
@@ -40,12 +40,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import PreferredOrder, ProblemInstance
-from .errors import ParseError
+from .errors import NonFiniteValue, ParseError
 
 if TYPE_CHECKING:
     from .trajectory import OptimalTrajectory
 
-TOOL_VERSION = "0.3.0"
+TOOL_VERSION = "0.4.0"
 TIE_BREAK = "lexicographic-kl"
 
 INSTANCE_FIELDS = (
@@ -62,7 +62,6 @@ TRAJECTORY_FIELDS = (
     "breakpoints",
     "ks",
     "ls",
-    "gradients",
     "initial_vertex",
     "target",
     "cost",
@@ -70,7 +69,7 @@ TRAJECTORY_FIELDS = (
 )
 
 # a key that only an older trajectory file holds, and that file's version
-_OLD_FORMATS = (("vertices", "0.1.0"), ("steps", "0.2.0"))
+_OLD_FORMATS = (("vertices", "0.1.0"), ("steps", "0.2.0"), ("gradients", "0.3.0"))
 
 
 def format_float(x) -> str:
@@ -382,7 +381,6 @@ def trajectory_to_dict(traj: OptimalTrajectory) -> dict:
         "breakpoints": [traj.alphas, traj.omegas],
         "ks": traj.ks,
         "ls": traj.ls,
-        "gradients": traj.gradients,
         "initial_vertex": traj.initial_vertex,
         "target": traj.target_pref,
         "cost": traj.cost_pref,
@@ -403,27 +401,30 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
     permutation of 0..d-1, `ks` and `ls` hold positions in [0, d) with
     k != l at each step, and `initial_vertex`, `target`, `cost` and
     `block_of_position` hold one entry per position. Every number is
-    finite (Python's json reads NaN and Infinity); `ks`, `ls` and
-    `gradients` hold one entry per step and each `breakpoints` row one
-    more; the alphas increase strictly. Files of versions 0.1.0 (every
-    vertex) and 0.2.0 (one object per step) are refused.
+    finite (Python's json reads NaN and Infinity), and so is every step's
+    gradient; `ks` and `ls` hold one entry per step and each `breakpoints`
+    row one more; the alphas increase strictly. An unknown top-level field
+    is refused by name, and files of versions 0.1.0 (every vertex), 0.2.0
+    (one object per step) and 0.3.0 (a `gradients` column) with a hint.
 
     The arrays go to the function the build makes its trajectory with,
-    and delta_alphas is replayed from the steps on first read, for a build
-    and a reload alike, so the result equals the built trajectory in every
-    field. `metadata.block_of_position`, written when the instance has a
-    conserved vector, reloads as the built array. Files write zeros
+    which derives the gradients; delta_alphas is replayed from the steps
+    on first read, so the result equals the built trajectory in every
+    field, `metadata.block_of_position` included. Files write zeros
     unsigned, so a -0.0 of the build reloads as 0.0.
     """
     from .trajectory import _trajectory
 
     if not isinstance(doc, dict):
         raise ParseError("trajectory file must contain a JSON object")
+    old = [version for key, version in _OLD_FORMATS if key in doc]
+    hint = f" (a version {old[0]} file; rebuild it)" if old else ""
     for field in TRAJECTORY_FIELDS:
         if field not in doc:
-            old = [version for key, version in _OLD_FORMATS if key in doc]
-            hint = f" (a version {old[0]} file; rebuild it)" if old else ""
             raise ParseError(f"{field}: required field missing{hint}")
+    unknown = set(doc) - set(TRAJECTORY_FIELDS)
+    if unknown:
+        raise ParseError(f"unknown trajectory fields: {sorted(unknown)}{hint}")
     meta = doc["metadata"]
     if not isinstance(meta, dict):
         raise ParseError("metadata: expected an object")
@@ -440,7 +441,7 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
     if len(first) < d:
         i = int(np.setdiff1d(np.arange(d), first)[0])
         raise ParseError(f"metadata.order[{i}]: index {perm[i]} repeats, so order is not a permutation")
-    vectors = {field: _numbers(doc[field], field, d) for field in ("initial_vertex", "target", "cost")}
+    p0, target, cost = (_numbers(doc[field], field, d) for field in ("initial_vertex", "target", "cost"))
     blocks = meta.get("block_of_position")
     if blocks is not None:
         blocks = _indices(blocks, "metadata.block_of_position", d, d)
@@ -451,11 +452,10 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
     omegas = _numbers(rows[1], "breakpoints[1]")
     ks = _indices(doc["ks"], "ks", d)
     ls = _indices(doc["ls"], "ls", d)
-    gradients = _numbers(doc["gradients"], "gradients")
-    if not len(ks) == len(ls) == len(gradients) == len(alphas) - 1 == len(omegas) - 1:
+    if not len(ks) == len(ls) == len(alphas) - 1 == len(omegas) - 1:
         raise ParseError(
-            "ks, ls and gradients must hold one entry per step and each breakpoints row one more; got "
-            f"{len(ks)} ks, {len(ls)} ls, {len(gradients)} gradients, {len(alphas)} alphas and {len(omegas)} omegas"
+            "ks and ls must hold one entry per step and each breakpoints row one more; got "
+            f"{len(ks)} ks, {len(ls)} ls, {len(alphas)} alphas and {len(omegas)} omegas"
         )
     same = np.flatnonzero(ks == ls)
     if len(same):
@@ -466,20 +466,11 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
     inverse = np.argsort(perm)
     perm.setflags(write=False)
     inverse.setflags(write=False)
-    return _trajectory(
-        PreferredOrder(perm=perm, inverse=inverse),
-        vectors["target"],
-        vectors["cost"],
-        vectors["initial_vertex"],
-        ks,
-        ls,
-        gradients,
-        alphas,
-        omegas,
-        eps_pop,
-        eps_grad,
-        blocks,
-    )
+    order = PreferredOrder(perm=perm, inverse=inverse)
+    try:
+        return _trajectory(order, target, cost, p0, ks, ls, alphas, omegas, eps_pop, eps_grad, blocks)
+    except NonFiniteValue as exc:  # a step's gradient, derived from target and cost
+        raise ParseError(str(exc)) from None
 
 
 def lifted_to_dict(lifted, alpha: float) -> dict:

@@ -46,17 +46,19 @@ vector (`core.block_of_input`). A flat instance is the one-block case, so
 conserved vector, and a conserved instance is a plain `ProblemInstance`.
 Each public function on a prepared instance runs under one numpy error
 policy (`_quiet`): coefficient differences that overflow split classes as
-inf gaps do, and an overflowing gradient is refused in `_build`, so numpy
-need not warn of either.
+inf gaps do, and an overflowing step gradient is refused when the
+trajectory is made (`_step_gradients`), so numpy need not warn of either.
 
 A trajectory is stored as its steps: the minimal-point vertex
-(`initial_vertex`) and one entry per step in flat arrays (`ks`, `ls`,
-`gradients`) plus the target and cost value of every vertex (`alphas`,
-`omegas`), O(steps + d) in all. Each vertex is the one before it with two
-entries exchanged, so `vertex(i)` replays the first i swaps from
-`initial_vertex`, and `delta_alphas` is replayed the same way on its first
-read; `steps` is a read-only sequence that makes a `SwapStep` when one is
-read, and `breakpoints` stacks `alphas` and `omegas`.
+(`initial_vertex`) and one entry per step in flat arrays (`ks`, `ls`)
+plus the target and cost value of every vertex (`alphas`, `omegas`),
+O(steps + d) in all; `gradients` is derived from `ks` and `ls`, as a
+step's gradient follows from its two positions. Each vertex is the one
+before it with two entries exchanged, so `vertex(i)` replays the first i
+swaps from `initial_vertex`, and `delta_alphas` is replayed the same way
+on its first read; `steps` is a read-only sequence that makes a
+`SwapStep` when one is read, and `breakpoints` stacks `alphas` and
+`omegas`.
 `omega_opt` interpolates on the two breakpoints around alpha, found by
 binary search on a memoryview, in Python floats as `np.interp` would, so
 it costs O(log steps) per call and makes no numpy call; the range test,
@@ -232,9 +234,10 @@ class OptimalTrajectory:
     Step i swaps preferred positions ks[i] and ls[i] of vertex i, which
     gives vertex i + 1; it raises the target by delta_alphas[i] at cost
     slope gradients[i]. alphas and omegas hold the target and cost value
-    of each of the steps + 1 vertices, so memory is O(steps + d). Vertices
-    are replayed from initial_vertex on request (`vertex`), delta_alphas on
-    its first read, and `steps` reads the arrays as SwapStep objects.
+    of each of the steps + 1 vertices, so memory is O(steps + d). gradients
+    is derived from ks and ls when the trajectory is made (`_step_gradients`),
+    vertices from initial_vertex on request (`vertex`), delta_alphas on its
+    first read, and `steps` reads the arrays as SwapStep objects.
     """
 
     order: PreferredOrder
@@ -243,12 +246,15 @@ class OptimalTrajectory:
     initial_vertex: np.ndarray  # (d,), preferred coordinates
     ks: np.ndarray  # (steps,) int32
     ls: np.ndarray  # (steps,) int32
-    gradients: np.ndarray  # (steps,)
+    gradients: np.ndarray = field(init=False)  # (steps,), from ks and ls
     alphas: np.ndarray  # (steps + 1,)
     omegas: np.ndarray  # (steps + 1,)
     eps_pop: float
     eps_grad: float
     block_of_position: np.ndarray | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "gradients", _step_gradients(self.target_pref, self.cost_pref, self.ks, self.ls))
 
     @property
     def dim(self) -> int:
@@ -624,7 +630,7 @@ class _SwapQueue:
         return [self._pair(k * d + l) for k, l in sorted(pairs) if a[k] - a[l] > COEFF_EPS]
 
     def steps(self, eps_grad, count=None):
-        """Take the best swap count times, or until none is left: (ks, ls, gradients) lists.
+        """Take the best swap count times, or until none is left: (ks, ls) lists.
 
         Each step is the pair `best` returns. The common case, a least
         bucket with no other gradient within eps_grad, runs in this loop
@@ -636,7 +642,7 @@ class _SwapQueue:
         heads, run_of, slot, cls, cells = self._heads, self._run_of, self._slot, self._cls, self._cells
         grads, buckets = self._grads, self._buckets
         heappush, heappop = heapq.heappush, heapq.heappop
-        ks, ls, out = [], [], []
+        ks, ls = [], []
         while grads and len(ks) != count:
             grad = grads[0]
             bucket = buckets[grad]
@@ -655,7 +661,6 @@ class _SwapQueue:
                 k, l, _ = self.best(eps_grad)
             ks.append(k)
             ls.append(l)
-            out.append((e[k] - e[l]) / (a[k] - a[l]))
             # k moves up to run r + 1 and l down to run r
             r = run_of[k]
             run_of[k], run_of[l] = r + 1, r
@@ -769,7 +774,7 @@ class _SwapQueue:
                             heappush(grads, g)
                         else:
                             heappush(b, m * d + x)
-        return ks, ls, out
+        return ks, ls
 
 
 def _readonly(v, dtype=float) -> np.ndarray:
@@ -779,7 +784,25 @@ def _readonly(v, dtype=float) -> np.ndarray:
     return out
 
 
-def _trajectory(order, a_p, e_p, p0, ks, ls, gradients, alphas, omegas, eps_pop, eps_grad, blocks):
+def _step_gradients(a_p, e_p, ks, ls) -> np.ndarray:
+    """The read-only gradient (e_p[k] - e_p[l]) / (a_p[k] - a_p[l]) of each step (k, l).
+
+    The expression the build chose its steps by, element-wise IEEE with no
+    BLAS, so its bits are the build's, -0.0 included. Raises NonFiniteValue
+    naming the first step whose gradient overflows or divides by zero.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        grads = (e_p[ks] - e_p[ls]) / (a_p[ks] - a_p[ls])
+    if not np.isfinite(grads).all():
+        i = int(np.isfinite(grads).argmin())  # the first non-finite one
+        raise NonFiniteValue(
+            f"step {i} has gradient {float(grads[i])!r}: the cost difference of positions {ks[i]} and "
+            f"{ls[i]} over their target difference is not finite in float64"
+        )
+    return _readonly(grads)
+
+
+def _trajectory(order, a_p, e_p, p0, ks, ls, alphas, omegas, eps_pop, eps_grad, blocks):
     """An OptimalTrajectory from its initial vertex and steps (lists or arrays).
 
     The build and the file reader both make trajectories here, so their
@@ -794,7 +817,6 @@ def _trajectory(order, a_p, e_p, p0, ks, ls, gradients, alphas, omegas, eps_pop,
         initial_vertex=_readonly(p0),
         ks=_readonly(ks, np.int32),
         ls=_readonly(ls, np.int32),
-        gradients=_readonly(gradients),
         alphas=_readonly(alphas),
         omegas=_readonly(omegas),
         eps_pop=eps_pop,
@@ -804,7 +826,7 @@ def _trajectory(order, a_p, e_p, p0, ks, ls, gradients, alphas, omegas, eps_pop,
 
 
 def _queue_steps(prep: _Prepared, p0: np.ndarray):
-    """The greedy's steps out of p0 by the swap queue: (ks, ls, gradients) lists.
+    """The greedy's steps out of p0 by the swap queue: (ks, ls) lists.
 
     Each step takes the queue's best swap, the one `next_step` picks at the
     current vertex; the `_SwapQueue` pushes only the pairs of the cells
@@ -832,8 +854,7 @@ def _block_pairs(pos: np.ndarray):
 def _sorted_steps(prep: _Prepared):
     """The greedy's steps from one sort of the pair gradients, or None.
 
-    The steps are (ks, ls, gradients) arrays, ks and ls int32 below 2**31
-    pairs.
+    The steps are (ks, ls) arrays, int32 below 2**31 pairs.
 
     Along the greedy, every pair of levels K > L of a block swaps exactly
     once, at gradient (e_p[K] - e_p[L]) / (a_p[K] - a_p[L]): the crossing of
@@ -885,7 +906,7 @@ def _sorted_steps(prep: _Prepared):
         for j, k in enumerate(pos.tolist()):
             rank[k] = j
     if not uppers:
-        return [], [], []
+        return [], []
     upper, lower = np.concatenate(uppers), np.concatenate(lowers)
     # the expression `_SwapQueue._push_from` evaluates, element by element
     grads = (e_p[upper] - e_p[lower]) / (a_p[upper] - a_p[lower])
@@ -900,7 +921,7 @@ def _sorted_steps(prep: _Prepared):
         if rank[k] != r + 1:
             return None
         rank[k], rank[l] = r, r + 1
-    return ks, ls, grads
+    return ks, ls
 
 
 def _build(prep: _Prepared) -> OptimalTrajectory:
@@ -908,14 +929,13 @@ def _build(prep: _Prepared) -> OptimalTrajectory:
 
     The steps come from one sort of the pair gradients when the instance
     certifies that this is the greedy's order (`_sorted_steps`), and from
-    the swap queue otherwise (`_queue_steps`). A step gradient that is not
-    finite (a cost difference, or its quotient by the target difference,
-    overflows) raises NonFiniteValue, one check for both paths, before the
-    replay. The steps are then int32 arrays: the queue's
-    lists are freed, and the sorted path's arrays are kept as they are.
-    One replay holds one vertex, swaps its entries through a memoryview
-    with no numpy call per step, and takes the target and cost value of
-    every vertex.
+    the swap queue otherwise (`_queue_steps`), each as (ks, ls). These are
+    then int32 arrays: the queue's lists are freed, and the sorted path's
+    arrays are kept as they are. One replay holds one vertex, swaps its
+    entries through a memoryview with no numpy call per step, and takes
+    the target and cost value of every vertex. The trajectory derives the
+    gradients from ks and ls, as a reloaded file's does, and refuses a
+    non-finite one with NonFiniteValue (`_step_gradients`).
 
     alpha and omega are the dot products of each vertex, not running sums,
     so they do not accumulate rounding. Vertices are copied into a buffer
@@ -926,16 +946,7 @@ def _build(prep: _Prepared) -> OptimalTrajectory:
     """
     a_p, e_p = prep.a_p, prep.e_p
     p0 = _minimal_pref(prep)
-    steps = _sorted_steps(prep)
-    ks, ls, grads = _queue_steps(prep, p0) if steps is None else steps
-    grads = np.asarray(grads, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(grads))
-    if len(bad):
-        i = int(bad[0])
-        raise NonFiniteValue(
-            f"step {i} has gradient {float(grads[i])!r}: a cost difference or its quotient by the "
-            "target difference overflows float64; rescale the cost or the target"
-        )
+    ks, ls = _sorted_steps(prep) or _queue_steps(prep, p0)
     ks, ls = np.asarray(ks, dtype=np.int32), np.asarray(ls, dtype=np.int32)
     alphas, omegas = np.empty(len(ks) + 1), np.empty(len(ks) + 1)
     p = p0.copy()
@@ -960,7 +971,7 @@ def _build(prep: _Prepared) -> OptimalTrajectory:
     np.vecdot(buf[: end // d], a_p, out=alphas[done:])
     np.vecdot(buf[: end // d], e_p, out=omegas[done:])
     eps_pop, eps_grad = prep.inst.eps_pop, prep.inst.eps_grad
-    return _trajectory(prep.order, a_p, e_p, p0, ks, ls, grads, alphas, omegas, eps_pop, eps_grad, prep.blocks)
+    return _trajectory(prep.order, a_p, e_p, p0, ks, ls, alphas, omegas, eps_pop, eps_grad, prep.blocks)
 
 
 def build(inst: ProblemInstance) -> OptimalTrajectory:

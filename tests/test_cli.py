@@ -87,6 +87,14 @@ def test_cool_incoherent_demo(capsys):
     assert len({round(v, 9) for v in doc["conserved"]}) == 5
 
 
+def test_cool_unknown_demo_exits_2(capsys):
+    # argparse's choices refuse it before cmd_cool runs
+    with pytest.raises(SystemExit) as exc:
+        main(["cool", "--demo", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_cool_bad_flags(capsys):
     code, _, err = run(capsys, "cool", "--system-energies", "0,x", "--machine-energies", "0", "--beta", "1")
     assert code == 2 and "system-energies" in err
@@ -271,7 +279,7 @@ def test_verify_tamper_negative_control(tmp_path, capsys, instance_file):
     code, _, _ = run(capsys, "verify", instance_file, "--samples", "100", "--trajectory", traj_path)
     assert code == 0
     doc = fileio.load_json(traj_path)
-    doc["gradients"][2] += 1e-3
+    doc["breakpoints"][1][2] += 1e-3  # an omega
     tampered = str(tmp_path / "tampered.json")
     Path(tampered).write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", instance_file, "--samples", "100", "--trajectory", tampered)
@@ -375,7 +383,7 @@ def test_huge_integer_instance_number_is_a_parse_error(tmp_path, capsys, field):
     assert "401-digit integer is too large for a float" in err
 
 
-@pytest.mark.parametrize("path", [("breakpoints", 1, 3), ("gradients", 2), ("metadata", "eps_pop")])
+@pytest.mark.parametrize("path", [("breakpoints", 1, 3), ("initial_vertex", 2), ("metadata", "eps_pop")])
 def test_verify_rejects_huge_integer_in_trajectory_file(tmp_path, capsys, path):
     code, _, _ = run(capsys, "build", str(GENERIC), str(tmp_path / "traj.json"))
     assert code == 0

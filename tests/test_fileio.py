@@ -145,8 +145,8 @@ def test_order_that_is_not_a_permutation_rejected(doc):
 
 def test_non_number_rejected(doc):
     bad = copy.deepcopy(doc)
-    bad["gradients"][2] = "1.5"
-    _rejects(bad, r"gradients\[2\]: expected a number")
+    bad["initial_vertex"][2] = "1.5"
+    _rejects(bad, r"initial_vertex\[2\]: expected a number")
     for value in ("1.5", True):
         bad = copy.deepcopy(doc)
         bad["breakpoints"][1][3] = value
@@ -156,7 +156,7 @@ def test_non_number_rejected(doc):
 
 
 _BAD_ANYWHERE = [True, False, "1.5", 10**400, -(10**400), float("nan"), float("inf"), float("-inf")]
-_COLUMNS = ["ks", "ls", "gradients", "alphas", "omegas"]
+_COLUMNS = ["ks", "ls", "initial_vertex", "alphas", "omegas"]
 # (what to do, to which column, the value set): each makes the generic document invalid
 _DAMAGE = (
     st.tuples(st.just("set"), st.sampled_from(_COLUMNS), st.sampled_from(_BAD_ANYWHERE))
@@ -171,7 +171,8 @@ _DAMAGE = (
 def test_one_bad_column_entry_is_a_parse_error(damage, i):
     action, name, value = damage
     doc = fileio.load_json(str(GOLDEN / "generic" / "build.json"))
-    columns = dict(zip(_COLUMNS, [doc["ks"], doc["ls"], doc["gradients"], *doc["breakpoints"]]))
+    columns = dict(zip(_COLUMNS, [doc["ks"], doc["ls"], doc["initial_vertex"], *doc["breakpoints"]]))
+    i %= len(columns[name])  # initial_vertex holds 6 entries, the step columns 15 or 16
     if action == "set":
         columns[name][i] = value
     elif action == "k == l":
@@ -244,7 +245,7 @@ def _set(doc, path, value):
     [
         ("breakpoints", 1, 3),
         ("breakpoints", 0, 0),
-        ("gradients", 2),
+        ("initial_vertex", 2),
         ("breakpoints", 0, 5),
         ("initial_vertex", 0),
         ("target", 2),
@@ -272,9 +273,12 @@ def test_verify_rejects_non_finite_trajectory_file(doc, path, tmp_path, capsys):
 
 
 def _old_document(doc, version):
-    """doc in the layout of an older version: 0.2.0 holds one object per step
-    and every alpha again in them; 0.1.0 also every vertex, and no initial vertex."""
+    """doc in the layout of an older version: 0.3.0 also stores a gradients
+    column; 0.2.0 holds one object per step and every alpha again in them;
+    0.1.0 also every vertex, and no initial vertex."""
     traj = fileio.trajectory_to_runtime(doc)
+    if version == "0.3.0":
+        return dict(doc, gradients=traj.gradients.tolist(), metadata=dict(doc["metadata"], tool_version=version))
     alphas = traj.alphas.tolist()
     old = {
         "alpha_range": [alphas[0], alphas[-1]],
@@ -290,24 +294,55 @@ def _old_document(doc, version):
     return old
 
 
-def test_version_1_document_rejected(doc, tmp_path, capsys):
-    _rejects(_old_document(doc, "0.1.0"), r"ks: required field missing \(a version 0\.1\.0 file; rebuild it\)")
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(_old_document(doc, "0.1.0")))
+@pytest.mark.parametrize(
+    "version, refusal",
+    [("0.1.0", "ks: required field missing"), ("0.2.0", "ks: required field missing"),
+     ("0.3.0", "unknown trajectory fields: ['gradients']")],
+    ids=["0.1.0", "0.2.0", "0.3.0"],
+)
+def test_old_version_document_rejected(doc, tmp_path, capsys, version, refusal):
+    hint = f"(a version {version} file; rebuild it)"
+    _rejects(_old_document(doc, version), re.escape(f"{refusal} {hint}"))
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(_old_document(doc, version)))
     instance = GOLDEN / "generic" / "instance.json"
     code = main(["verify", str(instance), "--samples", "10", "--trajectory", str(path)])
     assert code == 2
-    assert "version 0.1.0 file" in capsys.readouterr().err
+    assert hint in capsys.readouterr().err
 
 
-def test_version_0_2_0_document_rejected(doc, tmp_path, capsys):
-    _rejects(_old_document(doc, "0.2.0"), r"ks: required field missing \(a version 0\.2\.0 file; rebuild it\)")
-    path = tmp_path / "v2.json"
-    path.write_text(json.dumps(_old_document(doc, "0.2.0")))
+def test_unknown_top_level_field_rejected(doc):
+    doc["notes"] = "built by hand"
+    _rejects(doc, re.escape("unknown trajectory fields: ['notes']") + "$")
+
+
+def _edit_target(doc):
+    # step 3 swaps positions 4 and 0; giving them one target makes its gradient a division by zero
+    assert (doc["ks"][3], doc["ls"][3]) == (4, 0)
+    doc["target"][0] = doc["target"][4]
+
+
+def _edit_cost(doc):
+    # step 14 swaps positions 2 and 1, whose targets lie 0.04 apart; with this
+    # cost at 2 its gradient overflows, and no earlier step's does
+    assert (doc["ks"][14], doc["ls"][14]) == (2, 1)
+    doc["cost"][2] = 1e308
+
+
+@pytest.mark.parametrize(
+    "edit, step, k, l", [(_edit_target, 3, 4, 0), (_edit_cost, 14, 2, 1)], ids=["equal-targets", "overflow"]
+)
+def test_step_with_a_non_finite_gradient_rejected(doc, tmp_path, capsys, edit, step, k, l):
+    # the gradient is derived from the file's own target and cost, so a
+    # file cannot hold a step the build would refuse
+    edit(doc)
+    _rejects(copy.deepcopy(doc), rf"^step {step} has gradient -?inf: the cost difference of positions {k} and {l} ")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
     instance = GOLDEN / "generic" / "instance.json"
     code = main(["verify", str(instance), "--samples", "10", "--trajectory", str(path)])
     assert code == 2
-    assert "version 0.2.0 file" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: step {step} ")
 
 
 def test_dumps_canonical_scalar_lists():
@@ -410,7 +445,7 @@ def test_dumps_canonical_refuses_non_finite_dict_values(bad):
 
 @pytest.mark.parametrize(
     "path",
-    [("breakpoints", 1, 3), ("gradients", 2), ("initial_vertex", 0), ("metadata", "eps_grad")],
+    [("breakpoints", 1, 3), ("target", 2), ("initial_vertex", 0), ("metadata", "eps_grad")],
 )
 def test_huge_integer_rejected(doc, path):
     # math.isfinite and float() overflow on an integer beyond float range
