@@ -174,6 +174,8 @@ def _verify_checks(inst, args):
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be at least 0, got {args.seed}")
     inst = _load(args.instance, args)
     results = list(_verify_checks(inst, args))
     failed = [name for name, ok, _ in results if ok is False]
@@ -197,9 +199,12 @@ def cmd_verify(args) -> int:
 
 def _float_list(raw: str, field: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise ParseError(f"{field}: expected comma-separated numbers, got {raw!r}")
+    if not values:
+        raise ParseError(f"{field}: expected at least one number, got {raw!r}")
+    return values
 
 
 def cmd_cool(args) -> int:

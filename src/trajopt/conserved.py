@@ -70,7 +70,7 @@ def _check_density(rho: np.ndarray) -> np.ndarray:
     if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
         raise NotHermitian("matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-9:
-        raise NotUnitTrace(f"trace is {np.trace(rho)!r}, not 1")
+        raise NotUnitTrace(f"trace is {float(np.trace(rho).real)!r}, not 1")
     return rho
 
 

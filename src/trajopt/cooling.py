@@ -197,7 +197,7 @@ def free_energy_bound(cool: CoolingInstance, alpha: float) -> float:
     if cool.beta <= 0:
         raise WrongInstanceKind("free-energy bound needs beta > 0")
     if not -1e-9 <= alpha <= 1.0 + 1e-9:
-        raise AlphaOutOfRange(f"ground population {alpha!r} outside [0, 1]")
+        raise AlphaOutOfRange(f"ground population {float(alpha)!r} outside [0, 1]")
     alpha = min(max(alpha, 0.0), 1.0)
     e = np.sort(cool.system.energies)
 

@@ -153,7 +153,7 @@ def block_indices(block_of: np.ndarray | None, d: int) -> list[np.ndarray]:
 def check_alpha(alpha: float, lo: float, hi: float) -> float:
     """alpha clamped to [lo, hi]; AlphaOutOfRange beyond ALPHA_TOL outside it or for NaN."""
     if not lo - ALPHA_TOL <= alpha <= hi + ALPHA_TOL:
-        raise AlphaOutOfRange(f"alpha {alpha!r} outside [{lo!r}, {hi!r}]")
+        raise AlphaOutOfRange(f"alpha {float(alpha)!r} outside [{float(lo)!r}, {float(hi)!r}]")
     return min(max(alpha, lo), hi)
 
 
@@ -232,7 +232,7 @@ def validate(raw: ProblemInstance) -> ProblemInstance:
     lam = np.clip(lam, 0.0, None)
     total = lam.sum()
     if abs(total - 1.0) > 1e-9:
-        raise NotNormalized(f"eigenvalues sum to {total!r}, not 1")
+        raise NotNormalized(f"eigenvalues sum to {float(total)!r}, not 1")
     if abs(total - 1.0) > 1e-12:  # keep validate idempotent bit for bit
         lam = lam / total
 

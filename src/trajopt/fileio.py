@@ -403,15 +403,17 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
     `block_of_position` hold one entry per position. Every number is
     finite (Python's json reads NaN and Infinity), and so is every step's
     gradient; `ks` and `ls` hold one entry per step and each `breakpoints`
-    row one more; the alphas increase strictly. An unknown top-level field
-    is refused by name, and files of versions 0.1.0 (every vertex), 0.2.0
-    (one object per step) and 0.3.0 (a `gradients` column) with a hint.
+    row one more; the alphas increase strictly, and every step raises the
+    target (its delta_alpha, replayed from `initial_vertex`, is above 0).
+    An unknown top-level field is refused by name, and files of versions
+    0.1.0 (every vertex), 0.2.0 (one object per step) and 0.3.0 (a
+    `gradients` column) with a hint.
 
     The arrays go to the function the build makes its trajectory with,
-    which derives the gradients; delta_alphas is replayed from the steps
-    on first read, so the result equals the built trajectory in every
-    field, `metadata.block_of_position` included. Files write zeros
-    unsigned, so a -0.0 of the build reloads as 0.0.
+    which derives the gradients, so the result equals the built trajectory
+    in every field, `metadata.block_of_position` included; its
+    delta_alphas are already replayed, for the check above. Files write
+    zeros unsigned, so a -0.0 of the build reloads as 0.0.
     """
     from .trajectory import _trajectory
 
@@ -468,9 +470,17 @@ def trajectory_to_runtime(doc: dict) -> OptimalTrajectory:
     inverse.setflags(write=False)
     order = PreferredOrder(perm=perm, inverse=inverse)
     try:
-        return _trajectory(order, target, cost, p0, ks, ls, alphas, omegas, eps_pop, eps_grad, blocks)
+        traj = _trajectory(order, target, cost, p0, ks, ls, alphas, omegas, eps_pop, eps_grad, blocks)
     except NonFiniteValue as exc:  # a step's gradient, derived from target and cost
         raise ParseError(str(exc)) from None
+    lowers = np.flatnonzero(traj.delta_alphas <= 0)
+    if len(lowers):
+        i = int(lowers[0])
+        raise ParseError(
+            f"step {i} changes the target by {float(traj.delta_alphas[i])!r}: "
+            f"swapping positions {ks[i]} and {ls[i]} of vertex {i} does not raise it"
+        )
+    return traj
 
 
 def lifted_to_dict(lifted, alpha: float) -> dict:

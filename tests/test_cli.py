@@ -100,6 +100,21 @@ def test_cool_bad_flags(capsys):
     assert code == 2 and "system-energies" in err
 
 
+@pytest.mark.parametrize("flag, raw", [
+    ("--machine-energies", ","), ("--system-energies", ",,"), ("--bath-energies", ","),
+])
+def test_cool_empty_energy_list_is_a_parse_error(capsys, flag, raw):
+    # an empty list reached thermal_populations, whose minimum of a
+    # zero-size array ended in a ValueError traceback and exit 1
+    flags = {"--system-energies": "0,1", "--machine-energies": "0,1", flag: raw}
+    argv = ["cool", *(tok for item in flags.items() for tok in item), "--beta", "1"]
+    if flag == "--bath-energies":
+        argv += ["--beta-bath", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag}: expected at least one number, got {raw!r}\n"
+
+
 def test_build_eval_roundtrip(tmp_path, capsys, instance_file):
     out_path = str(tmp_path / "traj.json")
     code, _, _ = run(capsys, "build", instance_file, out_path)
@@ -323,6 +338,13 @@ def test_verify_rejects_non_positive_samples(capsys, instance_file, samples):
     code, out, err = run(capsys, "verify", instance_file, "--samples", samples)
     assert code == 2
     assert "--samples" in err and out == ""
+
+
+def test_verify_rejects_a_negative_seed(capsys, instance_file):
+    # np.random.default_rng refused it with a ValueError traceback and exit 1
+    code, out, err = run(capsys, "verify", instance_file, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be at least 0, got -1\n"
 
 
 def _tampered_instance(tmp_path, field, value):

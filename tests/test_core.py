@@ -16,6 +16,7 @@ from trajopt.errors import (
     NonPositiveTolerance,
     NotMajorized,
     NotNormalized,
+    TrajoptError,
 )
 
 
@@ -154,3 +155,38 @@ def test_block_indices_equal_one_pass_per_block(rng):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tolist() == w.tolist()
     assert [b.tolist() for b in block_indices(None, 4)] == [[0, 1, 2, 3]]
+
+
+def _unnormalized():
+    validate(ProblemInstance(eigenvalues=np.array([0.7, 0.2]), target=np.array([1.0, 0.0]), cost=np.zeros(2)))
+
+
+def _alpha_outside():
+    from trajopt.trajectory import build, omega_opt
+
+    omega_opt(build(validate(ProblemInstance(np.array([0.6, 0.4]), np.array([1.0, 0.0]), np.zeros(2)))), np.float64(9))
+
+
+def _trace_not_one():
+    from trajopt.conserved import dephase
+
+    dephase(np.diag([0.5, 0.4]), None)
+
+
+def _ground_population_outside():
+    from trajopt.cooling import demo_coherent_erasure, free_energy_bound
+
+    free_energy_bound(demo_coherent_erasure(), np.float64(2.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (_unnormalized, "eigenvalues sum to 0.8999999999999999, not 1"),
+    (_alpha_outside, "alpha 9.0 outside [0.4, 0.6]"),
+    (_trace_not_one, "trace is 0.9, not 1"),
+    (_ground_population_outside, "ground population 2.0 outside [0, 1]"),
+], ids=["validate", "check_alpha", "check_density", "free_energy_bound"])
+def test_errors_print_plain_floats(call, message):
+    # numpy 2 scalars print as np.float64(...) under !r
+    with pytest.raises(TrajoptError) as exc:
+        call()
+    assert str(exc.value) == message

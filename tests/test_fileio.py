@@ -337,12 +337,24 @@ def test_step_with_a_non_finite_gradient_rejected(doc, tmp_path, capsys, edit, s
     # file cannot hold a step the build would refuse
     edit(doc)
     _rejects(copy.deepcopy(doc), rf"^step {step} has gradient -?inf: the cost difference of positions {k} and {l} ")
+    assert _verify_error(doc, tmp_path, capsys).startswith(f"error: step {step} ")
+
+
+def _verify_error(doc, tmp_path, capsys):
+    """What `verify --trajectory` prints on stderr for doc, after checking that it exits 2."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     instance = GOLDEN / "generic" / "instance.json"
-    code = main(["verify", str(instance), "--samples", "10", "--trajectory", str(path)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: step {step} ")
+    assert main(["verify", str(instance), "--samples", "10", "--trajectory", str(path)]) == 2
+    return capsys.readouterr().err
+
+
+def test_step_that_lowers_the_target_rejected(doc, tmp_path, capsys):
+    # step 5 moved to position 5 leaves every column valid on its own, but
+    # the replay then swaps positions 5 and 0 at step 7 the wrong way round
+    doc["ks"][5] = 5
+    _rejects(copy.deepcopy(doc), r"^step 7 changes the target by -2\.14\d*: swapping positions 5 and 0 of vertex 7 ")
+    assert _verify_error(doc, tmp_path, capsys).startswith("error: step 7 changes the target by -2.14")
 
 
 def test_dumps_canonical_scalar_lists():

@@ -89,7 +89,7 @@ def _reference_run(T, basis, ncols, tol):
 
 
 def _reference_solve_lp(c, A, b, tol=1e-9):
-    """The one-problem solver that the lockstep stack replaced, kept as the reference."""
+    """A dense two-phase tableau solver without Harris, warm starts or the iteration limit, kept as the reference."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).copy()
     c = np.asarray(c, dtype=float)
@@ -208,43 +208,26 @@ def _started_stack(seed):
 
 
 @given(st.integers(0, 2**32 - 1))
-def test_stack_solves_each_lp_as_it_is_solved_alone(seed):
+def test_each_lp_agrees_with_the_tableau_reference(seed):
     c, A, b = _mixed_stack(seed)
-    statuses, xs, objectives = solve_lp(c, A, b)
-    assert len(statuses) == len(c) and xs.shape == c.shape and objectives.shape == (len(c),)
     for i in range(len(c)):
-        alone = solve_lp(c[i], A, b[i])
+        got = solve_lp(c[i], A, b[i])
         try:
             reference = _reference_solve_lp(c[i], A, b[i])
         except ValueError:
             # the reference crashed on an empty ratio test: phase 2 with
             # every row dropped as redundant and a negative reduced cost
-            assert not A.any() and alone == (LPStatus.UNBOUNDED, None, None)
+            assert not A.any() and got == (LPStatus.UNBOUNDED, None, None)
             continue
-        _agrees_with(alone, reference, A, b[i])
-        if statuses[i] == LPStatus.OPTIMAL:
-            _same_result((statuses[i], xs[i], objectives[i]), alone)
-        else:
-            assert statuses[i] == alone[0]
-            assert np.isnan(xs[i]).all() and np.isnan(objectives[i])
-    one = solve_lp(c[:1], A, b[:1])
-    assert one[0] == statuses[:1]
-    assert one[1].tobytes() == xs[:1].tobytes() and one[2].tobytes() == objectives[:1].tobytes()
+        _agrees_with(got, reference, A, b[i])
 
-    # a starting basis: each LP of the stack still returns what it returns
-    # alone, and the optimum of the LP solved without one
+    # a starting basis gives the optimum of the LP solved without one
     started = _started_stack(seed)
     if started is None:
         return
     c, A, b, cols = started
-    statuses, xs, objectives = solve_lp(c, A, b, basis=cols)
     for i in range(len(c)):
-        alone = solve_lp(c[i], A, b[i], basis=cols[i])
-        _agrees_with(alone, solve_lp(c[i], A, b[i]), A, b[i])
-        if statuses[i] == LPStatus.OPTIMAL:
-            _same_result((statuses[i], xs[i], objectives[i]), alone)
-        else:
-            assert statuses[i] == alone[0] == LPStatus.UNBOUNDED
+        _agrees_with(solve_lp(c[i], A, b[i], basis=cols[i]), solve_lp(c[i], A, b[i]), A, b[i])
 
 
 def test_unusable_starting_basis_is_ignored():
@@ -256,17 +239,16 @@ def test_unusable_starting_basis_is_ignored():
     assert status == LPStatus.OPTIMAL and value == pytest.approx(0.6)
     for b, start in (([0.6, 0.4], [0, 1]), ([-0.6, 0.4], [0, 2])):
         _same_result(solve_lp(c, a, np.array(b), basis=start), solve_lp(c, a, np.array(b)))
-    statuses, xs, objectives = solve_lp(c, a, np.array([[0.6, 0.4], [0.6, 0.4]]), basis=[[1, 2], [0, 1]])
-    assert statuses == [LPStatus.OPTIMAL] * 2 and np.allclose(xs, [[0.6, 0, 0.4]] * 2)
 
 
 def test_stack_mixes_every_ending():
-    # the generator reaches optimal, infeasible and unbounded LPs, phase 2
-    # with a dropped row, and b < 0 rows, so the property test sees them all
+    # the generator's rows, each solved alone, reach optimal, infeasible
+    # and unbounded LPs, phase 2 with a dropped row, and b < 0 rows, so the
+    # property test sees them all
     seen = set()
     for seed in range(200):
         c, A, b = _mixed_stack(seed)
-        statuses, _, _ = solve_lp(c, A, b)
+        statuses = {solve_lp(c[i], A, b[i])[0] for i in range(len(c))}
         seen.update(statuses)
         if (b < 0).any():
             seen.add("negative b")
@@ -277,16 +259,6 @@ def test_stack_mixes_every_ending():
 
 def test_every_row_redundant_and_unbounded():
     # all rows drop out of phase 2 and x0 may grow without bound; the
-    # one-problem solver raised ValueError from an empty ratio test here
+    # tableau reference raises ValueError from an empty ratio test here
     status, x, value = solve_lp(np.array([-1.0, 0.0]), np.zeros((2, 2)), np.zeros(2))
     assert (status, x, value) == (LPStatus.UNBOUNDED, None, None)
-
-
-def test_stack_broadcasts_a_shared_cost():
-    c = np.array([1.0, 2.0, 0.0])
-    a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    b = np.array([[0.6, 0.4], [1.0, -1.0], [0.2, 0.8]])
-    statuses, xs, objectives = solve_lp(c, a, b)
-    assert statuses == [LPStatus.OPTIMAL, LPStatus.INFEASIBLE, LPStatus.OPTIMAL]
-    assert objectives[0] == pytest.approx(0.6) and objectives[2] == pytest.approx(0.2)
-    assert np.isnan(xs[1]).all()
