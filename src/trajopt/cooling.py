@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemInstance, validate
-from .errors import AlphaOutOfRange, DimensionOverflow, WrongInstanceKind
+from .errors import AlphaOutOfRange, DimensionMismatch, DimensionOverflow, WrongInstanceKind
 
 BUILD_DIM_CAP = 4096
 
@@ -25,7 +25,8 @@ class SystemSpec:
     """Local Hamiltonian eigenvalues plus optional initial populations.
 
     When populations are omitted the subsystem starts thermal at the
-    temperature the assembling call supplies.
+    temperature the assembling call supplies; given ones must be one per
+    energy (DimensionMismatch).
     """
 
     energies: np.ndarray
@@ -34,11 +35,12 @@ class SystemSpec:
     def __post_init__(self):
         object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
         if self.initial_populations is not None:
-            object.__setattr__(
-                self,
-                "initial_populations",
-                np.asarray(self.initial_populations, dtype=float),
-            )
+            pops = np.asarray(self.initial_populations, dtype=float)
+            if pops.shape != self.energies.shape:
+                raise DimensionMismatch(
+                    f"{pops.size} initial populations for {self.energies.size} energies"
+                )
+            object.__setattr__(self, "initial_populations", pops)
 
     @property
     def dim(self) -> int:
@@ -89,14 +91,18 @@ class CoolingInstance:
 
 
 def thermal_populations(energies, beta: float) -> np.ndarray:
-    """Gibbs weights e^{-beta E} / Z; beta=0 is uniform, beta=inf ground-only."""
+    """Gibbs weights e^{-beta E} / Z; beta=0 is uniform, beta=inf ground-only, beta=-inf top-only.
+
+    Shifted by the lowest energy for beta > 0, the highest for beta < 0, so no weight overflows.
+    """
     energies = np.asarray(energies, dtype=float)
     if beta == 0.0:
         return np.full(len(energies), 1.0 / len(energies))
-    if math.isinf(beta) and beta > 0:
-        ground = np.abs(energies - energies.min()) <= 1e-12
-        return ground / ground.sum()
-    w = np.exp(-beta * (energies - energies.min()))
+    shift = energies.min() if beta > 0 else energies.max()
+    if math.isinf(beta):
+        level = np.abs(energies - shift) <= 1e-12
+        return level / level.sum()
+    w = np.exp(-beta * (energies - shift))
     return w / w.sum()
 
 
@@ -116,19 +122,21 @@ def coherent_instance(
     d = system.dim * machine.dim
     if d > max_dim:
         raise DimensionOverflow(f"joint dim {d} exceeds cap {max_dim}")
-    p_s = system.populations(beta)
-    tau_m = thermal_populations(machine.energies, beta)
-    lam = np.kron(p_s, tau_m)
-    target = np.kron(_ground_projector(system.energies), np.ones(machine.dim))
-    cost = (system.energies[:, None] + machine.energies[None, :]).ravel()
-    problem = validate(
-        ProblemInstance(
-            eigenvalues=lam,
-            target=target,
-            cost=cost,
-            initial_populations=lam,
+    # energies that overflow float64 give weights that vanish or inf entries that validate refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_s = system.populations(beta)
+        tau_m = thermal_populations(machine.energies, beta)
+        lam = np.kron(p_s, tau_m)
+        target = np.kron(_ground_projector(system.energies), np.ones(machine.dim))
+        cost = (system.energies[:, None] + machine.energies[None, :]).ravel()
+        problem = validate(
+            ProblemInstance(
+                eigenvalues=lam,
+                target=target,
+                cost=cost,
+                initial_populations=lam,
+            )
         )
-    )
     return CoolingInstance(problem=problem, system=system, machine=machine, beta=beta)
 
 
@@ -149,27 +157,28 @@ def incoherent_instance(
     d = system.dim * machine.dim * bath.dim
     if d > max_dim:
         raise DimensionOverflow(f"joint dim {d} exceeds cap {max_dim}")
-    p_s = system.populations(beta_machine)
-    tau_m = thermal_populations(machine.energies, beta_machine)
-    tau_b = thermal_populations(bath.energies, beta_bath)
-    lam = np.kron(np.kron(p_s, tau_m), tau_b)
-    ones_m, ones_b = np.ones(machine.dim), np.ones(bath.dim)
-    target = np.kron(np.kron(_ground_projector(system.energies), ones_m), ones_b)
-    cost = np.kron(np.ones(system.dim * machine.dim), bath.energies)
-    total = (
-        system.energies[:, None, None]
-        + machine.energies[None, :, None]
-        + bath.energies[None, None, :]
-    ).ravel()
-    problem = validate(
-        ProblemInstance(
-            eigenvalues=lam,
-            target=target,
-            cost=cost,
-            conserved=total,
-            initial_populations=lam,
+    with np.errstate(over="ignore", invalid="ignore"):  # as in coherent_instance
+        p_s = system.populations(beta_machine)
+        tau_m = thermal_populations(machine.energies, beta_machine)
+        tau_b = thermal_populations(bath.energies, beta_bath)
+        lam = np.kron(np.kron(p_s, tau_m), tau_b)
+        ones_m, ones_b = np.ones(machine.dim), np.ones(bath.dim)
+        target = np.kron(np.kron(_ground_projector(system.energies), ones_m), ones_b)
+        cost = np.kron(np.ones(system.dim * machine.dim), bath.energies)
+        total = (
+            system.energies[:, None, None]
+            + machine.energies[None, :, None]
+            + bath.energies[None, None, :]
+        ).ravel()
+        problem = validate(
+            ProblemInstance(
+                eigenvalues=lam,
+                target=target,
+                cost=cost,
+                conserved=total,
+                initial_populations=lam,
+            )
         )
-    )
     return CoolingInstance(
         problem=problem,
         system=system,

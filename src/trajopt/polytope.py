@@ -5,18 +5,14 @@ of the permutations of λ. This module provides the majorization test and
 the default enumeration cap `DEFAULT_MAX_ENUM_DIM` (both defined in `core`,
 whose `validate` and `cli` use them without loading this module), the vertex
 enumeration with degeneracy counting, adjacent-valued swap enumeration,
-and two edge tests that are independent of the adjacent-swap
-characterization. `edge_pairs` decides a pair of vertices on the faces
-cut out by Rado's inequalities, x(S) <= the sum of the |S| largest
-eigenvalues (R. Rado, "An inequality", J. London Math. Soc. 1952): it
-counts, in integers on the value ranks, the rank of the sets tight at
-both vertices, and needs no tolerance (see _face_is_edge). `is_edge` and
-`segment_weight` take any vertex set, so they solve a small LP instead:
-the least weight on the pair over the convex representations of its
-midpoint, 1 on an edge and 0 otherwise. It runs on the vertex
-coordinates scaled to [0, 1], has d rows (every coordinate but the last,
-then the weight sum) and starts from the pair itself; `simplex` is
-loaded only when it runs.
+and an edge test that is independent of the adjacent-swap
+characterization: it decides a pair of vertices on the faces cut out by
+Rado's inequalities, x(S) <= the sum of the |S| largest eigenvalues
+(R. Rado, "An inequality", J. London Math. Soc. 1952), counting, in
+integers on the value ranks, the rank of the sets tight at both
+vertices, and needs no tolerance (see _face_is_edge). `edge_pairs` runs
+it on every pair of a vertex set, `is_edge` on one pair, of one
+permutation polytope or of a product of them.
 
 Enumeration order is a contract: `enumerate_vertices` lists the distinct
 arrangements lexicographically in the positions of the distinct values,
@@ -171,54 +167,6 @@ def _find_vertex(vset: VertexSet, v: np.ndarray, eps: float) -> int:
     return idx
 
 
-def _convexity_rows(verts: np.ndarray) -> np.ndarray:
-    """Equality rows of "a convex combination of the vertices", on coordinates scaled to [0, 1].
-
-    Each coordinate x maps to (x - lo) / (hi - lo), lo and hi the least and
-    greatest vertex entry; the map is affine, so it keeps every convex
-    weight, and the LP's absolute tolerances become relative to the
-    spread of the values. The rows are every scaled coordinate but the
-    last, then the weight sum: all vertices permute the same values, so
-    their coordinates share one sum, and the last coordinate row follows
-    from the others and the weight-sum row.
-    """
-    lo, hi = verts.min(), verts.max()
-    scaled = (verts - lo) / (hi - lo if hi > lo else 1.0)
-    return np.vstack([scaled[:, :-1].T, np.ones(len(verts))])
-
-
-def segment_weight(v1, v2, vset: VertexSet, tol: float = 1e-9) -> float:
-    """Minimal total weight on {v1, v2} over convex representations of their midpoint.
-
-    One LP on A = _convexity_rows(vertices), with b = the pair's midpoint,
-    so the pair itself is a feasible basis to start from. NaN where the
-    LP ends otherwise than optimal, which rounding can cause when the
-    pair swaps two nearly equal values.
-    """
-    from .simplex import solve_lp
-
-    i1 = _find_vertex(vset, v1, tol)
-    i2 = _find_vertex(vset, v2, tol)
-    if i1 == i2:
-        raise NotAVertex("v1 and v2 are the same vertex")
-    A = _convexity_rows(vset.vertices)
-    c = np.zeros(A.shape[1])
-    c[[i1, i2]] = 1.0
-    _, _, weight = solve_lp(c, A, 0.5 * (A[:, i1] + A[:, i2]), tol=tol, basis=[i1, i2])
-    return float("nan") if weight is None else float(weight)
-
-
-def is_edge(v1, v2, vset: VertexSet, eps: float = 1e-9) -> bool:
-    """Brute-force edge test via linear feasibility.
-
-    (v1, v2) is an edge iff the midpoint admits no convex representation
-    placing weight below 1/2 on the pair; for these polytopes the minimal
-    weight is 1 on edges and drops to ~0 otherwise, so the threshold is
-    uncritical.
-    """
-    return segment_weight(v1, v2, vset, tol=eps) >= 0.5
-
-
 def _rank_codes(vset: VertexSet):
     """Vertices as value ranks (0 = largest distinct value) and the int64 code weights.
 
@@ -255,8 +203,8 @@ def _face_is_edge(below_u: np.ndarray, below_v: np.ndarray, sizes: np.ndarray) -
     F (the union of those B∖A) out: as c grows, A and B grow and every B
     lies in the next A, so the sets left form a chain, and the rank is
     |F| plus the number of distinct nonempty sets left. The masks are
-    int64 and d <= 62 (_rank_codes refuses more where there are pairs),
-    so bitwise_count counts them.
+    int64 and d <= 62 (_rank_codes and is_edge refuse more where there
+    are pairs), so bitwise_count counts them.
     """
     d = int(sizes.sum())
     cls = np.repeat(np.arange(len(sizes)), sizes)
@@ -273,6 +221,36 @@ def _face_is_edge(below_u: np.ndarray, below_v: np.ndarray, sizes: np.ndarray) -
     sets = np.sort(sets & ~free[:, None], axis=1)
     distinct = np.count_nonzero(sets[:, 1:] != sets[:, :-1], axis=1) + (sets[:, 0] != 0)
     return np.bitwise_count(free) + distinct == d - 1
+
+
+def is_edge(v1, v2, vset: VertexSet, eps: float = 1e-9, blocks=None) -> bool:
+    """Whether vertices v1 and v2 of vset span an edge, by the face test (_face_is_edge).
+
+    Each vector is found among the rows of vset within eps (NotAVertex
+    for a vector that is no row, or for one row given twice). Without
+    blocks the rows are arrangements of one spectrum. With blocks (the
+    conserved blocks of a product polytope, as `core.block_indices` gives
+    them, each row arranging each block's spectrum) the pair is an edge
+    exactly when it differs in one block and is an edge of that block's
+    polytope.
+    """
+    i1 = _find_vertex(vset, v1, eps)
+    i2 = _find_vertex(vset, v2, eps)
+    if i1 == i2:
+        raise NotAVertex("v1 and v2 are the same vertex")
+    pair = vset.vertices[[i1, i2]]
+    if blocks is None:
+        blocks = [np.arange(pair.shape[1])]
+    moved = [idx for idx in blocks if np.any(pair[0, idx] != pair[1, idx])]
+    if len(moved) != 1:
+        return False
+    pair = pair[:, moved[0]]
+    if pair.shape[1] > 62:
+        raise DimensionTooLarge(f"{pair.shape[1]} positions exceed the 62 bits of a face mask")
+    values = np.unique(pair[0])
+    ranks = len(values) - 1 - np.searchsorted(values, pair)
+    below = _below_masks(ranks, len(values))
+    return bool(_face_is_edge(below[:1], below[1:], np.bincount(ranks[0]))[0])
 
 
 def edge_pairs(vset: VertexSet, symmetry: bool = True) -> set:

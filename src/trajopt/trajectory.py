@@ -87,7 +87,6 @@ from .core import (
     COEFF_EPS,
     PreferredOrder,
     ProblemInstance,
-    _frozen,
     block_indices,
     block_of_input,
     check_alpha,
@@ -287,17 +286,20 @@ class OptimalTrajectory:
     def delta_alphas(self) -> np.ndarray:
         """(steps,) target raised by each step, replayed from initial_vertex.
 
-        The swaps run on list copies: Python floats round exactly as numpy
-        float64 scalars do, so the array depends on ks, ls, target_pref and
-        initial_vertex alone, for a build and a reloaded file alike.
+        The swaps run on list copies of the d entries: Python floats round
+        exactly as numpy float64 scalars do, so the array depends on ks, ls,
+        target_pref and initial_vertex alone, for a build and a reloaded
+        file alike. The steps are read, and the deltas written, through
+        memoryviews, so no per-step list is held.
         """
         a = self.target_pref.tolist()
         p = self.initial_vertex.tolist()
-        deltas = []
-        for k, l in zip(self.ks.tolist(), self.ls.tolist()):
-            deltas.append((a[k] - a[l]) * (p[l] - p[k]))
+        out = np.empty(len(self.ks))
+        deltas = memoryview(out)
+        for i, (k, l) in enumerate(zip(memoryview(self.ks), memoryview(self.ls))):
+            deltas[i] = (a[k] - a[l]) * (p[l] - p[k])
             p[k], p[l] = p[l], p[k]
-        return _frozen(deltas)
+        return _readonly(out)
 
     def vertex(self, i: int) -> np.ndarray:
         """Vertex i in preferred coordinates: initial_vertex after the first i steps.

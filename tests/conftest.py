@@ -3,7 +3,9 @@ import pytest
 from hypothesis import settings
 
 from trajopt.core import COEFF_EPS, ProblemInstance, validate
-from trajopt.polytope import av_swaps
+from trajopt.errors import NotAVertex
+from trajopt.polytope import _find_vertex, av_swaps
+from trajopt.simplex import solve_lp
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite's verdict does not depend on earlier runs.
@@ -25,6 +27,60 @@ def random_instance(rng, d, degenerate=False):
         a = rng.normal(size=d)
         e = rng.normal(size=d)
     return validate(ProblemInstance(eigenvalues=lam, target=a, cost=e))
+
+
+def _convexity_rows(verts: np.ndarray) -> np.ndarray:
+    """Equality rows of "a convex combination of the vertices", on coordinates scaled to [0, 1].
+
+    Each coordinate x maps to (x - lo) / (hi - lo), lo and hi the least and
+    greatest vertex entry; the map is affine, so it keeps every convex
+    weight, and the LP's absolute tolerances become relative to the
+    spread of the values. The rows are every scaled coordinate but the
+    last, then the weight sum: all vertices permute the same values, so
+    their coordinates share one sum, and the last coordinate row follows
+    from the others and the weight-sum row.
+    """
+    lo, hi = verts.min(), verts.max()
+    scaled = (verts - lo) / (hi - lo if hi > lo else 1.0)
+    return np.vstack([scaled[:, :-1].T, np.ones(len(verts))])
+
+
+def segment_weight(v1, v2, vset, tol: float = 1e-9) -> float:
+    """Minimal total weight on {v1, v2} over convex representations of their midpoint.
+
+    The LP edge formulation, the oracle of the `polytope.is_edge` tests: it
+    shares no code with the face test and takes any vertex set. One LP on
+    A = _convexity_rows(vertices), with b = the pair's midpoint, so the
+    pair itself is a feasible basis to start from. NaN where the LP ends
+    otherwise than optimal, which rounding can cause when the pair swaps
+    two nearly equal values.
+    """
+    i1 = _find_vertex(vset, v1, tol)
+    i2 = _find_vertex(vset, v2, tol)
+    if i1 == i2:
+        raise NotAVertex("v1 and v2 are the same vertex")
+    A = _convexity_rows(vset.vertices)
+    c = np.zeros(A.shape[1])
+    c[[i1, i2]] = 1.0
+    _, _, weight = solve_lp(c, A, 0.5 * (A[:, i1] + A[:, i2]), tol=tol, basis=[i1, i2])
+    return float("nan") if weight is None else float(weight)
+
+
+def lp_is_edge(v1, v2, vset, eps: float = 1e-9) -> bool:
+    """Edge test by linear feasibility (the reference for `polytope.is_edge`).
+
+    (v1, v2) is an edge iff the midpoint admits no convex representation
+    placing weight below 1/2 on the pair; for these polytopes the minimal
+    weight is 1 on edges and drops to ~0 otherwise, so the threshold is
+    uncritical.
+    """
+    return segment_weight(v1, v2, vset, tol=eps) >= 0.5
+
+
+def spread_out(lam) -> bool:
+    """Whether the distinct values of lam lie at least 1e-5 of their spread apart."""
+    values = np.unique(lam)
+    return bool(np.all(np.diff(values) >= 1e-5 * (values[-1] - values[0])))
 
 
 def random_degenerate_spectrum(rng, d):

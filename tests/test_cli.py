@@ -115,6 +115,31 @@ def test_cool_empty_energy_list_is_a_parse_error(capsys, flag, raw):
     assert err == f"error: {flag}: expected at least one number, got {raw!r}\n"
 
 
+def test_cool_refuses_system_populations_of_the_wrong_length(capsys):
+    code, out, err = run(capsys, "cool", "--system-energies", "0,1", "--system-populations", "0.5,0.3,0.2",
+                         "--machine-energies", "0,1", "--beta", "1")
+    assert (code, out, err) == (2, "", "error: 3 initial populations for 2 energies\n")
+
+
+def test_cool_at_a_negative_beta_favours_the_top_levels(capsys):
+    # exp(-beta * (E - E.min())) overflowed at beta = -710
+    code, out, err = run(capsys, "cool", "--system-energies", "0,1", "--machine-energies", "0,1", "--beta=-710")
+    assert code == 0 and err == ""
+    assert json.loads(out)["eigenvalues"][-1] == 1.0
+
+
+def test_cool_with_overflowing_energies_prints_no_numpy_warning(capsys):
+    # machine energies 2e308 apart: the upper level's weight vanishes and
+    # cool writes the instance; system and machine energies whose sum
+    # overflows: validate refuses the inf cost; numpy prints nothing
+    argv = ["cool", "--system-energies", "0,1", "--machine-energies=-1e308,1e308", "--beta", "1"]
+    proc = _child(*argv)
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "") and code == 0
+    proc = _child("cool", "--system-energies", "0,1e308", "--machine-energies", "0,1e308", "--beta", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: cost contains non-finite entries\n")
+
+
 def test_build_eval_roundtrip(tmp_path, capsys, instance_file):
     out_path = str(tmp_path / "traj.json")
     code, _, _ = run(capsys, "build", instance_file, out_path)

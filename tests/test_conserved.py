@@ -1,9 +1,18 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import assert_single_step_rule, random_instance, replayed_vertices, tie_instance
+from conftest import (
+    assert_single_step_rule,
+    lp_is_edge,
+    random_degenerate_spectrum,
+    random_instance,
+    replayed_vertices,
+    spread_out,
+    tie_instance,
+)
 from trajopt.conserved import (
     block_decompose,
     block_spectra,
@@ -16,9 +25,9 @@ from trajopt.conserved import (
     generalized_vertex_count,
 )
 from trajopt.cooling import SystemSpec, incoherent_instance
-from trajopt.core import ALPHA_TOL, ProblemInstance, validate
+from trajopt.core import ALPHA_TOL, ProblemInstance, block_indices, block_of_input, validate
 from trajopt.errors import NotAVertex, NotHermitian, NotUnitTrace
-from trajopt.polytope import av_swaps, is_edge
+from trajopt.polytope import VertexSet, av_swaps, is_edge
 from trajopt.trajectory import build, maximal_vertex, minimal_vertex, omega_opt, swap_candidates
 
 
@@ -216,12 +225,43 @@ def test_product_polytope_edges_match_block_swaps(rng):
                 w[[a, b]] = w[[b, a]]
                 j = int(np.nonzero(np.all(np.abs(verts - w) < 1e-15, axis=1))[0][0])
                 predicted.add((min(i, j), max(i, j)))
-    brute = set()
+    blocks = block_indices(block_of_input(inst), inst.dim)
+    brute, exact = set(), set()
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
-            if is_edge(verts[i], verts[j], _Wrap, 1e-9):
+            if lp_is_edge(verts[i], verts[j], _Wrap, 1e-9):
                 brute.add((i, j))
-    assert brute == predicted
+            if is_edge(verts[i], verts[j], _Wrap, 1e-9, blocks=blocks):
+                exact.add((i, j))
+    assert brute == exact == predicted
+
+
+def test_is_edge_with_blocks_is_the_lp_on_drawn_product_polytopes(rng):
+    # every vertex pair of two-block product polytopes, blocks of 2..4
+    # positions scattered over the instance, distinct or tied values no
+    # closer than 1e-5 of the spread: is_edge's per-block face test
+    # against the LP edge formulation on the product vertices
+    pairs = 0
+    for k in range(12):
+        n1, n2 = 2 + k % 2, 2 + k % 3
+        while True:
+            lam = np.concatenate([random_degenerate_spectrum(rng, n1), random_degenerate_spectrum(rng, n2)])
+            if spread_out(lam):
+                break
+        conserved = rng.permutation(np.repeat([0.0, 1.0], [n1, n2]))
+        inst = validate(
+            ProblemInstance(
+                eigenvalues=lam / 2, target=rng.normal(size=n1 + n2), cost=rng.normal(size=n1 + n2),
+                conserved=conserved,
+            )
+        )
+        verts = enumerate_generalized_vertices(inst)
+        vs = VertexSet(vertices=verts, eigenvalues=inst.eigenvalues)
+        blocks = block_indices(block_of_input(inst), inst.dim)
+        for u, v in itertools.combinations(verts, 2):
+            assert is_edge(u, v, vs, blocks=blocks) == lp_is_edge(u, v, vs), (u.tolist(), v.tolist())
+            pairs += 1
+    assert pairs > 300
 
 
 def test_product_thermal_state_already_block_diagonal():

@@ -17,7 +17,7 @@ from trajopt.cooling import (
     subspace_passive,
     thermal_populations,
 )
-from trajopt.errors import AlphaOutOfRange, DimensionOverflow, WrongInstanceKind
+from trajopt.errors import AlphaOutOfRange, DimensionMismatch, DimensionOverflow, WrongInstanceKind
 from trajopt.trajectory import build, omega_opt, swap_candidates
 
 MACHINE = (0.0, 0.1, 0.4, 1.1)
@@ -41,6 +41,34 @@ def test_thermal_populations():
     assert np.allclose(tau, ref / ref.sum(), atol=1e-15)
     # monotone non-increasing in energy for beta > 0
     assert np.all(np.diff(tau) < 0)
+
+
+@pytest.mark.parametrize("beta", [710.0, 1e6, math.inf])
+def test_negative_beta_weights_mirror_positive_beta(beta):
+    # a negative beta favours the top level as a positive one the ground:
+    # the weights at -beta on E are those at beta on -E, bit for bit, and
+    # none overflows (the shift by the lowest energy made exp(710) inf)
+    energies = np.array([0.0, 0.4, 1.0, 1.0 + 1e-13])
+    tau = thermal_populations(energies, -beta)
+    assert tau.tobytes() == thermal_populations(-energies, beta).tobytes()
+    assert np.all(np.isfinite(tau)) and tau.sum() == pytest.approx(1.0, abs=1e-15)
+    if math.isinf(beta):
+        assert tau.tolist() == [0.0, 0.0, 0.5, 0.5]
+    cool = coherent_instance(SystemSpec(energies=(0.0, 1.0)), SystemSpec(energies=energies), -beta)
+    assert np.array_equal(cool.problem.eigenvalues, np.kron(thermal_populations([0.0, 1.0], -beta), tau))
+
+
+@pytest.mark.parametrize("kind", ["coherent", "incoherent"])
+def test_system_populations_of_the_wrong_length_are_refused(kind):
+    # one population per system energy; a third population was taken and
+    # failed later in validate, naming the joint dimension only
+    with pytest.raises(DimensionMismatch, match="^3 initial populations for 2 energies$"):
+        system = SystemSpec(energies=(0.0, 1.0), initial_populations=(0.5, 0.3, 0.2))
+        machine = SystemSpec(energies=(0.0, 1.0))
+        if kind == "coherent":
+            coherent_instance(system, machine, beta=1.0)
+        else:
+            incoherent_instance(system, machine, SystemSpec(energies=(0.0, 1.0)), 1.0, 0.0)
 
 
 def test_coherent_instance_working_example():

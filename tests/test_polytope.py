@@ -142,6 +142,55 @@ def test_is_edge_examples():
     assert is_edge([0.7, 0.3], [0.3, 0.7], vs2)
     with pytest.raises(NotAVertex):
         is_edge([0.6, 0.4], [0.3, 0.7], vs2)
+    with pytest.raises(NotAVertex):
+        is_edge([0.7, 0.3], [0.7, 0.3], vs2)
+
+
+def test_is_edge_refuses_more_positions_than_a_face_mask_holds():
+    # the face masks are int64 bit sets, one bit per position, 62 at most
+    lam = np.linspace(1.0, 2.0, 63)
+    vs = polytope.VertexSet(vertices=np.vstack([lam, lam[::-1]]), eigenvalues=lam)
+    with pytest.raises(DimensionTooLarge):
+        is_edge(vs.vertices[0], vs.vertices[1], vs)
+
+
+def test_is_edge_is_the_lp_on_every_pair_of_drawn_spectra(rng):
+    # the face test against the LP edge formulation (conftest.lp_is_edge),
+    # which shares no code with it, on every vertex pair of spectra at
+    # d=3..5: distinct values at d=3 and 4, tied ones at every d, no two
+    # distinct values closer than 1e-5 of the spread
+    from conftest import lp_is_edge, random_degenerate_spectrum, spread_out
+
+    pairs = 0
+    for k in range(12):
+        d = 3 + k % 3
+        while True:
+            if k % 2 and d < 5:
+                lam = rng.dirichlet(np.ones(d))
+            else:
+                lam = random_degenerate_spectrum(rng, d)
+                if len(np.unique(lam)) == d:
+                    continue
+            if spread_out(lam):
+                break
+        vs = enumerate_vertices(lam)
+        for u, v in itertools.combinations(vs.vertices, 2):
+            assert is_edge(u, v, vs) == lp_is_edge(u, v, vs), (lam.tolist(), u.tolist(), v.tolist())
+            pairs += 1
+    assert pairs > 1000
+
+
+@pytest.mark.parametrize("g", [1e-7, 1e-8, 1e-9, 1e-10])
+def test_is_edge_is_edge_pairs_at_near_ties(g):
+    # λ ∝ [0.5, 0.25, 0.25 - g, g]: the LP edge formulation misjudged 4, 5
+    # and 24 of the 276 pairs at g = 1e-8, 1e-9 and 1e-10 (none at 1e-7);
+    # is_edge decides on value ranks, so it agrees with edge_pairs on
+    # every pair at every g
+    vs = enumerate_vertices(np.array([0.5, 0.25, 0.25 - g, g]))
+    edges = edge_pairs(vs)
+    assert edges == av_swap_pairs(vs)
+    for (i, u), (j, v) in itertools.combinations(enumerate(vs.vertices), 2):
+        assert is_edge(u, v, vs) == ((i, j) in edges), (i, j)
 
 
 def _av_swap_pairs_by_vertex(vs, eps):
@@ -312,10 +361,12 @@ def test_edge_pairs_at_a_tie():
 def test_segment_weight_separates_edges_from_other_pairs():
     # an edge's midpoint has no representation off the pair (weight 1);
     # any other pair's midpoint has one with no weight on the pair
+    from conftest import segment_weight
+
     vs = enumerate_vertices([0.4, 0.3, 0.2, 0.1])
     edges = av_swap_pairs(vs)
     for i, j in itertools.combinations(range(vs.count), 2):
-        weight = polytope.segment_weight(vs.vertices[i], vs.vertices[j], vs)
+        weight = segment_weight(vs.vertices[i], vs.vertices[j], vs)
         assert weight == pytest.approx(1.0 if (i, j) in edges else 0.0, abs=1e-9)
 
 

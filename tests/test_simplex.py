@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trajopt import simplex
 from trajopt.simplex import LPStatus, solve_lp
 
 
@@ -262,3 +266,28 @@ def test_every_row_redundant_and_unbounded():
     # tableau reference raises ValueError from an empty ratio test here
     status, x, value = solve_lp(np.array([-1.0, 0.0]), np.zeros((2, 2)), np.zeros(2))
     assert (status, x, value) == (LPStatus.UNBOUNDED, None, None)
+
+
+def _imports(tree):
+    """The dotted names an ast imports: each module, and module.name for each name taken from one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+
+
+def test_no_package_module_imports_the_lp():
+    # the LP is the oracle of the tests (conftest.segment_weight): the
+    # package decides edges by the face test, and trajopt.simplex is left
+    # for the benchmark's tracer to import, not for any package module
+    package = Path(simplex.__file__).parent
+    importers = [
+        path.name
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "simplex.py"
+        and any("simplex" in name.split(".") for name in _imports(ast.parse(path.read_text(), str(path))))
+    ]
+    assert importers == []
+

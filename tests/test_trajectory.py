@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -562,6 +563,26 @@ def test_trajectory_memory_is_linear_in_steps_and_dim(rng):
         assert _array_bytes(traj) <= 64 * (len(traj.steps) + d)
         for name in ("initial_vertex", "ks", "ls", "gradients", "delta_alphas", "alphas", "omegas"):
             assert not getattr(traj, name).flags.writeable, name
+
+
+def test_delta_alphas_are_the_float64_replay_held_in_one_array(rng):
+    # the first read of delta_alphas replays every swap; it holds its
+    # output array and the d entries, no Python object per step (the
+    # list replay held about 50 bytes per step), and each entry is the
+    # float64 expression on the replayed vertex, bit for bit
+    traj = build(random_instance(rng, 300))
+    steps = len(traj.ks)
+    tracemalloc.start()
+    try:
+        traj.delta_alphas
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * steps + 100_000, f"{peak} B held to replay {steps} steps"
+    for traj in _built_mix(rng, 9):
+        a = traj.target_pref
+        want = [(a[k] - a[l]) * (v[l] - v[k]) for k, l, v in zip(traj.ks, traj.ls, replayed_vertices(traj))]
+        assert traj.delta_alphas.tobytes() == np.array(want, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("conserved", [None, [0.0, 0.0, 1.0, 1.0]], ids=["flat", "two-block"])
