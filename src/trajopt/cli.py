@@ -15,12 +15,13 @@ it runs them.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
 
 from . import fileio
-from .core import DEFAULT_MAX_ENUM_DIM, cost_value, validate
+from .core import DEFAULT_MAX_ENUM_DIM, block_indices, block_of_input, cost_value, validate
 from .errors import AlphaOutOfRange, DimensionTooLarge, NonFiniteValue, ParseError, TrajoptError
 
 EXIT_OK = 0
@@ -36,10 +37,9 @@ def _max_enum_dim() -> int:
     raw = os.environ.get(ENUM_DIM_ENV)
     if raw is None:
         return DEFAULT_MAX_ENUM_DIM
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{ENUM_DIM_ENV} must be an integer, got {raw!r}")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ParseError(f"{ENUM_DIM_ENV} must be a whole number of at least 1, got {raw!r}")
+    return int(raw)
 
 
 def _load(path: str, args):
@@ -115,48 +115,43 @@ def _verify_checks(inst, args):
 
     from . import conserved, oracle, polytope, trajectory
 
-    traj = trajectory.build(inst)
     cap = _max_enum_dim()
+    traj = trajectory.build(inst)
     rng = np.random.default_rng(args.seed)
 
     grads = traj.gradients.tolist()
     convex = all(b - a >= -1e-12 for a, b in zip(grads[:-1], grads[1:]))
     yield "gradient-monotone", convex, f"{len(grads)} steps"
 
-    vertices = None
-    proj = None
-    skip_reason = f"skipped (dim {inst.dim} > cap {cap})"
-    if inst.conserved is None and inst.dim <= cap:
-        vertices = polytope.enumerate_vertices(
-            inst.eigenvalues, eps=inst.eps_pop, max_dim=cap
-        )
-        proj = oracle.induced_polygon(vertices, inst.target, inst.cost)
-    elif inst.conserved is not None:
-        try:
-            gverts = conserved.enumerate_generalized_vertices(inst, max_block_dim=cap)
-            proj = oracle.induced_polygon(gverts, inst.target, inst.cost)
-        except DimensionTooLarge as exc:
-            skip_reason = f"skipped ({exc})"
-    if proj is None:
-        yield "envelope-equivalence", None, skip_reason
+    try:
+        vertices = conserved.enumerate_generalized_vertices(inst, max_block_dim=cap)
+    except DimensionTooLarge as exc:
+        yield "envelope-equivalence", None, f"skipped ({exc})"
     else:
-        worst = 0.0
-        for alpha in rng.uniform(traj.alpha_min, traj.alpha_max, 50):
-            diff = abs(
-                trajectory.omega_opt(traj, float(alpha))
-                - oracle.envelope_min_cost(proj, float(alpha))
-            )
-            worst = max(worst, diff)
+        proj = oracle.induced_polygon(vertices, inst.target, inst.cost)
+        worst = max(
+            abs(trajectory.omega_opt(traj, alpha) - oracle.envelope_min_cost(proj, alpha))
+            for alpha in rng.uniform(traj.alpha_min, traj.alpha_max, 50).tolist()
+        )
         yield "envelope-equivalence", worst <= 1e-9, f"max |diff| = {worst:.3e}"
 
-    if vertices is None or inst.dim > 5:
-        yield "edge-structure", None, "skipped (needs flat instance with dim <= 5)"
+    # the polytope is the product of the blocks' polytopes, and a pair of
+    # its vertices is an edge when it is an edge of one block's polytope
+    # and equal in every other block (see polytope.is_edge)
+    blocks = block_indices(block_of_input(inst), inst.dim)
+    largest, edge_cap = max(map(len, blocks)), min(5, cap)
+    if largest > edge_cap:
+        yield "edge-structure", None, f"skipped (block dim {largest} > {edge_cap})"
     else:
-        predicted = polytope.av_swap_pairs(vertices, eps=inst.eps_pop)
-        brute = polytope.edge_pairs(vertices)
-        yield "edge-structure", predicted == brute, (
-            f"{len(brute)} edges, {len(predicted)} predicted"
-        )
+        same, brute, predicted = True, 0, 0
+        for idx in blocks:
+            vset = polytope.enumerate_vertices(inst.eigenvalues[idx], eps=inst.eps_pop)
+            block_predicted = polytope.av_swap_pairs(vset, eps=inst.eps_pop)
+            block_brute = polytope.edge_pairs(vset)
+            same = same and block_predicted == block_brute
+            brute += len(block_brute)
+            predicted += len(block_predicted)
+        yield "edge-structure", same, f"{brute} edges, {predicted} predicted"
 
     report = oracle.monte_carlo_audit(inst, traj, n_samples=args.samples, seed=args.seed)
     yield "monte-carlo-audit", report.passed, (
@@ -204,6 +199,8 @@ def _float_list(raw: str, field: str) -> list[float]:
         raise ParseError(f"{field}: expected comma-separated numbers, got {raw!r}")
     if not values:
         raise ParseError(f"{field}: expected at least one number, got {raw!r}")
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"{field}: expected finite numbers, got {raw!r}")
     return values
 
 
@@ -219,6 +216,10 @@ def cmd_cool(args) -> int:
             raise ParseError("--system-energies and --machine-energies are required")
         if args.beta is None:
             raise ParseError("--beta is required")
+        # inf and -inf are thermal_populations' ground-only and top-only limits
+        for flag, beta in (("--beta", args.beta), ("--beta-bath", args.beta_bath)):
+            if beta is not None and math.isnan(beta):
+                raise ParseError(f"{flag}: expected a number, got nan")
         system = cooling.SystemSpec(
             energies=_float_list(args.system_energies, "--system-energies"),
             initial_populations=(

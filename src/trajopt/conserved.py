@@ -12,6 +12,7 @@ product polytope's vertices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -162,34 +163,34 @@ def generalized_vertex_count(
     total = 1
     for idx in block_indices(block_of_input(inst), inst.dim):
         if len(idx) > max_block_dim:
-            raise DimensionTooLarge(
-                f"block dim {len(idx)} exceeds cap {max_block_dim}"
-            )
+            raise DimensionTooLarge(f"dim {len(idx)} > cap {max_block_dim}")
         total *= vertex_count(inst.eigenvalues[idx], eps)
     return total
 
 
 def enumerate_generalized_vertices(
-    inst: ProblemInstance,
-    eps: float | None = None,
-    max_block_dim: int = DEFAULT_MAX_ENUM_DIM,
-    max_count: int = 200_000,
+    inst: ProblemInstance, eps: float | None = None, max_block_dim: int = DEFAULT_MAX_ENUM_DIM
 ) -> np.ndarray:
-    """All vertices of the product polytope, input basis, one per row."""
+    """All vertices of the product polytope, input basis, one per row.
+
+    Each block holds at most max_block_dim positions, and the product at
+    most max_block_dim! vertices, as many as one block at the cap. One
+    block (a flat instance) is `polytope.enumerate_vertices`' own rows.
+    """
     from .polytope import enumerate_vertices
 
     eps = inst.eps_pop if eps is None else eps
     count = generalized_vertex_count(inst, eps, max_block_dim)
-    if count > max_count:
-        raise DimensionTooLarge(f"{count} product vertices exceed cap {max_count}")
+    bound = math.factorial(max_block_dim)
+    if count > bound:
+        raise DimensionTooLarge(f"{count} product vertices exceed {max_block_dim}! = {bound}")
+    blocks = block_indices(block_of_input(inst), inst.dim)
+    if len(blocks) == 1:
+        return enumerate_vertices(inst.eigenvalues, eps, max_dim=max_block_dim).vertices
     out = np.empty((count, inst.dim))
     reps = count
-    for idx in block_indices(block_of_input(inst), inst.dim):
+    for idx in blocks:
         verts = enumerate_vertices(inst.eigenvalues[idx], eps, max_dim=max_block_dim).vertices
-        n = len(verts)
-        reps //= n
-        tile = count // (n * reps)
-        pattern = np.repeat(np.arange(n), reps)
-        pattern = np.tile(pattern, tile)
-        out[:, idx] = verts[pattern]
+        reps //= len(verts)
+        out[:, idx] = np.tile(np.repeat(verts, reps, axis=0), (count // (len(verts) * reps), 1))
     return out

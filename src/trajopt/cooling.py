@@ -110,9 +110,7 @@ def _ground_projector(energies: np.ndarray) -> np.ndarray:
     return (np.abs(energies - energies.min()) <= 1e-12).astype(float)
 
 
-def coherent_instance(
-    system: SystemSpec, machine: SystemSpec, beta: float, max_dim: int = BUILD_DIM_CAP
-) -> CoolingInstance:
+def coherent_instance(system: SystemSpec, machine: SystemSpec, beta: float) -> CoolingInstance:
     """System plus machine under arbitrary joint unitaries.
 
     The machine starts thermal at beta; the system uses its stated
@@ -120,8 +118,8 @@ def coherent_instance(
     ground-subspace population; cost is the joint energy.
     """
     d = system.dim * machine.dim
-    if d > max_dim:
-        raise DimensionOverflow(f"joint dim {d} exceeds cap {max_dim}")
+    if d > BUILD_DIM_CAP:
+        raise DimensionOverflow(f"joint dim {d} exceeds cap {BUILD_DIM_CAP}")
     # energies that overflow float64 give weights that vanish or inf entries that validate refuses
     with np.errstate(over="ignore", invalid="ignore"):
         p_s = system.populations(beta)
@@ -146,7 +144,6 @@ def incoherent_instance(
     bath: SystemSpec,
     beta_machine: float,
     beta_bath: float,
-    max_dim: int = BUILD_DIM_CAP,
 ) -> CoolingInstance:
     """System, machine and bath under total-energy-conserving unitaries.
 
@@ -155,8 +152,8 @@ def incoherent_instance(
     is the total energy, so swaps act inside degenerate energy shells.
     """
     d = system.dim * machine.dim * bath.dim
-    if d > max_dim:
-        raise DimensionOverflow(f"joint dim {d} exceeds cap {max_dim}")
+    if d > BUILD_DIM_CAP:
+        raise DimensionOverflow(f"joint dim {d} exceeds cap {BUILD_DIM_CAP}")
     with np.errstate(over="ignore", invalid="ignore"):  # as in coherent_instance
         p_s = system.populations(beta_machine)
         tau_m = thermal_populations(machine.energies, beta_machine)

@@ -81,13 +81,13 @@ def format_float(x) -> str:
     return format(x, ".17g")
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
+def dumps_canonical(obj) -> str:
     """Serialize dicts/lists/scalars to JSON with deterministic formatting.
 
     Dict order is insertion order; scalar lists stay on one line. The text
     is the join of `_pieces`, the pieces `write_canonical` writes.
     """
-    return "".join(_pieces(obj, indent))
+    return "".join(_pieces(obj, 0))
 
 
 def write_canonical(target, obj) -> None:

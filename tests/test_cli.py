@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import trajopt
-from trajopt import fileio
+from trajopt import fileio, polytope
 from trajopt.cli import main
-from trajopt.core import validate
+from trajopt.core import block_indices, block_of_input, validate
 from trajopt.trajectory import build
 
 GENERIC = Path(__file__).resolve().parent / "golden" / "generic" / "instance.json"
@@ -113,6 +113,36 @@ def test_cool_empty_energy_list_is_a_parse_error(capsys, flag, raw):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {flag}: expected at least one number, got {raw!r}\n"
+
+
+@pytest.mark.parametrize("flag, raw, message", [
+    ("--beta", "nan", "expected a number, got nan"),
+    ("--beta-bath", "nan", "expected a number, got nan"),
+    ("--system-energies", "0,nan", "expected finite numbers, got '0,nan'"),
+    ("--system-populations", "nan,1", "expected finite numbers, got 'nan,1'"),
+    ("--machine-energies", "0,inf", "expected finite numbers, got '0,inf'"),
+    ("--bath-energies", "-inf,0", "expected finite numbers, got '-inf,0'"),
+])
+def test_cool_names_the_flag_of_a_non_finite_number(capsys, flag, raw, message):
+    # each used to be refused by validate, by the name of the assembled
+    # field ("eigenvalues contains non-finite entries")
+    flags = {"--system-energies": "0,1", "--machine-energies": "0,1", "--beta": "1"}
+    if flag in ("--bath-energies", "--beta-bath"):
+        flags.update({"--bath-energies": "0,1", "--beta-bath": "1"})
+    flags[flag] = raw
+    code, out, err = run(capsys, "cool", *(f"{k}={v}" for k, v in flags.items()))
+    assert (code, out, err) == (2, "", f"error: {flag}: {message}\n")
+
+
+@pytest.mark.parametrize("beta, eigenvalues", [("inf", [1, 0, 0, 0]), ("-inf", [0, 0, 0, 1])])
+def test_cool_takes_an_infinite_beta(capsys, beta, eigenvalues):
+    # thermal_populations' ground-only and top-only limits
+    code, out, err = run(capsys, "cool", "--system-energies", "0,1", "--machine-energies", "0,1", f"--beta={beta}")
+    assert code == 0 and err == ""
+    assert json.loads(out)["eigenvalues"] == eigenvalues
+    code, out, err = run(capsys, "cool", "--system-energies", "0,1", "--machine-energies", "0,1",
+                         "--bath-energies", "0,1", f"--beta={beta}", f"--beta-bath={beta}")
+    assert code == 0 and err == ""
 
 
 def test_cool_refuses_system_populations_of_the_wrong_length(capsys):
@@ -335,6 +365,60 @@ def test_verify_conserved_instance(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_checks_the_edges_of_each_conserved_block(capsys, incoherent_file, monkeypatch):
+    # blocks of 1, 3, 4, 3 and 1 positions: each block's own edges are its
+    # adjacent-value swaps, and the line sums the blocks' counts
+    assert sorted(map(len, block_indices(block_of_input(fileio.load_instance(incoherent_file)), 12))) == [1, 1, 3, 3, 4]
+    code, out, _ = run(capsys, "verify", incoherent_file, "--samples", "200")
+    assert code == 0
+    assert "PASS  edge-structure: 18 edges, 18 predicted\n" in out
+    swaps = polytope.av_swap_pairs
+    dropped = []
+
+    def one_pair_short(vset, eps):
+        pairs = swaps(vset, eps=eps)
+        if pairs and not dropped:
+            dropped.append(min(pairs))
+            pairs.discard(dropped[0])
+        return pairs
+
+    monkeypatch.setattr(polytope, "av_swap_pairs", one_pair_short)
+    code, out, _ = run(capsys, "verify", incoherent_file, "--samples", "200")
+    assert code == 4 and len(dropped) == 1
+    assert "FAIL  edge-structure: 18 edges, 17 predicted\n" in out and out.endswith("FAIL: edge-structure\n")
+
+
+def _drawn_instance(d):
+    rng = np.random.default_rng(d)
+    return {
+        "eigenvalues": rng.dirichlet(np.ones(d)).tolist(),
+        "target": rng.normal(size=d).tolist(),
+        "cost": rng.normal(size=d).tolist(),
+    }
+
+
+FLAT_GOLDEN = sorted(name for name, path in ((p.name, p / "instance.json") for p in GENERIC.parent.parent.iterdir())
+                     if path.exists() and "conserved" not in json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("source", FLAT_GOLDEN + [f"drawn-d{d}" for d in range(2, 10)])
+def test_verify_reports_the_same_with_a_constant_conserved_vector(tmp_path, capsys, source):
+    # one block is the flat polytope, and verify has one path for both; at
+    # d=9 a conserved instance used to skip the envelope check (362 880
+    # product vertices over a cap of 200 000) and every conserved
+    # instance the edge check
+    if source.startswith("drawn-d"):
+        doc = _drawn_instance(int(source[len("drawn-d"):]))
+    else:
+        doc = json.loads((GENERIC.parent.parent / source / "instance.json").read_text())
+    flat, one_block = tmp_path / "flat.json", tmp_path / "one_block.json"
+    flat.write_text(json.dumps(doc))
+    one_block.write_text(json.dumps(dict(doc, conserved=[1.5] * len(doc["eigenvalues"]))))
+    code, out, _ = run(capsys, "verify", str(flat), "--samples", "200")
+    assert code == 0 and out.endswith("OK\n")
+    assert run(capsys, "verify", str(one_block), "--samples", "200") == (code, out, "")
+
+
 def test_verify_large_flat_instance_skips_enumeration_runs_audit(tmp_path, capsys):
     rng = np.random.default_rng(5)
     lam = rng.dirichlet(np.ones(12))
@@ -356,6 +440,14 @@ def test_enum_cap_env_var(tmp_path, capsys, instance_file, monkeypatch):
     code, out, _ = run(capsys, "verify", instance_file, "--samples", "100")
     assert code == 0
     assert "skipped" in out and "envelope-equivalence" in out
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "x"])
+def test_enum_cap_below_one_is_a_parse_error(capsys, instance_file, monkeypatch, raw):
+    # a cap below 1 skipped every enumerated check and exited 0
+    monkeypatch.setenv("TRAJOPT_MAX_ENUM_DIM", raw)
+    code, out, err = run(capsys, "verify", instance_file, "--samples", "100")
+    assert (code, out, err) == (2, "", f"error: TRAJOPT_MAX_ENUM_DIM must be a whole number of at least 1, got {raw!r}\n")
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -502,15 +594,20 @@ def test_cli_import_loads_only_the_shared_modules():
         (["cool", "--demo", "working-example"], {"cooling"}),
         (["cool", "--demo", "incoherent"], {"cooling"}),
         (["verify", str(FLAT_D5), "--samples", "50"], {"trajectory", "conserved", "oracle", "polytope"}),
+        (["verify", "{incoherent}", "--samples", "50"], {"trajectory", "conserved", "oracle", "polytope"}),
     ],
-    ids=["build-generic", "build-cooling", "build-conserved", "eval", "lift", "cool", "cool-incoherent", "verify"],
+    ids=[
+        "build-generic", "build-cooling", "build-conserved", "eval", "lift", "cool", "cool-incoherent", "verify",
+        "verify-conserved",
+    ],
 )
 def test_subcommand_loads_only_the_modules_it_runs(tmp_path, instance_file, incoherent_file, argv, extra):
     # {inst} is a cooling instance: it has initial populations, so validate
     # checks majorization; {incoherent} has a conserved vector, which
     # `trajectory.build` reads itself, so its build loads no `conserved`, and
     # an incoherent cooling instance is a plain validated instance; `verify`
-    # runs the edge-structure check on FLAT_D5 (flat, d=5), which solves no LP
+    # runs the edge-structure check on FLAT_D5 (flat, d=5) and on each block
+    # of {incoherent}, one path for both, which solves no LP
     argv = [a.format(inst=instance_file, incoherent=incoherent_file, tmp=tmp_path) for a in argv]
     proc = _child(*argv, code=_RUN_AND_LIST)
     assert proc.returncode == 0, proc.stderr

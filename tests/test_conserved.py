@@ -26,7 +26,7 @@ from trajopt.conserved import (
 )
 from trajopt.cooling import SystemSpec, incoherent_instance
 from trajopt.core import ALPHA_TOL, ProblemInstance, block_indices, block_of_input, validate
-from trajopt.errors import NotAVertex, NotHermitian, NotUnitTrace
+from trajopt.errors import DimensionTooLarge, NotAVertex, NotHermitian, NotUnitTrace
 from trajopt.polytope import VertexSet, av_swaps, is_edge
 from trajopt.trajectory import build, maximal_vertex, minimal_vertex, omega_opt, swap_candidates
 
@@ -291,6 +291,41 @@ def test_flat_instance_enumerates_as_one_block(rng):
         assert {v.tobytes() for v in verts} == {v.tobytes() for v in flat}
     with pytest.raises(ValueError, match="no conserved vector"):
         from_populations(inst)
+
+
+def test_one_block_enumerates_the_block_rows_themselves(rng):
+    # a flat instance and a constant conserved vector are one block: the
+    # product is enumerate_vertices' own rows, bit for bit, not an
+    # assembled copy of them (those rows are read-only)
+    from trajopt.polytope import enumerate_vertices
+
+    for i in range(8):
+        flat = random_instance(rng, int(rng.integers(1, 8)), degenerate=(i % 2 == 0))
+        rows = enumerate_vertices(flat.eigenvalues, eps=flat.eps_pop).vertices
+        for inst in (flat, validate(replace(flat, conserved=np.full(flat.dim, 0.5)))):
+            verts = enumerate_generalized_vertices(inst)
+            assert verts.shape == rows.shape and verts.tobytes() == rows.tobytes()
+            assert not verts.flags.writeable
+
+
+def test_product_above_the_cap_factorial_is_refused():
+    # two blocks of four distinct values: 24 * 24 = 576 vertices, more than
+    # one block at a cap of 4 or 5 has; at a cap of 6 (720) they enumerate
+    inst = validate(
+        ProblemInstance(
+            eigenvalues=np.array([0.25, 0.15, 0.1, 0.05, 0.2, 0.12, 0.08, 0.05]),
+            target=np.arange(8.0),
+            cost=np.zeros(8),
+            conserved=np.repeat([0.0, 1.0], 4),
+        )
+    )
+    with pytest.raises(DimensionTooLarge, match=r"^576 product vertices exceed 4! = 24$"):
+        enumerate_generalized_vertices(inst, max_block_dim=4)
+    with pytest.raises(DimensionTooLarge, match=r"^576 product vertices exceed 5! = 120$"):
+        enumerate_generalized_vertices(inst, max_block_dim=5)
+    assert enumerate_generalized_vertices(inst, max_block_dim=6).shape == (576, 8)
+    with pytest.raises(DimensionTooLarge, match=r"^dim 4 > cap 3$"):
+        enumerate_generalized_vertices(inst, max_block_dim=3)
 
 
 def test_generalized_vertex_count_small_blocks(rng):

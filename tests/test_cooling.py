@@ -91,7 +91,6 @@ def test_dimension_cap():
             SystemSpec(energies=np.arange(100.0)),
             SystemSpec(energies=np.arange(100.0)),
             beta=1.0,
-            max_dim=1000,
         )
 
 

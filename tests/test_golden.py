@@ -25,8 +25,9 @@ def run(capsys, *argv) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_instance_verifies(name, capsys):
-    # every oracle check passes or is skipped on the corpus; at d=5,
-    # negative-zero-gradient runs the LP edge test
+    # every oracle check passes or is skipped on the corpus; the edge test
+    # (the face test on Rado's inequalities) runs on negative-zero-gradient
+    # (flat, d=5) and on each block of conserved and incoherent
     code = main(["verify", str(GOLDEN / name / "instance.json"), "--samples", "500"])
     out = capsys.readouterr().out
     assert code == 0 and "FAIL" not in out, out
