@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     "polytope": ("AvSwap", "VertexSet", "av_swaps", "enumerate_vertices", "is_edge"),
     "trajectory": (
-        "MinimalCostFunction", "MinimumUniqueness", "OptimalTrajectory", "SwapStep", "build",
-        "entry_point", "maximal_vertex", "minimal_vertex", "next_step", "omega_opt", "state_at",
+        "MinimumUniqueness", "OptimalTrajectory", "SwapStep", "build", "entry_point",
+        "maximal_vertex", "minimal_vertex", "next_step", "omega_opt", "state_at",
         "swap_candidates", "uniqueness_at_minimum",
     ),
     "lift": (

@@ -153,38 +153,45 @@ def build_generalized(inst: ProblemInstance) -> OptimalTrajectory:
         return _build(_prepare(inst))
 
 
-def generalized_vertex_count(
-    inst: ProblemInstance, eps: float | None = None, max_block_dim: int = DEFAULT_MAX_ENUM_DIM
-) -> int:
+def _blocks_within(inst: ProblemInstance, max_block_dim: int) -> list[np.ndarray]:
+    """The positions of each block; DimensionTooLarge names the first with more than max_block_dim."""
+    blocks = block_indices(block_of_input(inst), inst.dim)
+    for idx in blocks:
+        if len(idx) > max_block_dim:
+            raise DimensionTooLarge(f"dim {len(idx)} > cap {max_block_dim}")
+    return blocks
+
+
+def generalized_vertex_count(inst: ProblemInstance, max_block_dim: int = DEFAULT_MAX_ENUM_DIM) -> int:
     """Product over blocks of the distinct-permutation counts (one block if flat)."""
     from .polytope import vertex_count
 
-    eps = inst.eps_pop if eps is None else eps
-    total = 1
-    for idx in block_indices(block_of_input(inst), inst.dim):
-        if len(idx) > max_block_dim:
-            raise DimensionTooLarge(f"dim {len(idx)} > cap {max_block_dim}")
-        total *= vertex_count(inst.eigenvalues[idx], eps)
-    return total
+    blocks = _blocks_within(inst, max_block_dim)
+    return math.prod(vertex_count(inst.eigenvalues[idx], inst.eps_pop) for idx in blocks)
 
 
 def enumerate_generalized_vertices(
-    inst: ProblemInstance, eps: float | None = None, max_block_dim: int = DEFAULT_MAX_ENUM_DIM
+    inst: ProblemInstance, max_block_dim: int = DEFAULT_MAX_ENUM_DIM
 ) -> np.ndarray:
     """All vertices of the product polytope, input basis, one per row.
 
     Each block holds at most max_block_dim positions, and the product at
-    most max_block_dim! vertices, as many as one block at the cap. One
-    block (a flat instance) is `polytope.enumerate_vertices`' own rows.
+    most max_block_dim! vertices, as many as one block at the cap. The
+    product is multiplied out only until it passes that bound, so the
+    refusal names a lower bound of at most (max_block_dim!)**2 whatever
+    the number of blocks. One block (a flat instance) is
+    `polytope.enumerate_vertices`' own rows.
     """
-    from .polytope import enumerate_vertices
+    from .polytope import enumerate_vertices, vertex_count
 
-    eps = inst.eps_pop if eps is None else eps
-    count = generalized_vertex_count(inst, eps, max_block_dim)
+    eps = inst.eps_pop
+    blocks = _blocks_within(inst, max_block_dim)
     bound = math.factorial(max_block_dim)
-    if count > bound:
-        raise DimensionTooLarge(f"{count} product vertices exceed {max_block_dim}! = {bound}")
-    blocks = block_indices(block_of_input(inst), inst.dim)
+    count = 1
+    for idx in blocks:
+        count *= vertex_count(inst.eigenvalues[idx], eps)
+        if count > bound:
+            raise DimensionTooLarge(f"at least {count} product vertices exceed {max_block_dim}! = {bound}")
     if len(blocks) == 1:
         return enumerate_vertices(inst.eigenvalues, eps, max_dim=max_block_dim).vertices
     out = np.empty((count, inst.dim))

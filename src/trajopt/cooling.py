@@ -218,8 +218,11 @@ def free_energy_bound(cool: CoolingInstance, alpha: float) -> float:
     return f(alpha) - f(cool.alpha_in)
 
 
-def subspace_passive(p, cool: CoolingInstance, eps: float = 1e-12) -> bool:
-    """Within each system level, populations non-increasing with machine energy."""
+def subspace_passive(p, cool: CoolingInstance) -> bool:
+    """Within each system level, populations non-increasing with machine energy.
+
+    Energies and populations more than 1e-12 apart count as different.
+    """
     _require_coherent_qubit(cool)
     p = np.asarray(p, dtype=float)
     d_m = cool.machine.dim
@@ -229,7 +232,7 @@ def subspace_passive(p, cool: CoolingInstance, eps: float = 1e-12) -> bool:
         row = p[s * d_m : (s + 1) * d_m][by_energy]
         for i in range(d_m - 1):
             for j in range(i + 1, d_m):
-                if e_sorted[j] - e_sorted[i] > 1e-12 and row[j] > row[i] + eps:
+                if e_sorted[j] - e_sorted[i] > 1e-12 and row[j] > row[i] + 1e-12:
                     return False
     return True
 
@@ -255,13 +258,13 @@ def demo_coherent_erasure() -> CoolingInstance:
     return coherent_instance(system, machine, beta=1.0)
 
 
-def demo_incoherent_cooling(delta: float = 1.0) -> CoolingInstance:
-    """Qubit-qutrit-qubit ladder, spacing delta, hot bath at infinite temperature.
+def demo_incoherent_cooling() -> CoolingInstance:
+    """Qubit-qutrit-qubit ladder, unit spacing, hot bath at infinite temperature.
 
     System starts thermal at the machine temperature, so exactly one
     energy-preserving swap cools it.
     """
-    system = SystemSpec(energies=(0.0, delta))
-    machine = SystemSpec(energies=(0.0, delta, 2.0 * delta))
-    bath = SystemSpec(energies=(0.0, delta))
+    system = SystemSpec(energies=(0.0, 1.0))
+    machine = SystemSpec(energies=(0.0, 1.0, 2.0))
+    bath = SystemSpec(energies=(0.0, 1.0))
     return incoherent_instance(system, machine, bath, beta_machine=1.0, beta_bath=0.0)

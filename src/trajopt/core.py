@@ -157,14 +157,14 @@ def check_alpha(alpha: float, lo: float, hi: float) -> float:
     return min(max(alpha, lo), hi)
 
 
-def preferred_order(target, cost, eps: float = COEFF_EPS) -> PreferredOrder:
-    """Stable sort by (target, cost, input index), with eps-tolerant ties."""
+def preferred_order(target, cost) -> PreferredOrder:
+    """Stable sort by (target, cost, input index); coefficients within COEFF_EPS tie."""
     a = _vector(target, "target")
     e = _vector(cost, "cost")
     if len(a) != len(e):
         raise DimensionMismatch("target and cost lengths differ")
-    ra = cluster_ranks(a, eps)
-    re = cluster_ranks(e, eps)
+    ra = cluster_ranks(a, COEFF_EPS)
+    re = cluster_ranks(e, COEFF_EPS)
     perm = np.lexsort((np.arange(len(a)), re, ra))
     inverse = np.argsort(perm)
     perm.setflags(write=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, TOutOfRange
-from .trajectory import OptimalTrajectory, state_at
+from .trajectory import OptimalTrajectory, _minimal_placement, state_at
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,14 @@ def minimal_permutation(traj: OptimalTrajectory) -> np.ndarray:
     """Permutation matrix taking the descending spectrum to the minimal point.
 
     Applied to the vector of eigenvalues sorted descending (placed on input
-    positions 0..d-1), it yields the minimal vertex in the input basis.
+    positions 0..d-1), it yields the minimal vertex in the input basis. With
+    a conserved vector that vertex is descending inside each block only, so
+    the j-th largest eigenvalue goes where the minimal point holds it
+    (`trajectory._minimal_placement`), as in `entry_point`'s chain.
     """
     d = traj.dim
     m = np.zeros((d, d))
-    m[traj.order.perm, np.arange(d)] = 1.0
+    m[_minimal_placement(traj), np.arange(d)] = 1.0
     return m
 
 

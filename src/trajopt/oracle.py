@@ -27,6 +27,8 @@ from .core import block_indices, block_of_input, check_alpha
 # Image entries the audit draws at once: n samples of dimension d per
 # chunk with n*d <= AUDIT_CHUNK (2 MB of float64).
 AUDIT_CHUNK = 1 << 18
+# How far a sample's cost may fall below the trajectory's before the audit counts it.
+AUDIT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +81,6 @@ class AuditReport:
     n_samples: int
     violations: int
     min_slack: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
@@ -203,9 +204,7 @@ def _audit_images(inst, n_samples: int, seed):
         yield images
 
 
-def monte_carlo_audit(
-    inst, traj, n_samples: int = 10_000, seed=0, tolerance: float = 1e-9
-) -> AuditReport:
+def monte_carlo_audit(inst, traj, n_samples: int = 10_000, seed=0) -> AuditReport:
     """Random vertices of the population polytope must stay on or above the trajectory cost.
 
     With a conserved vector, sampling is per conserved block. Each sample
@@ -224,8 +223,9 @@ def monte_carlo_audit(
     boundary being tested (Marshall, Olkin and Arnold, Inequalities:
     Theory of Majorization, 2011).
 
-    Deterministic per seed. Violations are reported, not raised; an
-    n_samples below 1 raises ValueError.
+    A sample whose cost falls more than AUDIT_TOLERANCE below omega is a
+    violation. Deterministic per seed. Violations are reported, not raised;
+    an n_samples below 1 raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -236,7 +236,6 @@ def monte_carlo_audit(
     slack = costs - omega
     return AuditReport(
         n_samples=n_samples,
-        violations=int(np.sum(slack < -tolerance)),
+        violations=int(np.sum(slack < -AUDIT_TOLERANCE)),
         min_slack=float(slack.min()),
-        tolerance=tolerance,
     )

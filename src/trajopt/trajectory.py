@@ -60,12 +60,11 @@ on its first read; `steps` is a read-only sequence that makes a
 `SwapStep` when one is read, and `breakpoints` stacks `alphas` and
 `omegas`.
 `omega_opt` interpolates on the two breakpoints around alpha, found by
-binary search on a memoryview, in Python floats as `np.interp` would, so
-it costs O(log steps) per call and makes no numpy call; the range test,
-clamp, search and interpolation run in one frame, a module-level function
-(`_cost_at`) that `omega_opt` calls directly and that is also
-`MinimalCostFunction.__call__`. `state_at` uses the same segment lookup
-(`MinimalCostFunction.segment`).
+binary search on a memoryview of `alphas`, in Python floats as
+`np.interp` would, so it costs O(log steps) per call and makes no numpy
+call; the range test, clamp, search and interpolation run in its own
+frame. The trajectory sets the bounds and memoryviews this reads once,
+when it is made, and `state_at` finds its segment in the same memoryview.
 
 Vertices and step indices are stored in preferred-basis coordinates;
 population vectors returned to callers are in the input basis.
@@ -114,72 +113,6 @@ class SwapStep:
     gradient: float
     alpha_start: float
     alpha_end: float
-
-
-def _cost_at(f: MinimalCostFunction, alpha: float) -> float:
-    """f(alpha), the body of both `MinimalCostFunction.__call__` and `omega_opt`.
-
-    A module-level function, so that `omega_opt` makes a plain call rather
-    than calling an instance. `segment`'s work runs in this frame:
-    check_alpha's test and clamp, then the search.
-    """
-    low, lo, hi, high, last = f._bounds
-    if not low <= alpha <= high:
-        check_alpha(alpha, lo, hi)  # raises
-    x = float(lo if alpha < lo else hi if alpha > hi else alpha)
-    xp, fp = f._xp, f._fp
-    j = bisect_right(xp, x) - 1
-    if j == last or xp[j] == x:
-        return fp[j]
-    x0, x1, y0, y1 = xp[j], xp[j + 1], fp[j], fp[j + 1]
-    slope = (y1 - y0) / (x1 - x0)
-    y = slope * (x - x0) + y0
-    if y != y:
-        # NaN: np.interp tries from the other end, then a flat segment's value
-        y = slope * (x - x1) + y1
-        if y != y and y0 == y1:
-            y = y0
-    return y
-
-
-@dataclass(frozen=True, eq=False)
-class MinimalCostFunction:
-    """Piecewise-linear convex minimal cost on [alpha_min, alpha_max].
-
-    A call (`_cost_at`) finds alpha's segment by binary search on a
-    read-only memoryview of alphas and interpolates between its two
-    breakpoints in Python floats, so it costs O(log steps), makes no numpy
-    call and copies nothing; it calls no method and calls `check_alpha`
-    only to raise. The branches are the ones `np.interp` takes for two
-    breakpoints, so the value is the one `np.interp` gives on the whole
-    arrays, bit for bit.
-    """
-
-    alphas: np.ndarray
-    omegas: np.ndarray
-    alpha_min: float = field(init=False, repr=False)
-    alpha_max: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        setattr_ = object.__setattr__
-        lo, hi = float(self.alphas[0]), float(self.alphas[-1])
-        setattr_(self, "alpha_min", lo)
-        setattr_(self, "alpha_max", hi)
-        # the range check_alpha accepts, the one it clamps to and the last vertex
-        setattr_(self, "_bounds", (lo - ALPHA_TOL, lo, hi, hi + ALPHA_TOL, len(self.alphas) - 1))
-        # an item of a memoryview is a Python float, not a numpy scalar
-        setattr_(self, "_xp", memoryview(self.alphas).toreadonly())
-        setattr_(self, "_fp", memoryview(self.omegas).toreadonly())
-
-    def segment(self, alpha: float) -> tuple[float, int]:
-        """alpha clamped to the range, and j with alphas[j] <= alpha < alphas[j + 1].
-
-        j is the last vertex at alpha_max.
-        """
-        x = float(check_alpha(alpha, self.alpha_min, self.alpha_max))
-        return x, bisect_right(self._xp, x) - 1
-
-    __call__ = _cost_at
 
 
 class StepSequence(Sequence):
@@ -237,6 +170,11 @@ class OptimalTrajectory:
     is derived from ks and ls when the trajectory is made (`_step_gradients`),
     vertices from initial_vertex on request (`vertex`), delta_alphas on its
     first read, and `steps` reads the arrays as SwapStep objects.
+
+    `omega_opt` and `state_at` read one lookup, set with the trajectory:
+    the range check_alpha accepts, the range it clamps to, the last
+    vertex, and read-only memoryviews of alphas and omegas, whose items
+    are Python floats.
     """
 
     order: PreferredOrder
@@ -254,6 +192,20 @@ class OptimalTrajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "gradients", _step_gradients(self.target_pref, self.cost_pref, self.ks, self.ls))
+        self._set_lookup()
+
+    def _set_lookup(self):
+        lo, hi = float(self.alphas[0]), float(self.alphas[-1])
+        xp, fp = memoryview(self.alphas).toreadonly(), memoryview(self.omegas).toreadonly()
+        object.__setattr__(self, "_lookup", (lo - ALPHA_TOL, lo, hi, hi + ALPHA_TOL, len(xp) - 1, xp, fp))
+
+    def __getstate__(self):
+        # a memoryview does not pickle: a copy or an unpickled trajectory sets its own lookup
+        return {k: v for k, v in self.__dict__.items() if k != "_lookup"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._set_lookup()
 
     @property
     def dim(self) -> int:
@@ -277,10 +229,6 @@ class OptimalTrajectory:
         out = np.column_stack((self.alphas, self.omegas))
         out.setflags(write=False)
         return out
-
-    @cached_property
-    def cost_function(self) -> MinimalCostFunction:
-        return MinimalCostFunction(alphas=self.alphas, omegas=self.omegas)
 
     @cached_property
     def delta_alphas(self) -> np.ndarray:
@@ -1000,24 +948,48 @@ def build(inst: ProblemInstance) -> OptimalTrajectory:
 
 
 def omega_opt(traj: OptimalTrajectory, alpha: float) -> float:
-    """Minimal cost at target value alpha (piecewise-linear interpolation)."""
-    return _cost_at(traj.cost_function, alpha)
+    """Minimal cost at target value alpha (piecewise-linear interpolation).
+
+    A binary search on the trajectory's lookup finds alpha's segment, and
+    the value is interpolated between its two breakpoints in Python
+    floats: O(log steps), no numpy call, no copy, and `check_alpha` is
+    called only to raise. The branches are the ones `np.interp` takes for
+    two breakpoints, so the value is the one `np.interp` gives on the
+    whole arrays, bit for bit.
+    """
+    low, lo, hi, high, last, xp, fp = traj._lookup
+    if not low <= alpha <= high:
+        check_alpha(alpha, lo, hi)  # raises
+    x = float(lo if alpha < lo else hi if alpha > hi else alpha)
+    j = bisect_right(xp, x) - 1
+    if j == last or xp[j] == x:
+        return fp[j]
+    x0, x1, y0, y1 = xp[j], xp[j + 1], fp[j], fp[j + 1]
+    slope = (y1 - y0) / (x1 - x0)
+    y = slope * (x - x0) + y0
+    if y != y:
+        # NaN: np.interp tries from the other end, then a flat segment's value
+        y = slope * (x - x1) + y1
+        if y != y and y0 == y1:
+            y = y0
+    return y
 
 
 def state_at(traj: OptimalTrajectory, alpha: float):
     """Input-basis population realizing alpha on the trajectory.
 
     Returns (population, segment_index, t) where t in [0, 1] is the position
-    along the active segment (0 at its start vertex).
+    along the active segment (0 at its start vertex). The segment is found
+    as `omega_opt` finds it.
     """
-    f = traj.cost_function
-    alpha, seg = f.segment(alpha)
+    _, lo, hi, _, _, xp, _ = traj._lookup
+    alpha = float(check_alpha(alpha, lo, hi))
     n = len(traj.ks)
     if n == 0:
         return traj.vertex_input(0), 0, 0.0
-    seg = min(seg, n - 1)
-    lo, hi = f._xp[seg], f._xp[seg + 1]
-    t = 0.0 if hi == lo else (alpha - lo) / (hi - lo)
+    seg = min(bisect_right(xp, alpha) - 1, n - 1)
+    x0, x1 = xp[seg], xp[seg + 1]
+    t = 0.0 if x1 == x0 else (alpha - x0) / (x1 - x0)
     t = min(max(t, 0.0), 1.0)
     start = traj.vertex(seg)
     end = start.copy()
@@ -1070,6 +1042,17 @@ def _uniqueness_at_minimum(prep: _Prepared) -> MinimumUniqueness:
     return MinimumUniqueness(unique=False, condition=None)
 
 
+def _minimal_placement(traj: OptimalTrajectory) -> np.ndarray:
+    """The input index the j-th largest eigenvalue takes at the minimal point, for each j.
+
+    The minimal point is descending inside each conserved block, not
+    across blocks, so this is the input index of the j-th largest entry of
+    initial_vertex (a stable sort; for a flat trajectory that is the
+    preferred order itself).
+    """
+    return traj.order.perm[np.argsort(-traj.initial_vertex, kind="stable")]
+
+
 def entry_point(traj: OptimalTrajectory, alpha_in: float):
     """Trajectory point at alpha_in plus a two-level route reaching it.
 
@@ -1078,19 +1061,15 @@ def entry_point(traj: OptimalTrajectory, alpha_in: float):
     populations: first the permutation to the minimal point as full swaps,
     then the completed trajectory swaps, then one partial mix on the active
     segment. Majorization guarantees such a chain exists; this one simply
-    replays the trajectory.
-
-    The minimal point is descending inside each conserved block, not
-    across blocks, so the permutation sends the j-th largest eigenvalue to
-    the input index of the j-th largest entry of initial_vertex (a stable
-    sort; for a flat trajectory that is the preferred order itself).
+    replays the trajectory. The permutation sends the j-th largest
+    eigenvalue to its input index at the minimal point (`_minimal_placement`).
     """
     from .lift import TTransform
 
     p, seg, t = state_at(traj, alpha_in)
     d = traj.dim
     chain = []
-    perm = traj.order.perm[np.argsort(-traj.initial_vertex, kind="stable")]
+    perm = _minimal_placement(traj)
     seen = np.zeros(d, dtype=bool)
     for start in range(d):
         if seen[start] or perm[start] == start:

@@ -438,6 +438,26 @@ def test_verify_large_flat_instance_skips_enumeration_runs_audit(tmp_path, capsy
     assert "PASS  monte-carlo-audit" in out
 
 
+def test_verify_skip_line_stays_short_with_many_blocks(tmp_path, capsys):
+    # 40 blocks of 5 distinct values: 120**40 product vertices, an 84-digit
+    # number, where the cap allows 9! = 362 880; the refusal stops
+    # multiplying once the product passes the cap
+    rng = np.random.default_rng(8)
+    d = 200
+    doc = {
+        "eigenvalues": rng.dirichlet(np.ones(d)).tolist(),
+        "target": rng.normal(size=d).tolist(),
+        "cost": rng.normal(size=d).tolist(),
+        "conserved": np.repeat(np.arange(40.0), 5).tolist(),
+    }
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path), "--samples", "100")
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if "envelope-equivalence" in line]
+    assert line.startswith("SKIP  envelope-equivalence: skipped (at least ") and len(line) < 100
+
+
 def test_enum_cap_env_var(tmp_path, capsys, instance_file, monkeypatch):
     monkeypatch.setenv("TRAJOPT_MAX_ENUM_DIM", "4")
     code, out, _ = run(capsys, "verify", instance_file, "--samples", "100")

@@ -319,9 +319,9 @@ def test_product_above_the_cap_factorial_is_refused():
             conserved=np.repeat([0.0, 1.0], 4),
         )
     )
-    with pytest.raises(DimensionTooLarge, match=r"^576 product vertices exceed 4! = 24$"):
+    with pytest.raises(DimensionTooLarge, match=r"^at least 576 product vertices exceed 4! = 24$"):
         enumerate_generalized_vertices(inst, max_block_dim=4)
-    with pytest.raises(DimensionTooLarge, match=r"^576 product vertices exceed 5! = 120$"):
+    with pytest.raises(DimensionTooLarge, match=r"^at least 576 product vertices exceed 5! = 120$"):
         enumerate_generalized_vertices(inst, max_block_dim=5)
     assert enumerate_generalized_vertices(inst, max_block_dim=6).shape == (576, 8)
     with pytest.raises(DimensionTooLarge, match=r"^dim 4 > cap 3$"):

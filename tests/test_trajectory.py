@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import tracemalloc
 import warnings
 
@@ -20,7 +22,6 @@ from trajopt.errors import AlphaOutOfRange, NotAVertex
 from trajopt.lift import apply_chain
 from trajopt.polytope import enumerate_vertices, is_edge, majorizes
 from trajopt.trajectory import (
-    MinimalCostFunction,
     OptimalTrajectory,
     SwapStep,
     build,
@@ -209,42 +210,58 @@ def test_omega_opt_equals_interpolation_on_all_breakpoints(rng):
     trajs.append(build(random_instance(rng, 256, degenerate=True)))
     # a float-invisible step: both breakpoints share one alpha
     trajs.append(build(make([0.5 + 5e-11, 0.5 - 5e-11], [0.3, 0.3 + 1e-11], [1.0, 0.0])))
-    funcs = [traj.cost_function for traj in trajs]
-    # -0.0 omegas, which a build never makes but the function must still carry
-    funcs.append(MinimalCostFunction(alphas=np.array([0.0, 1.0, 2.0, 3.0]), omegas=np.array([-0.0, -0.0, 1.0, -0.0])))
+    # -0.0 omegas, which a build never makes but omega_opt must still carry
+    three = build(make([0.5, 0.3, 0.2], [0.0, 1.0, 2.0], [0.0, 1.0, 3.0]))
+    assert len(three.ks) == 3
+    alphas, omegas = np.array([0.0, 1.0, 2.0, 3.0]), np.array([-0.0, -0.0, 1.0, -0.0])
+    signed_zeros = dataclasses.replace(three, alphas=alphas, omegas=omegas)
     # a built trajectory whose alphas are the integers 1 and 3
-    funcs.append(build(make([0.75, 0.25], [0.0, 4.0], [0.0, -4.0])).cost_function)
-    assert funcs[-1].alphas.tolist() == [1.0, 3.0]
-    for f in funcs:
-        alphas, omegas = f.alphas, f.omegas
+    integer_ends = build(make([0.75, 0.25], [0.0, 4.0], [0.0, -4.0]))
+    assert integer_ends.alphas.tolist() == [1.0, 3.0]
+    for traj in [*trajs, signed_zeros, integer_ends]:
+        alphas, omegas = traj.alphas, traj.omegas
+        lo, hi = traj.alpha_min, traj.alpha_max
         xs = np.concatenate([
             alphas, np.nextafter(alphas, np.inf), np.nextafter(alphas, -np.inf),
-            rng.uniform(f.alpha_min, f.alpha_max, 50),
+            rng.uniform(lo, hi, 50),
         ])
         for x in xs.tolist():
-            if not f.alpha_min <= x <= f.alpha_max:
+            if not lo <= x <= hi:
                 continue
-            assert _signed(f(x)) == _signed(float(np.interp(x, alphas, omegas)))
+            assert _signed(omega_opt(traj, x)) == _signed(float(np.interp(x, alphas, omegas)))
         # exactly at each segment's ends alphas[j] and alphas[j + 1], and at alpha_max
         for j in range(len(alphas) - 1):
             for x in (alphas[j], alphas[j + 1]):
-                assert _signed(f(float(x))) == _signed(float(np.interp(x, alphas, omegas)))
-        assert _signed(f(f.alpha_max)) == _signed(float(omegas[-1]))
+                assert _signed(omega_opt(traj, float(x))) == _signed(float(np.interp(x, alphas, omegas)))
+        assert _signed(omega_opt(traj, hi)) == _signed(float(omegas[-1]))
         # within ALPHA_TOL outside the range, alpha is clamped to the ends
-        for x, end in ((f.alpha_min - 5e-10, f.alpha_min), (f.alpha_max + 5e-10, f.alpha_max)):
-            assert _signed(f(x)) == _signed(float(np.interp(end, alphas, omegas)))
+        for x, end in ((lo - 5e-10, lo), (hi + 5e-10, hi)):
+            assert _signed(omega_opt(traj, x)) == _signed(float(np.interp(end, alphas, omegas)))
         # an np.float64 alpha gives the float's value, bits and sign, at every
         # breakpoint and at both clamps; so does an int equal to the float
-        for x in [*alphas.tolist(), f.alpha_min - 5e-10, f.alpha_max + 5e-10]:
-            want = _signed(f(x))
-            assert _signed(f(np.float64(x))) == want and type(f(np.float64(x))) is float
+        for x in [*alphas.tolist(), lo - 5e-10, hi + 5e-10]:
+            want = _signed(omega_opt(traj, x))
+            got = omega_opt(traj, np.float64(x))
+            assert _signed(got) == want and type(got) is float
             if x == int(x):
-                assert _signed(f(int(x))) == want and type(f(int(x))) is float
-    assert [_signed(funcs[-2](x)) for x in (0.0, 1.0, 3.0)] == [(-0.0, True)] * 3
-    assert [f(x) for f in funcs[-2:] for x in (1, 3)] == [-0.0, -0.0, -1.0, -3.0]
+                got = omega_opt(traj, int(x))
+                assert _signed(got) == want and type(got) is float
+    assert [_signed(omega_opt(signed_zeros, x)) for x in (0.0, 1.0, 3.0)] == [(-0.0, True)] * 3
+    assert [omega_opt(t, x) for t in (signed_zeros, integer_ends) for x in (1, 3)] == [-0.0, -0.0, -1.0, -3.0]
     invisible = trajs[-1]
     assert invisible.alphas[0] == invisible.alphas[1]
     assert omega_opt(invisible, float(invisible.alphas[0])) == 0.49999999995
+
+
+def test_trajectory_copies_and_pickles_after_a_lookup(rng):
+    # the lookup holds memoryviews, which do not pickle; a copy sets its own
+    traj = build(random_instance(rng, 7))
+    xs = rng.uniform(traj.alpha_min, traj.alpha_max, 20).tolist()
+    want = [omega_opt(traj, x) for x in xs]
+    for twin in (copy.deepcopy(traj), pickle.loads(pickle.dumps(traj))):
+        assert twin.alphas.tobytes() == traj.alphas.tobytes()
+        assert [omega_opt(twin, x) for x in xs] == want
+        assert state_at(twin, xs[0])[1:] == state_at(traj, xs[0])[1:]
 
 
 def test_nan_alpha_is_out_of_range(rng):
